@@ -20,12 +20,9 @@ from __future__ import annotations
 from .augment import (
     AugmentedLink,
     CrossingCircle,
-    FlatComponents,
-    ReflectionData,
     augment,
     export_augmented_diagram,
     filling_slope,
-    reflection_data,
 )
 from .diagram import (
     ComponentMap,
@@ -57,15 +54,12 @@ from .geometry import (
     CertificateReport,
     Constants,
     GeodesicCertificate,
-    LatticeBasis,
-    LatticeGenerators,
     SlopeEstimate,
     augmentation_volume_lower_bound,
     build_report,
     euler_char_cut,
     filled_volume_lower_bound,
     geodesic_certificate,
-    lattice_generators,
     normalized_length,
     normalized_length_lower_bound,
     six_theorem_certificate,
@@ -104,18 +98,14 @@ __all__ = [
     "DiagramSyntaxError",
     "ExportError",
     "Face",
-    "FlatComponents",
     "GEODESIC_THRESHOLD",
     "GeodesicCertificate",
     "GeometryError",
     "InvalidDiagramError",
-    "LatticeBasis",
-    "LatticeGenerators",
     "NonAlternatingRegionError",
     "REPORT_SCHEMA",
     "RegionAnnotation",
     "RegionError",
-    "ReflectionData",
     "SlopeEstimate",
     "TwistRegion",
     "TwistSelection",
@@ -131,14 +121,12 @@ __all__ = [
     "filled_volume_lower_bound",
     "filling_slope",
     "geodesic_certificate",
-    "lattice_generators",
     "link_components",
     "normalized_length",
     "normalized_length_lower_bound",
     "parse_diagram",
     "parse_document",
     "reduce_twist_region",
-    "reflection_data",
     "resolve_selection",
     "serialize_diagram",
     "six_theorem_certificate",

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .diagram import Diagram, link_components, mate_map
+from .diagram import Diagram, mate_map
 from .errors import AugmentError, ExportError
 from .twist import TwistRegion, TwistSelection
 
@@ -53,11 +53,9 @@ class CrossingCircle:
     """The circle inserted around one twist region."""
 
     id: int
-    region_id: int
     epsilon: int
     strand_count: int
     filling_n: int
-    sign: int
 
     @property
     def half_twists(self) -> int:
@@ -66,24 +64,8 @@ class CrossingCircle:
 
 
 @dataclass(frozen=True)
-class FlatComponents:
-    """What remains of the knot after all full twists are removed.
-
-    The strand components themselves are unchanged (removing full twists
-    never reconnects strands), so their count equals the original link's.
-    ``residual_crossings`` records, per circle, which original crossings
-    stand in for the surviving half-twist: m(m-1)/2 of them when epsilon=1,
-    none otherwise.
-    """
-
-    component_count: int
-    residual_crossings: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
 class AugmentedLink:
     circles: tuple[CrossingCircle, ...]
-    flat_components: FlatComponents
     source: TwistSelection
 
     @property
@@ -93,18 +75,6 @@ class AugmentedLink:
     @property
     def half_twist_counts(self) -> tuple[int, ...]:
         return tuple(c.half_twists for c in self.circles)
-
-
-@dataclass(frozen=True)
-class ReflectionData:
-    """Curves of the reflection surface on each crossing-circle cusp torus.
-
-    The augmented complement admits an orientation-reversing involution
-    fixing a surface; that surface meets circle i's cusp in 2 - epsilon_i
-    curves (two without a residual half-twist, one with).
-    """
-
-    curve_counts: tuple[int, ...]  # aligned with AugmentedLink.circles
 
 
 def _check_selection(diagram: Diagram, selection: TwistSelection) -> None:
@@ -128,36 +98,12 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
     """Insert one crossing circle per region and remove the full twists."""
     _check_selection(diagram, selection)
     circles = []
-    residuals = []
     for r in selection.regions:
         n, eps = filling_slope(r.half_twists)
         circles.append(
-            CrossingCircle(
-                id=r.id,
-                region_id=r.id,
-                epsilon=eps,
-                strand_count=r.strand_count,
-                filling_n=n,
-                sign=r.sign,
-            )
+            CrossingCircle(id=r.id, epsilon=eps, strand_count=r.strand_count, filling_n=n)
         )
-        keep = eps * r.strand_count * (r.strand_count - 1) // 2
-        residuals.append(tuple(sorted(r.crossing_ids)[:keep]))
-
-    flat = FlatComponents(
-        component_count=link_components(diagram).component_count,
-        residual_crossings=tuple(residuals),
-    )
-    assert len(circles) == selection.region_count
-    for circle, r, kept in zip(circles, selection.regions, residuals):
-        assert circle.epsilon == r.half_twists % 2
-        assert len(kept) == circle.epsilon * circle.strand_count * (circle.strand_count - 1) // 2
-    return AugmentedLink(circles=tuple(circles), flat_components=flat, source=selection)
-
-
-def reflection_data(augmented: AugmentedLink) -> ReflectionData:
-    """Curve count of the reflection surface on each circle cusp: 2 - epsilon."""
-    return ReflectionData(curve_counts=tuple(2 - c.epsilon for c in augmented.circles))
+    return AugmentedLink(circles=tuple(circles), source=selection)
 
 
 # ============================================================================
@@ -274,9 +220,7 @@ class _PortGraph:
         uin, uout = stub.find("uin"), stub.find("uout")
         oin, oout = stub.find("oin"), stub.find("oout")
         pairs = {"u": [self.pred[uin], self.succ[uout]], "o": [self.pred[oin], self.succ[oout]]}
-        for name in stub.rotation:
-            self.disconnect(stub.port(name))
-        del self.stubs[key]
+        self.delete_stub_edges(key)
 
         free = 0
         alive = {"u", "o"}
@@ -563,24 +507,22 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     graph = _PortGraph()
     for x in diagram.crossings:
         graph.add(_original_stub(("x", x.id), x.sign))
-    for arc, ends in _arcs_by_label(diagram).items():
-        (c1, s1), (c2, s2) = ends
+    for (c1, s1), (c2, s2) in mates.items():
         p1, p2 = (("x", c1), f"s{s1}"), (("x", c2), f"s{s2}")
-        r1 = graph.role(p1) in _OUT_ROLES
-        r2 = graph.role(p2) in _OUT_ROLES
-        if r1 == r2:
+        if p1 in graph.succ or p1 in graph.pred:
+            continue  # wired from its other end
+        if (graph.role(p1) in _OUT_ROLES) == (graph.role(p2) in _OUT_ROLES):
             raise ExportError(
-                f"arc {arc} has no coherent direction; crossing signs are not "
-                "orientation-consistent"
+                f"arc {diagram.crossing(c1).arcs[s1]} has no coherent direction; "
+                "crossing signs are not orientation-consistent"
             )
         graph.connect(p1, p2)
 
-    for circle in augmented.circles:
-        region = selection.region(circle.region_id)
-        ids = frozenset(region.crossing_ids)
+    for circle, region in zip(augmented.circles, selection.regions):
         if circle.epsilon == 1 and region.strand_count == 2:
             _export_kept_crossing_region(graph, region)
         else:
+            ids = frozenset(region.crossing_ids)
             n_boundary = sum(
                 1 for c in ids for s in range(4) if mates[(c, s)][0] not in ids
             )
@@ -599,11 +541,3 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
 
     name = f"{diagram.name}-augmented" if diagram.name else "augmented"
     return graph.to_diagram(name)
-
-
-def _arcs_by_label(diagram: Diagram) -> dict[int, list[Dart]]:
-    arcs: dict[int, list[Dart]] = {}
-    for x in diagram.crossings:
-        for s, a in enumerate(x.arcs):
-            arcs.setdefault(a, []).append((x.id, s))
-    return arcs

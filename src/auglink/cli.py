@@ -45,7 +45,6 @@ class FileResult:
     ok: bool
     name: str | None = None
     report: CertificateReport | None = None
-    augmented: AugmentedLink | None = None
     warnings: tuple[str, ...] = ()
     export_path: str | None = None
     error: str | None = None
@@ -67,7 +66,7 @@ def analyze_file(path: str, config: RunConfig) -> FileResult:
                 file=path,
                 ok=True,
                 name=diagram.name,
-                report=trivial_report(config.attest_hyperbolic),
+                report=trivial_report(),
                 warnings=document.warnings,
             )
         augmented = augment(reduced, selection)
@@ -80,7 +79,6 @@ def analyze_file(path: str, config: RunConfig) -> FileResult:
             ok=True,
             name=diagram.name,
             report=report,
-            augmented=augmented,
             warnings=document.warnings,
             export_path=export_path,
         )

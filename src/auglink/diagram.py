@@ -30,8 +30,8 @@ from __future__ import annotations
 
 import json
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from dataclasses import dataclass
+from typing import Mapping
 
 from .errors import DiagramSyntaxError, InvalidDiagramError
 
@@ -64,17 +64,14 @@ class Crossing:
             raise InvalidDiagramError(
                 f"crossing {self.id}: expected 4 arc labels, got {len(self.arcs)}"
             )
-        if any((not isinstance(a, int)) or isinstance(a, bool) or a < 1 for a in self.arcs):
+        if any(not _is_int(a) or a < 1 for a in self.arcs):
             raise InvalidDiagramError(
                 f"crossing {self.id}: arc labels must be positive integers, got {self.arcs!r}"
             )
-        if self.sign not in (-1, 1):
+        if not _is_int(self.sign) or self.sign not in (-1, 1):
             raise InvalidDiagramError(
                 f"crossing {self.id}: sign must be +1 or -1, got {self.sign!r}"
             )
-
-    def arc_at(self, slot: int) -> int:
-        return self.arcs[slot % 4]
 
     @property
     def over_in_slot(self) -> int:
@@ -104,10 +101,6 @@ class Face:
     @property
     def degree(self) -> int:
         return len(self.boundary)
-
-    @property
-    def crossing_ids(self) -> tuple[int, ...]:
-        return tuple(c for c, _ in self.boundary)
 
 
 @dataclass(frozen=True)
@@ -222,6 +215,9 @@ def parse_document(text: str, *, allow_unknown_keys: bool = False) -> DiagramDoc
         raise DiagramSyntaxError(
             f"not valid JSON: {e.msg} at line {e.lineno} column {e.colno}", position=e.pos
         ) from e
+    except (RecursionError, ValueError) as e:
+        # Nesting too deep to decode, or an integer literal too long to convert.
+        raise DiagramSyntaxError(f"not valid JSON: {e}") from e
 
     if isinstance(data, list):
         data = {"pd": data}
@@ -248,9 +244,8 @@ def parse_document(text: str, *, allow_unknown_keys: bool = False) -> DiagramDoc
         raise InvalidDiagramError('"name" must be a string')
 
     signs = data.get("signs")
-    if signs is not None:
-        if not isinstance(signs, list) or any(s not in (-1, 1) for s in signs):
-            raise InvalidDiagramError('"signs" must be an array of +1/-1')
+    if signs is not None and not isinstance(signs, list):
+        raise InvalidDiagramError('"signs" must be an array of +1/-1')
 
     diagram = Diagram.from_pd(pd, signs, name)
 
@@ -272,15 +267,12 @@ def parse_document(text: str, *, allow_unknown_keys: bool = False) -> DiagramDoc
             half_twists = region["half_twists"]
         except KeyError as e:
             raise InvalidDiagramError(f"region {i}: missing key {e.args[0]!r}") from e
-        if (
-            not isinstance(crossings, list)
-            or any((not isinstance(c, int)) or isinstance(c, bool) for c in crossings)
-        ):
+        if not isinstance(crossings, list) or not all(_is_int(c) for c in crossings):
             raise InvalidDiagramError(f'region {i}: "crossings" must be an array of crossing ids')
         if len(set(crossings)) != len(crossings):
             raise InvalidDiagramError(f"region {i}: duplicate crossing ids")
         for key, value in (("strands", strands), ("half_twists", half_twists)):
-            if not isinstance(value, int) or isinstance(value, bool):
+            if not _is_int(value):
                 raise InvalidDiagramError(f'region {i}: "{key}" must be an integer')
         annotations.append(
             RegionAnnotation(
@@ -318,15 +310,20 @@ def serialize_diagram(diagram: Diagram) -> str:
 # ============================================================================
 
 
+def _dart_places(crossings) -> dict[int, list[Dart]]:
+    """Arc label -> its two darts, from (crossing id, quadruple) pairs."""
+    places: dict[int, list[Dart]] = defaultdict(list)
+    for cid, quad in crossings:
+        for slot, arc in enumerate(quad):
+            places[arc].append((cid, slot))
+    return places
+
+
 def mate_map(diagram: Diagram) -> dict[Dart, Dart]:
     """Map each dart (crossing id, slot) to the other end of its arc."""
-    places: dict[int, list[Dart]] = defaultdict(list)
-    for x in diagram.crossings:
-        for slot, arc in enumerate(x.arcs):
-            places[arc].append((x.id, slot))
+    places = _dart_places((x.id, x.arcs) for x in diagram.crossings)
     mates: dict[Dart, Dart] = {}
-    for ends in places.values():
-        a, b = ends
+    for a, b in places.values():
         mates[a] = b
         mates[b] = a
     return mates
@@ -367,22 +364,28 @@ def compute_faces(diagram: Diagram) -> tuple[Face, ...]:
     return tuple(faces)
 
 
+def _strand_classes(quads) -> list[list[int]]:
+    """Arc labels grouped by link component, ordered by smallest label.
+
+    The under-strand connects slots 0 and 2, the over-strand slots 1 and 3;
+    this is independent of crossing signs.
+    """
+    dsu = _DisjointSets({a for quad in quads for a in quad})
+    for quad in quads:
+        dsu.union(quad[0], quad[2])
+        dsu.union(quad[1], quad[3])
+    return sorted(dsu.classes(), key=min)
+
+
 def link_components(diagram: Diagram) -> ComponentMap:
     """Partition arcs into link components by following strands through.
 
-    The under-strand connects slots 0 and 2, the over-strand slots 1 and 3;
-    this is independent of crossing signs.  The crossing-free unknot counts
-    as one component.
+    The crossing-free unknot counts as one component.
     """
     if not diagram.crossings:
         return ComponentMap(assignment={}, component_count=1)
 
-    dsu = _DisjointSets(diagram.arc_labels)
-    for x in diagram.crossings:
-        dsu.union(x.arcs[0], x.arcs[2])
-        dsu.union(x.arcs[1], x.arcs[3])
-    classes = dsu.classes()
-    classes.sort(key=min)
+    classes = _strand_classes([x.arcs for x in diagram.crossings])
     assignment = {arc: idx for idx, cls in enumerate(classes) for arc in cls}
     return ComponentMap(assignment=assignment, component_count=len(classes))
 
@@ -390,6 +393,11 @@ def link_components(diagram: Diagram) -> ComponentMap:
 # ============================================================================
 # Validation internals
 # ============================================================================
+
+
+def _is_int(value) -> bool:
+    """True for an int that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 class _DisjointSets:
@@ -420,7 +428,7 @@ def _check_arc_multiplicity(quads: list[tuple]) -> None:
     counts = defaultdict(int)
     for quad in quads:
         for arc in quad:
-            if (not isinstance(arc, int)) or isinstance(arc, bool) or arc < 1:
+            if not _is_int(arc) or arc < 1:
                 raise InvalidDiagramError(
                     f"arc labels must be positive integers, got {arc!r}"
                 )
@@ -489,10 +497,7 @@ def _infer_signs(quads: list[tuple]) -> list[int]:
     ends up with one head and one tail.
     """
     n = len(quads)
-    places: dict[int, list[Dart]] = defaultdict(list)
-    for ci, quad in enumerate(quads):
-        for slot, arc in enumerate(quad):
-            places[arc].append((ci, slot))
+    places = _dart_places(enumerate(quads))
 
     signs: dict[int, int] = {}
 
@@ -529,13 +534,14 @@ def _infer_signs(quads: list[tuple]) -> list[int]:
                 changed |= force(c1, s1, "out" if r2 == "in" else "in")
 
     if len(signs) < n:
-        component = _arc_components(quads)
+        succ: dict[int, int] = {}  # next label along the same component
+        for cls in _strand_classes(quads):
+            labels = sorted(cls)
+            succ.update(zip(labels, labels[1:] + labels[:1]))
         for ci in range(n):
             if ci in signs:
                 continue
             b, d = quads[ci][1], quads[ci][3]
-            labels = sorted(component[d])
-            succ = {a: labels[(k + 1) % len(labels)] for k, a in enumerate(labels)}
             if succ[d] == b:
                 signs[ci] = 1
             elif succ[b] == d:
@@ -554,18 +560,3 @@ def _infer_signs(quads: list[tuple]) -> list[int]:
                 'direction); supply explicit "signs"'
             )
     return [signs[ci] for ci in range(n)]
-
-
-def _arc_components(quads: list[tuple]) -> dict[int, frozenset[int]]:
-    """Arc -> set of arcs in its link component (sign-independent)."""
-    labels = {a for quad in quads for a in quad}
-    dsu = _DisjointSets(labels)
-    for quad in quads:
-        dsu.union(quad[0], quad[2])
-        dsu.union(quad[1], quad[3])
-    result: dict[int, frozenset[int]] = {}
-    for cls in dsu.classes():
-        fs = frozenset(cls)
-        for arc in cls:
-            result[arc] = fs
-    return result

@@ -49,76 +49,6 @@ _MISSING_ATTESTATION = "missing hyperbolicity attestation"
 
 
 # ============================================================================
-# Cusp lattice model
-# ============================================================================
-
-
-@dataclass(frozen=True)
-class LatticeGenerators:
-    """Homology generators of a crossing-circle cusp torus in (p, o) steps.
-
-    The longitude is two orthogonal steps, lam = (0, 2); the meridian is one
-    parallel step plus epsilon orthogonal steps, mu = (1, epsilon).  Their
-    determinant in lattice steps is 2 (the torus is tiled by two rectangles,
-    which is also why its area is 2*p_len*o_len).
-    """
-
-    epsilon: int
-
-    @property
-    def mu(self) -> tuple[int, int]:
-        return (1, self.epsilon)
-
-    @property
-    def lam(self) -> tuple[int, int]:
-        return (0, 2)
-
-    @property
-    def det(self) -> int:
-        (a, b), (c, d) = self.mu, self.lam
-        return abs(a * d - b * c)
-
-    def slope_coordinates(self, n: int) -> tuple[int, int]:
-        """Coordinates of mu + n*lam; its o-component has |eps + 2n| = c."""
-        return (1, self.epsilon + 2 * n)
-
-
-def lattice_generators(epsilon: int) -> LatticeGenerators:
-    if epsilon not in (0, 1):
-        raise GeometryError(f"epsilon must be 0 or 1, got {epsilon!r}")
-    gens = LatticeGenerators(epsilon=epsilon)
-    assert gens.det == 2
-    return gens
-
-
-@dataclass(frozen=True)
-class LatticeBasis:
-    """Edge lengths of the two-rectangle fundamental domain of a cusp torus."""
-
-    p_len: float
-    o_len: float
-    epsilon: int
-
-    def __post_init__(self):
-        if not (self.p_len > 0 and self.o_len > 0):
-            raise GeometryError("lattice step lengths must be positive")
-
-    @classmethod
-    def calibrated(cls, epsilon: int) -> "LatticeBasis":
-        """The extremal lengths of the calibrated maximal cusp: p=1/2, o=1."""
-        return cls(p_len=0.5, o_len=1.0, epsilon=epsilon)
-
-    @property
-    def area(self) -> float:
-        return 2.0 * self.p_len * self.o_len
-
-    def slope_length(self, n: int) -> float:
-        """Geodesic length of mu + n*lam on this torus: sqrt(p^2 + c^2 o^2)."""
-        c = abs(self.epsilon + 2 * n)
-        return math.sqrt(self.p_len * self.p_len + (c * self.o_len) * (c * self.o_len))
-
-
-# ============================================================================
 # Length and volume bounds
 # ============================================================================
 
@@ -317,9 +247,8 @@ def build_report(augmented: AugmentedLink, attested_hyperbolic: bool) -> Certifi
     )
 
 
-def trivial_report(attested_hyperbolic: bool) -> CertificateReport:
+def trivial_report() -> CertificateReport:
     """Report for a diagram with no twist regions (nothing to augment)."""
-    del attested_hyperbolic  # nothing to certify either way
     none = ("no twist regions",)
     return CertificateReport(
         hypotheses=(HYPOTHESIS_HYPERBOLIC, HYPOTHESIS_CUSPS),

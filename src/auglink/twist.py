@@ -54,14 +54,14 @@ class TwistRegion:
     sign: int
 
     def __post_init__(self):
-        if self.strand_count < 2:
-            raise RegionError(f"region {self.id}: strand count must be >= 2")
-        expected = self.half_twists * self.strand_count * (self.strand_count - 1) // 2
+        m, c = self.strand_count, self.half_twists
+        if m < 2:
+            raise RegionError(f"region {self.id}: strand count must be >= 2, got {m}")
+        expected = c * m * (m - 1) // 2
         if len(self.crossing_ids) != expected:
             raise RegionError(
-                f"region {self.id}: {len(self.crossing_ids)} crossings cannot make "
-                f"{self.half_twists} half-twists of {self.strand_count} strands "
-                f"(needs {expected})"
+                f"region {self.id}: {len(self.crossing_ids)} crossings cannot make {c} "
+                f"half-twists of {m} strands (needs {expected} = c*m(m-1)/2)"
             )
 
     @property
@@ -80,12 +80,6 @@ class TwistSelection:
     def region_count(self) -> int:
         """tw(D), the number of regions in the selection."""
         return len(self.regions)
-
-    def region(self, region_id: int) -> TwistRegion:
-        for r in self.regions:
-            if r.id == region_id:
-                return r
-        raise KeyError(f"no region with id {region_id}")
 
 
 # ============================================================================
@@ -265,22 +259,21 @@ def validate_generalized_region(
     """
     m, c = annotation.strand_count, annotation.half_twists
     ids = annotation.crossing_ids
-    if m < 2:
-        raise RegionError(f"region {region_id}: strand count must be >= 2, got {m}")
     if c < 1:
         raise RegionError(f"region {region_id}: half-twist count must be >= 1, got {c}")
-    known = set(diagram.crossing_ids)
-    missing = sorted(ids - known)
+    missing = sorted(ids - set(diagram.crossing_ids))
     if missing:
         raise RegionError(f"region {region_id}: unknown crossing ids {missing}")
-    expected = c * m * (m - 1) // 2
-    if len(ids) != expected:
-        raise RegionError(
-            f"region {region_id}: {len(ids)} crossings cannot make {c} half-twists "
-            f"of {m} strands (needs {expected} = c*m(m-1)/2)"
-        )
     signs = {diagram.crossing(i).sign for i in ids}
-    if len(signs) != 1:
+    # TwistRegion checks the strand and crossing counts; those come first.
+    region = TwistRegion(
+        id=region_id,
+        crossing_ids=tuple(sorted(ids)),
+        strand_count=m,
+        half_twists=c,
+        sign=next(iter(signs)) if len(signs) == 1 else 0,
+    )
+    if region.sign == 0:
         raise NonAlternatingRegionError(
             f"region {region_id}: crossings have mixed signs {sorted(signs)}"
         )
@@ -290,13 +283,7 @@ def validate_generalized_region(
             f"region {region_id}: {boundary} strand-endpoints leave the region, "
             f"expected 2m = {2 * m}"
         )
-    return TwistRegion(
-        id=region_id,
-        crossing_ids=tuple(sorted(ids)),
-        strand_count=m,
-        half_twists=c,
-        sign=signs.pop(),
-    )
+    return region
 
 
 # ============================================================================

@@ -1,4 +1,4 @@
-"""Augmentation structure, filling slopes, reflection data, and PD export."""
+"""Augmentation structure, filling slopes, and PD export."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from auglink.augment import (
     augment,
     export_augmented_diagram,
     filling_slope,
-    reflection_data,
 )
 from auglink.diagram import Diagram, link_components, parse_diagram, serialize_diagram
 from auglink.errors import AugmentError, ExportError
@@ -67,9 +66,6 @@ def test_trefoil_augmentation_structure():
     (circle,) = augmented.circles
     assert (circle.strand_count, circle.half_twists) == (2, 3)
     assert (circle.filling_n, circle.epsilon) == (2, 1)
-    assert circle.sign == 1
-    assert augmented.flat_components.component_count == 1
-    assert augmented.flat_components.residual_crossings == ((0,),)
 
 
 def test_figure8_augmentation_structure():
@@ -78,22 +74,18 @@ def test_figure8_augmentation_structure():
     assert augmented.half_twist_counts == (2, 2)
     assert {c.epsilon for c in augmented.circles} == {0}
     assert {c.filling_n for c in augmented.circles} == {1}
-    assert augmented.flat_components.component_count == 1
-    assert augmented.flat_components.residual_crossings == ((), ())
 
 
 def test_hopf_augmentation_structure():
     diagram, augmented = _augmented(HOPF)
     assert augmented.circle_count == 1
     assert augmented.half_twist_counts == (2,)
-    assert augmented.flat_components.component_count == 2
 
 
 def test_kink_augmentation_structure():
     diagram, augmented = _augmented(KINK)
     (circle,) = augmented.circles
     assert (circle.half_twists, circle.epsilon, circle.filling_n) == (1, 1, 1)
-    assert augmented.flat_components.residual_crossings == ((0,),)
 
 
 def test_generalized_block_augmentation():
@@ -110,7 +102,6 @@ def test_generalized_block_augmentation():
     assert (block_circle.epsilon, block_circle.filling_n) == (0, 1)
     for circle in augmented.circles[1:]:
         assert (circle.strand_count, circle.half_twists, circle.epsilon) == (2, 1, 1)
-    assert augmented.flat_components.residual_crossings[0] == ()
 
 
 def test_odd_generalized_block_keeps_lowest_ids_as_residual():
@@ -126,16 +117,6 @@ def test_odd_generalized_block_keeps_lowest_ids_as_residual():
     augmented = augment(reduced, selection)
     block = augmented.circles[0]
     assert (block.strand_count, block.half_twists, block.epsilon) == (3, 3, 1)
-    assert augmented.flat_components.residual_crossings[0] == (0, 1, 2)
-
-
-def test_reflection_data_counts_curves():
-    _, trefoil = _augmented(TREFOIL)
-    assert reflection_data(trefoil).curve_counts == (1,)
-    _, figure8 = _augmented(FIGURE8)
-    assert reflection_data(figure8).curve_counts == (2, 2)
-    _, kink = _augmented(KINK)
-    assert reflection_data(kink).curve_counts == (1,)
 
 
 def test_augment_rejects_foreign_selection():

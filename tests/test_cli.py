@@ -100,6 +100,20 @@ def test_processing_continues_after_parse_error(tmp_path):
     assert entries[1]["report"]["tw"] == 1
 
 
+def test_undecodable_json_is_reported_per_file(tmp_path):
+    # json.loads raises RecursionError and ValueError, not JSONDecodeError, here.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000, encoding="utf-8")
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text("[[1, 1, 2, " + "9" * 5000 + "]]", encoding="utf-8")
+    good = _write(tmp_path, "good.json", TREFOIL)
+    status, entries = _run_json(str(deep), str(long_int), good)
+    assert status == 2
+    assert [e["ok"] for e in entries] == [False, False, True]
+    assert all("not valid JSON" in e["error"] for e in entries[:2])
+    assert entries[2]["report"]["tw"] == 1
+
+
 def test_split_diagram_is_an_input_error(tmp_path):
     path = _write(tmp_path, "split.json", [[1, 1, 2, 2], [3, 3, 4, 4]])
     status, entries = _run_json(path)

@@ -163,6 +163,8 @@ def test_syntax_error_reports_position():
         '{"pd": [[1, 1, 2, 2]], "regions": [{"strands": 2, "half_twists": 1}]}',
         '{"pd": [[1, 1, 2, 2]], "regions": [{"crossings": [0, 0], "strands": 2, "half_twists": 1}]}',
         '{"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]]}',  # Euler violation
+        '{"pd": [[1, 1, 2, 2]], "signs": [true]}',  # bool sign (True == 1)
+        '{"pd": [[1, 1, 2, 2]], "signs": [1.0]}',  # float sign (1.0 == 1)
     ],
 )
 def test_parse_rejects_malformed_input(text):

@@ -14,13 +14,11 @@ from auglink.geometry import (
     CONSTANTS,
     GEODESIC_THRESHOLD,
     HYPOTHESIS_HYPERBOLIC,
-    LatticeBasis,
     augmentation_volume_lower_bound,
     build_report,
     euler_char_cut,
     filled_volume_lower_bound,
     geodesic_certificate,
-    lattice_generators,
     normalized_length,
     normalized_length_lower_bound,
     six_theorem_certificate,
@@ -65,48 +63,6 @@ def test_normalized_length_minimum_at_slope_ratio():
         normalized_length(1.0, -2.0, 4)
     with pytest.raises(GeometryError):
         normalized_length_lower_bound(-3)
-
-
-# ----------------------------------------------------------------------------
-# Cusp lattice model
-# ----------------------------------------------------------------------------
-
-
-def test_lattice_generators():
-    gens = lattice_generators(1)
-    assert gens.mu == (1, 1)
-    assert gens.lam == (0, 2)
-    assert gens.det == 2
-    assert gens.slope_coordinates(2) == (1, 5)
-    assert lattice_generators(0).slope_coordinates(1) == (1, 2)
-    with pytest.raises(GeometryError):
-        lattice_generators(2)
-
-
-def test_lattice_slope_coordinate_matches_half_twists():
-    for eps in (0, 1):
-        gens = lattice_generators(eps)
-        for n in range(0, 50):
-            _, o_steps = gens.slope_coordinates(n)
-            assert abs(o_steps) == eps + 2 * n
-
-
-def test_calibrated_basis_reaches_the_length_bound():
-    for eps in (0, 1):
-        basis = LatticeBasis.calibrated(eps)
-        assert (basis.p_len, basis.o_len) == (0.5, 1.0)
-        assert basis.area == 1.0
-        for n in range(0, 30):
-            c = eps + 2 * n
-            assert basis.slope_length(n) == slope_length_lower_bound(c)
-
-
-def test_lattice_basis_rejects_degenerate_lengths():
-    with pytest.raises(GeometryError):
-        LatticeBasis(p_len=0.0, o_len=1.0, epsilon=0)
-    basis = LatticeBasis(p_len=2.0, o_len=0.5, epsilon=1)
-    assert basis.area == 2.0
-    assert basis.slope_length(1) == pytest.approx(math.sqrt(4 + 9 * 0.25))
 
 
 # ----------------------------------------------------------------------------
@@ -248,7 +204,7 @@ def test_build_report_trefoil_attested():
 
 
 def test_trivial_report_shape():
-    report = trivial_report(attested_hyperbolic=True)
+    report = trivial_report()
     assert report.tw == 0
     assert report.circles == ()
     assert report.estimates == ()

@@ -1,0 +1,88 @@
+"""Golden output: the exact bytes of ``auglink analyze`` on a seeded corpus.
+
+The corpus is built from ``tests/braid.py``: homogeneous closures (each
+generator keeps one sign), closures that start with an annotated full
+twist of 3 or 4 strands, and mixed-sign words that need R-II reduction.
+One run with ``--json --attest-hyperbolic --export-augmented DIR`` is
+hashed together with every exported file.  A change that alters the
+report, error or export bytes on purpose must update ``GOLDEN_SHA256``.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+from contextlib import redirect_stdout
+
+from auglink.cli import main
+
+from braid import braid_closure, full_twist_word
+
+SEED = 20071
+HOMOGENEOUS = 300
+ANNOTATED = 8
+MIXED = 6
+MIXED_LETTERS = 60
+
+GOLDEN_SHA256 = "db07e97c30f5d3799f3767a3e6763d8d15fd32887c8d57617b18ea237ae8b61d"
+
+
+def _homogeneous(rng: random.Random, strands: int, max_letters: int, prefix=()):
+    signs = [rng.choice((1, -1)) for _ in range(strands - 1)]
+    generators = list(range(1, strands))
+    length = rng.randint(strands - 1, max_letters)
+    rest = generators + [rng.choice(generators) for _ in range(length - len(generators))]
+    rng.shuffle(rest)
+    return list(prefix) + [signs[j - 1] * j for j in rest]
+
+
+def _corpus(rng: random.Random):
+    for i in range(HOMOGENEOUS):
+        strands = rng.choice((2, 3, 4, 5))
+        yield f"h{i:03d}", _homogeneous(rng, strands, 24), strands, None
+    for i in range(ANNOTATED):
+        m = (3, 4)[i % 2]
+        strands = m + rng.randint(0, 1)
+        sign = rng.choice((1, -1))
+        twist = [sign * j for j in full_twist_word(m)]
+        word = _homogeneous(rng, strands, 12, twist)
+        yield f"a{i}", word, strands, (len(twist), m)
+    for i in range(MIXED):
+        strands = rng.choice((3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(MIXED_LETTERS)]
+        word[: strands - 1] = range(1, strands)
+        yield f"x{i}", word, strands, None
+
+
+def _write_corpus(directory) -> list[str]:
+    paths = []
+    for name, word, strands, annotated in _corpus(random.Random(SEED)):
+        pd, signs = braid_closure(word, strands)
+        doc: dict = {"name": name, "pd": pd, "signs": signs}
+        if annotated is not None:
+            size, m = annotated
+            doc["regions"] = [{"crossings": list(range(size)), "strands": m, "half_twists": 2}]
+        path = directory / f"{name}.json"
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        paths.append(str(path))
+    return paths
+
+
+def test_analyze_output_matches_golden_digest(tmp_path):
+    inputs = tmp_path / "in"
+    inputs.mkdir()
+    exports = tmp_path / "out"
+    paths = _write_corpus(inputs)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        status = main(["analyze", *paths, "--json", "--attest-hyperbolic",
+                       "--export-augmented", str(exports)])
+    assert status in (0, 2)
+    digest = hashlib.sha256()
+    digest.update(out.getvalue().replace(str(tmp_path), "<tmp>").encode("utf-8"))
+    for path in sorted(exports.iterdir()):
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    assert digest.hexdigest() == GOLDEN_SHA256

@@ -234,7 +234,7 @@ def test_build_selection_covers_all_crossings():
     assert selection.region_count == 2
     covered = sorted(i for r in selection.regions for i in r.crossing_ids)
     assert covered == sorted(diagram.crossing_ids)
-    assert selection.region(1).id == 1
+    assert selection.regions[0].id == 1
 
 
 def test_build_selection_respects_annotations():
@@ -245,8 +245,8 @@ def test_build_selection_respects_annotations():
     )
     selection = build_selection(diagram, (annotation,))
     assert selection.region_count == 5
-    assert selection.region(1).strand_count == 5
-    assert all(selection.region(i).crossing_count == 1 for i in range(2, 6))
+    assert selection.regions[0].strand_count == 5
+    assert all(selection.regions[i - 1].crossing_count == 1 for i in range(2, 6))
 
 
 def test_build_selection_rejects_overlapping_annotations():
@@ -297,8 +297,8 @@ def test_resolve_selection_keeps_annotations_intact():
     reduced, selection = resolve_selection(diagram, (annotation,))
     assert reduced.crossing_count == diagram.crossing_count - 2
     assert selection.region_count == 5
-    assert selection.region(1).strand_count == 5
-    assert selection.region(1).crossing_ids == tuple(range(20))
+    assert selection.regions[0].strand_count == 5
+    assert selection.regions[0].crossing_ids == tuple(range(20))
 
 
 def test_resolve_selection_revalidates_annotations_after_reduction():
