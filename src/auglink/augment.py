@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .diagram import Diagram, mate_map
+from .diagram import Diagram
 from .errors import AugmentError, ExportError
 from .twist import TwistRegion, TwistSelection
 
@@ -502,7 +502,7 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     """
     selection = augmented.source
     diagram = selection.diagram
-    mates = mate_map(diagram)
+    mates = diagram.mates
 
     graph = _PortGraph()
     for x in diagram.crossings:

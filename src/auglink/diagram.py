@@ -31,6 +31,8 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping
 
 from .errors import DiagramSyntaxError, InvalidDiagramError
@@ -113,7 +115,13 @@ class ComponentMap:
 
 @dataclass(frozen=True)
 class Diagram:
-    """An immutable planar diagram code. Build one with :meth:`from_pd`."""
+    """An immutable planar diagram code. Build one with :meth:`from_pd`.
+
+    The topology (crossing index, mates, faces, graph components) is worked
+    out once per diagram, on first use, and shared read-only by every
+    caller; copy a value before mutating it.  Equality and hashing see only
+    the crossings and the name.
+    """
 
     crossings: tuple[Crossing, ...]
     name: str | None = None
@@ -134,16 +142,71 @@ class Diagram:
     def crossing_ids(self) -> tuple[int, ...]:
         return tuple(x.id for x in self.crossings)
 
+    @cached_property
+    def index(self) -> Mapping[int, int]:
+        """Crossing id -> position in :attr:`crossings`."""
+        return MappingProxyType({x.id: i for i, x in enumerate(self.crossings)})
+
     def crossing(self, crossing_id: int) -> Crossing:
+        try:
+            return self.crossings[self.index[crossing_id]]
+        except KeyError:
+            raise KeyError(f"no crossing with id {crossing_id}") from None
+
+    @cached_property
+    def mates(self) -> Mapping[Dart, Dart]:
+        """Each dart (crossing id, slot) -> the other end of its arc."""
+        places = _dart_places((x.id, x.arcs) for x in self.crossings)
+        mates: dict[Dart, Dart] = {}
+        for a, b in places.values():
+            mates[a] = b
+            mates[b] = a
+        return MappingProxyType(mates)
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """The complementary regions; see :func:`compute_faces`."""
+        if not self.crossings:
+            return (Face(boundary=()), Face(boundary=()))
+        mates = self.mates
+        faces: list[Face] = []
+        seen: set[Dart] = set()
         for x in self.crossings:
-            if x.id == crossing_id:
-                return x
-        raise KeyError(f"no crossing with id {crossing_id}")
+            for slot in range(4):
+                start = (x.id, slot)
+                if start in seen:
+                    continue
+                corners: list[tuple[int, int]] = []
+                dart = start
+                while dart not in seen:
+                    seen.add(dart)
+                    c, s = mates[dart]
+                    corners.append((c, s))
+                    dart = (c, (s + 1) % 4)
+                pivot = corners.index(min(corners))
+                faces.append(Face(boundary=tuple(corners[pivot:] + corners[:pivot])))
+        faces.sort(key=lambda f: f.boundary[0])
+        return tuple(faces)
+
+    @cached_property
+    def graph_components(self) -> tuple[tuple[int, ...], ...]:
+        """Connected components of the underlying 4-valent graph (crossing ids)."""
+        if not self.crossings:
+            return ()
+        dsu = _DisjointSets(self.crossing_ids)
+        incident: dict[int, int] = {}
+        for x in self.crossings:
+            for arc in x.arcs:
+                if arc in incident:
+                    dsu.union(incident[arc], x.id)
+                else:
+                    incident[arc] = x.id
+        return tuple(tuple(comp) for comp in dsu.classes())
 
     @property
     def is_connected(self) -> bool:
         """Connectivity of the underlying 4-valent graph (split link test)."""
-        return len(_graph_components(self)) <= 1
+        return len(self.graph_components) <= 1
 
     @classmethod
     def from_pd(
@@ -319,14 +382,9 @@ def _dart_places(crossings) -> dict[int, list[Dart]]:
     return places
 
 
-def mate_map(diagram: Diagram) -> dict[Dart, Dart]:
+def mate_map(diagram: Diagram) -> Mapping[Dart, Dart]:
     """Map each dart (crossing id, slot) to the other end of its arc."""
-    places = _dart_places((x.id, x.arcs) for x in diagram.crossings)
-    mates: dict[Dart, Dart] = {}
-    for a, b in places.values():
-        mates[a] = b
-        mates[b] = a
-    return mates
+    return diagram.mates
 
 
 def compute_faces(diagram: Diagram) -> tuple[Face, ...]:
@@ -340,28 +398,7 @@ def compute_faces(diagram: Diagram) -> tuple[Face, ...]:
     The 0-crossing unknot yields two faces with empty boundary (the disk on
     either side of the crossing-free circle).
     """
-    if not diagram.crossings:
-        return (Face(boundary=()), Face(boundary=()))
-
-    mates = mate_map(diagram)
-    faces: list[Face] = []
-    seen: set[Dart] = set()
-    for x in diagram.crossings:
-        for slot in range(4):
-            start = (x.id, slot)
-            if start in seen:
-                continue
-            corners: list[tuple[int, int]] = []
-            dart = start
-            while dart not in seen:
-                seen.add(dart)
-                c, s = mates[dart]
-                corners.append((c, s))
-                dart = (c, (s + 1) % 4)
-            pivot = corners.index(min(corners))
-            faces.append(Face(boundary=tuple(corners[pivot:] + corners[:pivot])))
-    faces.sort(key=lambda f: f.boundary[0])
-    return tuple(faces)
+    return diagram.faces
 
 
 def _strand_classes(quads) -> list[list[int]]:
@@ -439,25 +476,10 @@ def _check_arc_multiplicity(quads: list[tuple]) -> None:
         raise InvalidDiagramError(f"each arc label must appear exactly twice; offenders: {detail}")
 
 
-def _graph_components(diagram: Diagram) -> list[list[int]]:
-    """Connected components of the underlying 4-valent graph (crossing ids)."""
-    if not diagram.crossings:
-        return []
-    dsu = _DisjointSets(diagram.crossing_ids)
-    incident: dict[int, int] = {}
-    for x in diagram.crossings:
-        for arc in x.arcs:
-            if arc in incident:
-                dsu.union(incident[arc], x.id)
-            else:
-                incident[arc] = x.id
-    return dsu.classes()
-
-
 def _check_euler(diagram: Diagram) -> None:
     if not diagram.crossings:
         return
-    components = _graph_components(diagram)
+    components = diagram.graph_components
     comp_of: dict[int, int] = {}
     for idx, comp in enumerate(components):
         for cid in comp:
@@ -468,7 +490,7 @@ def _check_euler(diagram: Diagram) -> None:
     for x in diagram.crossings:
         v[comp_of[x.id]] += 1
         e[comp_of[x.id]] += 2  # four slot endpoints, two per arc
-    for face in compute_faces(diagram):
+    for face in diagram.faces:
         f[comp_of[face.boundary[0][0]]] += 1
     for idx in range(len(components)):
         if v[idx] - e[idx] + f[idx] != 2:

@@ -9,17 +9,21 @@ strand-endpoints must leave the region.
 
 A selection partitions every crossing of the diagram into regions.  Regions
 must be alternating (uniform crossing sign); a detected chain with mixed
-signs gets ``sign == 0`` and must be passed through
-:func:`reduce_twist_region`, which cancels adjacent opposite-sign pairs
-(Reidemeister II) until the chain is uniform.
+signs gets ``sign == 0``.  :func:`reduce_twist_region` cancels the adjacent
+opposite-sign pairs of one such chain (Reidemeister II) until it is uniform,
+and :func:`resolve_selection` reduces every mixed chain in a fixed order:
+the mixed chain with the smallest crossing id first, then the smallest of
+what is left, and so on.  Surviving crossings keep their ids, and arc labels
+are as if each chain were spliced out alone in that order.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-from .diagram import Diagram, _DisjointSets, _check_euler, compute_faces
+from .diagram import Dart, Diagram, _DisjointSets, _check_euler
 from .errors import (
     AlreadyAlternatingError,
     NonAlternatingRegionError,
@@ -95,7 +99,7 @@ def _bigon_bonds(diagram: Diagram, scope: frozenset[int]):
     Reidemeister-I kink) are not bonds: a twist chain needs two strands.
     """
     bonds: dict[tuple[int, int], tuple[int, int]] = {}
-    for face in compute_faces(diagram):
+    for face in diagram.faces:
         if face.degree != 2:
             continue
         (c1, k1), (c2, k2) = face.boundary
@@ -104,6 +108,47 @@ def _bigon_bonds(diagram: Diagram, scope: frozenset[int]):
         bonds[(c1, k1)] = (c2, k2)
         bonds[(c2, k2)] = (c1, k1)
     return bonds
+
+
+def _grow_chains(bonds, starts) -> list[list[int]]:
+    """Grow one chain from each of ``starts`` (sorted ids) not already taken.
+
+    A chain extends through the bond at the smallest bonded corner of its
+    start, then keeps crossing the chain via opposite corners until it ends
+    or closes up; the part grown from the opposite corner comes first.  A
+    start with no bond is a chain of one crossing.  The walk stays within
+    ``starts``, so ``starts`` must hold every crossing bonded to one of them.
+    """
+    unused = set(starts)
+    chains: list[list[int]] = []
+
+    def walk(chain: list[int], c: int, k: int) -> None:
+        while (c, k) in bonds:
+            c2, k2 = bonds[(c, k)]
+            if c2 not in unused:
+                break  # chain closed into a cycle (or hit a finished chain)
+            unused.remove(c2)
+            chain.append(c2)
+            c, k = c2, (k2 + 2) % 4
+
+    for start in starts:
+        if start not in unused:
+            continue
+        unused.remove(start)
+        chain = [start]
+        corners = [k for k in range(4) if (start, k) in bonds]
+        if corners:
+            walk(chain, start, corners[0])
+            backward: list[int] = []
+            walk(backward, start, (corners[0] + 2) % 4)
+            chain = backward[::-1] + chain
+        chains.append(chain)
+    return chains
+
+
+def _chain_sign(diagram: Diagram, chain) -> int:
+    signs = {diagram.crossing(c).sign for c in chain}
+    return signs.pop() if len(signs) == 1 else 0
 
 
 def detect_bigon_chains(
@@ -124,48 +169,18 @@ def detect_bigon_chains(
     scope = frozenset(diagram.crossing_ids) if within is None else frozenset(within)
     bonds = _bigon_bonds(diagram, scope)
 
-    bonded = {c for c, _ in bonds}
-    unused = set(bonded)
-    region_of: dict[int, int] = {}
-    chains: list[list[int]] = []
-
-    def walk(chain: list[int], c: int, k: int) -> None:
-        # Extend through the bond at corner (c, k), then keep crossing the
-        # chain via opposite corners until it ends or closes up.
-        while (c, k) in bonds:
-            c2, k2 = bonds[(c, k)]
-            if c2 not in unused:
-                break  # chain closed into a cycle (or hit a finished chain)
-            unused.remove(c2)
-            chain.append(c2)
-            c, k = c2, (k2 + 2) % 4
-        return
-
-    while unused:
-        start = min(unused)
-        unused.remove(start)
-        chain = [start]
-        corners = sorted(k for k in range(4) if (start, k) in bonds)
-        if corners:
-            walk(chain, start, corners[0])
-            backward: list[int] = []
-            walk(backward, start, (corners[0] + 2) % 4)
-            chain = backward[::-1] + chain
-        chains.append(chain)
-
-    regions: list[list[int]] = chains + [[c] for c in sorted(scope - bonded)]
+    regions = _grow_chains(bonds, sorted(scope))
     regions.sort(key=min)
 
     result = []
+    region_of: dict[int, int] = {}
     for offset, ids in enumerate(regions):
-        signs = {diagram.crossing(c).sign for c in ids}
-        sign = signs.pop() if len(signs) == 1 else 0
         region = TwistRegion(
             id=first_id + offset,
             crossing_ids=tuple(ids),
             strand_count=2,
             half_twists=len(ids),
-            sign=sign,
+            sign=_chain_sign(diagram, ids),
         )
         result.append(region)
         for c in ids:
@@ -185,6 +200,21 @@ def detect_bigon_chains(
 # ============================================================================
 
 
+def _cancel_pairs(diagram: Diagram, chain) -> set[int]:
+    """Crossings removed by cancelling adjacent opposite-sign pairs.
+
+    Stack cancellation over the chain order: every adjacent opposite-sign
+    pair annihilates, leaving a uniform run of survivors.
+    """
+    stack: list[int] = []  # crossing ids
+    for cid in chain:
+        if stack and diagram.crossing(stack[-1]).sign == -diagram.crossing(cid).sign:
+            stack.pop()
+        else:
+            stack.append(cid)
+    return set(chain) - set(stack)
+
+
 def reduce_twist_region(diagram: Diagram, region: TwistRegion) -> Diagram:
     """Cancel opposite-sign pairs in a mixed 2-strand chain (Reidemeister II).
 
@@ -198,22 +228,11 @@ def reduce_twist_region(diagram: Diagram, region: TwistRegion) -> Diagram:
     """
     if region.strand_count != 2:
         raise RegionError("reduction is defined for 2-strand twist regions only")
-    signs = [diagram.crossing(c).sign for c in region.crossing_ids]
-    if len(set(signs)) <= 1:
+    if len({diagram.crossing(c).sign for c in region.crossing_ids}) <= 1:
         raise AlreadyAlternatingError(
             f"region {region.id} is already alternating; nothing to reduce"
         )
-
-    # Stack cancellation over the chain order: every adjacent opposite-sign
-    # pair annihilates, leaving a uniform run.
-    stack: list[int] = []  # crossing ids
-    for cid in region.crossing_ids:
-        if stack and diagram.crossing(stack[-1]).sign == -diagram.crossing(cid).sign:
-            stack.pop()
-        else:
-            stack.append(cid)
-    removed = set(region.crossing_ids) - set(stack)
-    return _splice_out(diagram, removed)
+    return _splice_out(diagram, _cancel_pairs(diagram, region.crossing_ids))
 
 
 def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
@@ -334,12 +353,91 @@ def resolve_selection(
 
     Returns the (possibly reduced) diagram together with its selection.
     Annotated crossings are never touched by the reduction.
+
+    The result equals that of the plain loop "detect the chains of the
+    diagram, reduce the mixed chain with the smallest crossing id with
+    :func:`reduce_twist_region`, repeat": survivors keep their ids, and
+    arc labels are as if each chain were spliced out alone, in that order.
+    Chains are detected once; after each splice only the faces through
+    relinked darts are walked again, and only the chains whose bigon bonds
+    changed are grown again.
     """
     annotated = frozenset(c for a in annotations for c in a.crossing_ids)
-    while True:
-        complement = frozenset(diagram.crossing_ids) - annotated
-        mixed = [r for r in detect_bigon_chains(diagram, within=complement) if r.sign == 0]
-        if not mixed:
-            break
-        diagram = reduce_twist_region(diagram, mixed[0])
+    scope = frozenset(diagram.crossing_ids) - annotated
+    bonds = _bigon_bonds(diagram, scope)
+    mates = dict(diagram.mates)
+    arcs = {x.id: list(x.arcs) for x in diagram.crossings}
+    chain_of: dict[int, list[int]] = {}
+    mixed: list[tuple[int, list[int]]] = []  # heap of (smallest id, chain)
+
+    def grow(starts) -> None:
+        for chain in _grow_chains(bonds, sorted(starts)):
+            for c in chain:
+                chain_of[c] = chain
+            if _chain_sign(diagram, chain) == 0:
+                heapq.heappush(mixed, (min(chain), chain))
+
+    grow(scope)
+    while mixed:
+        start, chain = heapq.heappop(mixed)
+        if chain_of.get(start) is not chain:
+            continue  # stale: the chain was regrown or spliced since
+        removed = _cancel_pairs(diagram, chain)
+
+        # Arc labels: the unions _splice_out makes, in the same order.
+        order = sorted(removed, key=diagram.index.__getitem__)
+        labels = _DisjointSets(a for c in order for a in arcs[c])
+        for c in order:
+            quad = arcs[c]
+            labels.union(quad[0], quad[2])
+            labels.union(quad[1], quad[3])
+
+        # Each surviving end of a removed dart's arc follows its strand
+        # straight through the removed crossings to its new mate.
+        relinked: dict[Dart, Dart] = {}
+        for c in order:
+            for s in range(4):
+                end = mates[(c, s)]
+                if end[0] in removed:
+                    continue
+                other = mates[end]
+                while other[0] in removed:
+                    other = mates[(other[0], (other[1] + 2) % 4)]
+                relinked[end] = other
+                arcs[end[0]][end[1]] = labels.find(arcs[end[0]][end[1]])
+        touched = set(chain)
+        for c in removed:
+            for k in range(4):
+                del mates[(c, k)]
+                partner = bonds.pop((c, k), None)
+                if partner is not None:
+                    bonds.pop(partner, None)
+                    touched.add(partner[0])
+            del arcs[c]
+        mates.update(relinked)
+
+        # Only a face through a relinked dart changed; a bond is a bigon,
+        # so two corners tell whether the face closes back on its start.
+        for dart in relinked:
+            c1, k1 = mates[dart]
+            c2, k2 = mates[(c1, (k1 + 1) % 4)]
+            if (c2, (k2 + 1) % 4) == dart and c1 != c2 and c1 in scope and c2 in scope:
+                bonds[(c1, k1)] = (c2, k2)
+                bonds[(c2, k2)] = (c1, k1)
+                touched.update((c1, c2))
+
+        touched -= removed
+        dirty = {c for t in touched for c in chain_of[t] if c not in removed}
+        for c in removed:
+            del chain_of[c]
+        grow(dirty)
+
+    if len(arcs) < diagram.crossing_count:
+        diagram = Diagram(
+            crossings=tuple(
+                replace(x, arcs=tuple(arcs[x.id])) for x in diagram.crossings if x.id in arcs
+            ),
+            name=diagram.name,
+        )
+        _check_euler(diagram)
     return diagram, build_selection(diagram, annotations)

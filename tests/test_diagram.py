@@ -64,6 +64,22 @@ def test_mate_map_is_a_fixed_point_free_involution(name):
         assert mates[mate] == dart
 
 
+def test_cached_topology_is_shared_and_read_only():
+    diagram = Diagram.from_pd(FIGURE8)
+    assert mate_map(diagram) is diagram.mates
+    assert compute_faces(diagram) is diagram.faces
+    with pytest.raises(TypeError):
+        diagram.mates[(0, 0)] = (0, 1)
+    with pytest.raises(TypeError):
+        diagram.index[0] = 1
+    assert isinstance(diagram.faces, tuple)
+    assert all(isinstance(c, tuple) for c in diagram.graph_components)
+    fresh = Diagram.from_pd(FIGURE8)
+    assert fresh == diagram and hash(fresh) == hash(diagram)
+    with pytest.raises(KeyError):
+        diagram.crossing(99)
+
+
 def test_zero_crossing_unknot():
     diagram = Diagram.from_pd(UNKNOT0)
     assert diagram.crossing_count == 0

@@ -6,6 +6,11 @@ twist of 3 or 4 strands, and mixed-sign words that need R-II reduction.
 One run with ``--json --attest-hyperbolic --export-augmented DIR`` is
 hashed together with every exported file.  A change that alters the
 report, error or export bytes on purpose must update ``GOLDEN_SHA256``.
+
+``REDUCTION_SHA256`` pins R-II reduction at a larger size: the reduced PD
+code (ids, arcs, signs) and the region crossing ids of a few long mixed
+closures, where the order in which chains are cancelled shows in the
+surviving crossings and labels.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ import random
 from contextlib import redirect_stdout
 
 from auglink.cli import main
+from auglink.diagram import Diagram
+from auglink.twist import resolve_selection
 
 from braid import braid_closure, full_twist_word
 
@@ -27,6 +34,13 @@ MIXED = 6
 MIXED_LETTERS = 60
 
 GOLDEN_SHA256 = "db07e97c30f5d3799f3767a3e6763d8d15fd32887c8d57617b18ea237ae8b61d"
+
+REDUCTION_SEED = 20072
+REDUCTION_WORDS = 3
+REDUCTION_STRANDS = 6
+REDUCTION_LETTERS = 300
+
+REDUCTION_SHA256 = "0d3d0667e90b5e95041b618d49bd7b0a593cd1bb9730a8109c1df20484dfe03a"
 
 
 def _homogeneous(rng: random.Random, strands: int, max_letters: int, prefix=()):
@@ -86,3 +100,20 @@ def test_analyze_output_matches_golden_digest(tmp_path):
     for path in sorted(exports.iterdir()):
         digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_reduction_matches_golden_digest():
+    rng = random.Random(REDUCTION_SEED)
+    digest = hashlib.sha256()
+    for _ in range(REDUCTION_WORDS):
+        word = [rng.choice((1, -1)) * rng.randint(1, REDUCTION_STRANDS - 1)
+                for _ in range(REDUCTION_LETTERS)]
+        word[: REDUCTION_STRANDS - 1] = range(1, REDUCTION_STRANDS)
+        pd, signs = braid_closure(word, REDUCTION_STRANDS)
+        reduced, selection = resolve_selection(Diagram.from_pd(pd, signs))
+        record = {
+            "crossings": [[x.id, list(x.arcs), x.sign] for x in reduced.crossings],
+            "regions": [list(r.crossing_ids) for r in selection.regions],
+        }
+        digest.update(json.dumps(record).encode("utf-8") + b"\n")
+    assert digest.hexdigest() == REDUCTION_SHA256
