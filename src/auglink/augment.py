@@ -8,13 +8,13 @@ these numbers, so :func:`augment` returns them without building a new
 diagram.
 
 :func:`export_augmented_diagram` additionally renders the augmented link as
-a PD code for interchange.  The drawing convention: each crossing circle is
-a small loop crossing the region's strands twice — passing over all of them
-on one side and under on the other — with the residual half-twist (if any)
-kept between the two passes.  For 2-strand regions the residual crossing is
-the region's lowest-id original crossing, kept verbatim so the handedness
-and strand orientations survive; for wider regions a standard half-twist
-staircase is synthesized.
+a PD code for interchange.  Each crossing circle passes over all m strands
+of its region on one side and under them on the other.  For a 2-strand
+region it rings the two arcs that leave the chain's first crossing x0 away
+from x1, and x(epsilon) ... x(c-1) are spliced out, so a residual half-twist
+is x0 itself, with its handedness and strand orientations.  A region of
+m >= 3 strands is redrawn as a box holding the circle's passes and, when
+epsilon = 1, a synthesized half-twist staircase.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .diagram import Diagram
 from .errors import AugmentError, ExportError
-from .twist import TwistRegion, TwistSelection
+from .twist import TwistRegion, TwistSelection, _bigon_bonds, _grow_chains
 
 Dart = tuple[int, int]
 
@@ -117,7 +117,6 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # quadruple (rotated so the under-in port is slot 0, which also fixes the
 # sign).
 
-_IN_ROLES = frozenset({"uin", "oin"})
 _OUT_ROLES = frozenset({"uout", "oout"})
 
 
@@ -214,29 +213,29 @@ class _PortGraph:
             if src is not None:
                 del self.succ[src]
 
-    def remove_stub(self, key) -> int:
-        """Splice a crossing out, strand-through; returns free circles created."""
+    def remove_stub(self, key) -> None:
+        """Splice a crossing out, strand-through.
+
+        Raises :class:`ExportError` when a strand would close up into a
+        crossing-free circle, which a PD code cannot carry.
+        """
         stub = self.stubs[key]
         uin, uout = stub.find("uin"), stub.find("uout")
         oin, oout = stub.find("oin"), stub.find("oout")
         pairs = {"u": [self.pred[uin], self.succ[uout]], "o": [self.pred[oin], self.succ[oout]]}
         self.delete_stub_edges(key)
 
-        free = 0
         alive = {"u", "o"}
         entry = {uin: "u", oin: "o"}
         for k in ("u", "o"):
             while k in alive and pairs[k][1] in entry:
                 t = entry[pairs[k][1]]
                 if t == k:
-                    free += 1
-                    alive.discard(k)
-                else:
-                    pairs[k][1] = pairs[t][1]
-                    alive.discard(t)
+                    raise ExportError(f"strand closed up while splicing out crossing {key[1]}")
+                pairs[k][1] = pairs[t][1]
+                alive.discard(t)
         for k in alive:
             self.connect(pairs[k][0], pairs[k][1])
-        return free
 
     def delete_stub_edges(self, key) -> None:
         stub = self.stubs[key]
@@ -343,7 +342,7 @@ def _attachment(graph: _PortGraph, diagram: Diagram, dart: Dart):
 
 def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
                        mates: Mapping[Dart, Dart], eps: int) -> None:
-    """General path case: the region is a box with 2m boundary strand-endpoints."""
+    """Region of m >= 3 strands: a box with 2m boundary strand-endpoints."""
     m = region.strand_count
     ids = frozenset(region.crossing_ids)
     boundary = sorted(
@@ -378,7 +377,7 @@ def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
 
     if eps:
         directions = {fwd for _, fwd in frontier}
-        if m > 2 and len(directions) != 1:
+        if len(directions) != 1:
             raise ExportError(
                 f"region {region.id}: strands are not parallel; cannot synthesize "
                 "the residual half-twist"
@@ -418,78 +417,39 @@ def _wire_circle(graph: _PortGraph, over: list[_Stub], under: list[_Stub]) -> No
     graph.connect(under[0].port("N"), over[0].port("N"))
 
 
-def _export_kept_crossing_region(graph: _PortGraph, region: TwistRegion) -> None:
-    """2-strand region with a residual half-twist: keep the lowest crossing.
+def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
+                         bonds, eps: int) -> None:
+    """2-strand region: ring the two arcs that leave x0 away from x1.
 
-    Every other crossing of the chain is spliced out, then the circle is
-    drawn tightly around the kept crossing: one new circle crossing on each
-    of its four arcs, passing over the strands on the corners next to slots
-    0 and 1 and under next to slots 2 and 3.  This needs no boundary at all,
-    so it covers chains embedded in a larger diagram, chains closed into a
-    cycle, and the one-crossing kink alike.
+    x0 ... x(c-1) is the chain order of the bigon bonds.  The spliced
+    crossings x(eps) ... x(c-1) are even in number and consecutive, so the
+    strands come out parallel and planar on one side of the circle, for
+    open, closed and returning chains alike; every strand passes the circle.
     """
-    keep = min(region.crossing_ids)
-    for c in region.crossing_ids:
-        if c != keep:
-            if graph.remove_stub(("x", c)) != 0:
-                raise ExportError(
-                    f"region {region.id}: strand closed up while removing full twists"
-                )
-    kept = graph.stubs[("x", keep)]
-    passes = []
-    for s in range(4):
-        port = kept.port(f"s{s}")
-        into = kept.roles[f"s{s}"] in _IN_ROLES
-        # Rotation (CCW): away from the kept crossing, toward the next pass,
-        # toward the kept crossing, toward the previous pass.
-        rotation = ("OUT", "NEXT", "IN", "PREV")
-        roles = {"PREV": "oin", "NEXT": "oout"} if s < 2 else {"PREV": "uin", "NEXT": "uout"}
-        lane = ("ulane" if s < 2 else "olane")
-        strand_in, strand_out = ("OUT", "IN") if into else ("IN", "OUT")
-        if lane == "ulane":
-            roles[strand_in], roles[strand_out] = "uin", "uout"
-        else:
-            roles[strand_in], roles[strand_out] = "oin", "oout"
-        stub = graph.add(_Stub(("a", region.id, "pass", s), rotation, roles))
-        if into:
-            outside = graph.pred[port]
-            graph.disconnect(port)
-            graph.connect(outside, stub.port("OUT"))
-            graph.connect(stub.port("IN"), port)
-        else:
-            outside = graph.succ[port]
-            graph.disconnect(port)
-            graph.connect(port, stub.port("IN"))
-            graph.connect(stub.port("OUT"), outside)
-        passes.append(stub)
-    for s in range(4):
-        graph.connect(passes[s].port("NEXT"), passes[(s + 1) % 4].port("PREV"))
-
-
-def _export_closed_even_region(graph: _PortGraph, region: TwistRegion,
-                               free_circles: int) -> None:
-    """Whole-diagram even chain: strands close up; synthesize rings and circle.
-
-    After splicing the full twists away nothing of the region remains but
-    one or two crossing-free loops threading the circle twice.
-    """
-    if free_circles not in (1, 2):
-        raise ExportError(
-            f"region {region.id}: expected 1 or 2 closed strands, found {free_circles}"
-        )
-    p1 = graph.add(_circle_over_stub(("a", region.id, "over", 0), True))
-    p2 = graph.add(_circle_over_stub(("a", region.id, "over", 1), True))
-    p3 = graph.add(_circle_under_stub(("a", region.id, "under", 1), True))
-    p4 = graph.add(_circle_under_stub(("a", region.id, "under", 0), True))
-    graph.connect(p1.port("E"), p4.port("W"))  # top strand inside the circle
-    graph.connect(p2.port("E"), p3.port("W"))  # bottom strand inside the circle
-    if free_circles == 2:
-        graph.connect(p4.port("E"), p1.port("W"))
-        graph.connect(p3.port("E"), p2.port("W"))
-    else:
-        graph.connect(p4.port("E"), p2.port("W"))
-        graph.connect(p3.port("E"), p1.port("W"))
-    _wire_circle(graph, [p1, p2], [p4, p3])
+    ids = frozenset(region.crossing_ids)
+    local = {(c, k): bonds[(c, k)] for c in ids for k in range(4)
+             if bonds.get((c, k), (None,))[0] in ids}
+    chains = _grow_chains(local, sorted(ids))
+    if len(chains) != 1:
+        raise ExportError(f"region {region.id}: crossings do not form one twist chain")
+    (chain,) = chains
+    x0 = chain[0]
+    # The corner of x0 facing away from x1; any corner of a lone crossing.
+    back = 0 if len(chain) == 1 else 2 + next(
+        k for k in range(4) if local.get((x0, k), (None,))[0] == chain[1])
+    over, under = [], []
+    for pos, slot in enumerate((back % 4, (back + 1) % 4)):
+        outside, forward = _attachment(graph, diagram, (x0, slot))
+        port = (("x", x0), f"s{slot}")
+        graph.disconnect(port)
+        under.append(graph.add(_circle_under_stub(("a", region.id, "under", pos), forward)))
+        over.append(graph.add(_circle_over_stub(("a", region.id, "over", pos), forward)))
+        graph.connect(port, under[pos].port("E"))
+        graph.connect(under[pos].port("W"), over[pos].port("E"))
+        graph.connect(over[pos].port("W"), outside)
+    _wire_circle(graph, over, under)
+    for c in chain[eps:]:
+        graph.remove_stub(("x", c))
 
 
 def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
@@ -498,7 +458,8 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     The output parses back as a valid diagram whose link component count is
     the original count plus one circle per region; each region contributes
     2m crossings where the circle crosses the strands, plus m(m-1)/2
-    residual crossings when a half-twist remains.
+    residual crossings when a half-twist remains (drawing as in the module
+    docstring).  Raises :class:`ExportError` when a region cannot be drawn.
     """
     selection = augmented.source
     diagram = selection.diagram
@@ -518,26 +479,12 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
             )
         graph.connect(p1, p2)
 
+    bonds = _bigon_bonds(diagram, frozenset(diagram.crossing_ids))
     for circle, region in zip(augmented.circles, selection.regions):
-        if circle.epsilon == 1 and region.strand_count == 2:
-            _export_kept_crossing_region(graph, region)
+        if region.strand_count == 2:
+            _export_chain_region(graph, diagram, region, bonds, circle.epsilon)
         else:
-            ids = frozenset(region.crossing_ids)
-            n_boundary = sum(
-                1 for c in ids for s in range(4) if mates[(c, s)][0] not in ids
-            )
-            if n_boundary == 2 * region.strand_count:
-                _export_box_region(graph, diagram, region, mates, circle.epsilon)
-            elif n_boundary == 0 and region.strand_count == 2 and circle.epsilon == 0:
-                free = 0
-                for c in region.crossing_ids:
-                    free += graph.remove_stub(("x", c))
-                _export_closed_even_region(graph, region, free)
-            else:
-                raise ExportError(
-                    f"region {region.id}: {n_boundary} boundary strand-endpoints, "
-                    f"expected {2 * region.strand_count}"
-                )
+            _export_box_region(graph, diagram, region, mates, circle.epsilon)
 
     name = f"{diagram.name}-augmented" if diagram.name else "augmented"
     return graph.to_diagram(name)

@@ -8,7 +8,8 @@ one report per file, in input order, as text or JSON.
 Exit status is 0 when every file was analyzed (certificates may still be
 not-certified; that is data, not an error) and 2 when any file failed to
 parse or validate.  Failures are reported per file and processing
-continues with the remaining inputs.
+continues with the remaining inputs.  Each report is written as soon as
+its file is done.  A failed export keeps the report and adds a warning.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .augment import AugmentedLink, augment, export_augmented_diagram
-from .diagram import parse_document, serialize_diagram
-from .errors import AuglinkError, InvalidDiagramError
+from .diagram import link_components, parse_document, serialize_diagram
+from .errors import AuglinkError, ExportError, InvalidDiagramError
 from .geometry import CertificateReport, build_report, trivial_report
 from .twist import resolve_selection
 
@@ -61,6 +62,14 @@ def analyze_file(path: str, config: RunConfig) -> FileResult:
                 "diagram is split; analysis requires a connected diagram"
             )
         reduced, selection = resolve_selection(diagram, document.annotations)
+        if (
+            reduced.crossing_count < diagram.crossing_count
+            and link_components(reduced).component_count
+            < link_components(diagram).component_count
+        ):
+            raise InvalidDiagramError(
+                "link is split: R-II reduction cancels every crossing of a component"
+            )
         if selection.region_count == 0:
             return FileResult(
                 file=path,
@@ -71,15 +80,19 @@ def analyze_file(path: str, config: RunConfig) -> FileResult:
             )
         augmented = augment(reduced, selection)
         report = build_report(augmented, config.attest_hyperbolic)
+        warnings = document.warnings
         export_path = None
         if config.export_dir is not None:
-            export_path = _write_export(path, config.export_dir, augmented)
+            try:
+                export_path = _write_export(path, config.export_dir, augmented)
+            except ExportError as exc:
+                warnings += (f"export failed: {exc}",)
         return FileResult(
             file=path,
             ok=True,
             name=diagram.name,
             report=report,
-            warnings=document.warnings,
+            warnings=warnings,
             export_path=export_path,
         )
     except (AuglinkError, OSError, UnicodeDecodeError) as exc:
@@ -217,15 +230,26 @@ def render_text(result: FileResult) -> str:
 
 
 def analyze(config: RunConfig, stdout=None) -> int:
-    """Analyze every input and print reports in input order; return status."""
+    """Analyze every input and print reports in input order; return status.
+
+    Each report is written as soon as its file is done.  The JSON array has
+    the bytes ``json.dumps(entries, indent=2, sort_keys=True)`` would give.
+    """
     out = stdout if stdout is not None else sys.stdout
-    results = [analyze_file(path, config) for path in config.inputs]
+    all_ok = True
+    for i, path in enumerate(config.inputs):
+        result = analyze_file(path, config)
+        all_ok = all_ok and result.ok
+        if config.json_output:
+            entry = json.dumps(result_to_entry(result), indent=2, sort_keys=True)
+            out.write(("[\n  " if i == 0 else ",\n  ") + entry.replace("\n", "\n  "))
+        else:
+            out.write(("" if i == 0 else "\n\n") + render_text(result))
     if config.json_output:
-        entries = [result_to_entry(result) for result in results]
-        out.write(json.dumps(entries, indent=2, sort_keys=True) + "\n")
+        out.write("\n]\n" if config.inputs else "[]\n")
     else:
-        out.write("\n\n".join(render_text(result) for result in results) + "\n")
-    return 0 if all(result.ok for result in results) else 2
+        out.write("\n")
+    return 0 if all_ok else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

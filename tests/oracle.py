@@ -140,3 +140,33 @@ def oracle_link_components(pd):
         union(quad[1], quad[3])
     labels = {arc for quad in pd for arc in quad}
     return len({find(a) for a in labels})
+
+
+def oracle_component_crossings(pd):
+    """Per link component: (self-crossings, passes over others, passes under).
+
+    Components are found as in :func:`oracle_link_components`, by joining
+    slots 0-2 (under-strand) and 1-3 (over-strand) of every crossing.
+    """
+    parent = {}
+
+    def find(x):
+        while parent.get(x, x) != x:
+            x = parent[x]
+        return x
+
+    for quad in pd:
+        for a, b in ((quad[0], quad[2]), (quad[1], quad[3])):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+    counts = defaultdict(lambda: [0, 0, 0])
+    for quad in pd:
+        under, over = find(quad[0]), find(quad[1])
+        if under == over:
+            counts[under][0] += 1
+        else:
+            counts[over][1] += 1
+            counts[under][2] += 1
+    labels = {arc for quad in pd for arc in quad}
+    return [tuple(counts[r]) for r in sorted({find(a) for a in labels})]

@@ -238,6 +238,17 @@ def test_export_rejects_orientation_inconsistent_input():
         export_augmented_diagram(augmented)
 
 
+def test_export_rejects_annotated_pair_without_a_bigon():
+    # Crossings 0 and 2 of sigma1 sigma1 sigma2 leave four strand-endpoints,
+    # so the annotation validates, but no bigon joins them into a chain.
+    pd, signs = braid_closure([1, 1, 2], 3)
+    annotation = RegionAnnotation(crossing_ids=frozenset({0, 2}), strand_count=2, half_twists=2)
+    reduced, selection = resolve_selection(Diagram.from_pd(pd, signs), (annotation,))
+    augmented = augment(reduced, selection)
+    with pytest.raises(ExportError, match="one twist chain"):
+        export_augmented_diagram(augmented)
+
+
 def test_name_suffix_on_export():
     named = Diagram.from_pd(TREFOIL, name="trefoil")
     reduced, selection = resolve_selection(named)

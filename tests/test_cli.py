@@ -122,6 +122,27 @@ def test_split_diagram_is_an_input_error(tmp_path):
     assert "split" in entries[0]["error"]
 
 
+def test_link_split_by_reduction_is_an_input_error(tmp_path):
+    # R-II reduction cancels the sigma1 sigma1^-1 pair, and with it every
+    # crossing of the first strand: the closure is a split link.
+    word = [1, -1] + [2] * 7 + [-3] * 7 + [2] * 7 + [-3] * 7
+    pd, signs = braid_closure(word, 4)
+    path = _write(tmp_path, "split_by_r2.json", {"pd": pd, "signs": signs})
+    status, entries = _run_json(path, attest_hyperbolic=True)
+    assert status == 2
+    assert not entries[0]["ok"]
+    assert "split" in entries[0]["error"]
+
+
+def test_json_reports_stream_as_one_array(tmp_path):
+    paths = [_write(tmp_path, f"{name}.json", {"pd": pd}) for name, pd in sorted(GOLDEN.items())]
+    paths.append(str(tmp_path / "missing.json"))
+    status, text = _run(*paths, json_output=True)
+    assert status == 2
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+    assert _run(json_output=True) == (0, "[]\n")
+
+
 def test_byte_identical_reports(tmp_path):
     path = _write(tmp_path, "fig8.json", {"pd": FIGURE8})
     first = _run(path, json_output=True)
@@ -174,6 +195,22 @@ def test_export_augmented_files(tmp_path):
         exported = parse_diagram((out_dir / f"{name}.augmented.json").read_text())
         original_comps, tw, _ = GOLDEN_TWIST[name]
         assert link_components(exported).component_count == original_comps + tw
+
+
+def test_failed_export_keeps_the_report(tmp_path):
+    # Orientation-inconsistent signs parse and analyze, but cannot be drawn.
+    out_dir = tmp_path / "exports"
+    path = _write(tmp_path, "kink.json", {"pd": [[1, 1, 2, 2]], "signs": [-1]})
+    status, entries = _run_json(path, export_dir=str(out_dir))
+    assert status == 0
+    jsonschema.validate(entries, REPORT_SCHEMA)
+    (entry,) = entries
+    assert entry["ok"] and entry["report"]["tw"] == 1
+    assert "export" not in entry
+    assert [w.startswith("export failed: ") for w in entry["warnings"]] == [True]
+    status, text = _run(path, export_dir=str(out_dir))
+    assert status == 0
+    assert "warning: export failed: " in text
 
 
 def test_trivial_diagram_exports_nothing(tmp_path):

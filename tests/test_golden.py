@@ -6,6 +6,8 @@ twist of 3 or 4 strands, and mixed-sign words that need R-II reduction.
 One run with ``--json --attest-hyperbolic --export-augmented DIR`` is
 hashed together with every exported file.  A change that alters the
 report, error or export bytes on purpose must update ``GOLDEN_SHA256``.
+``REPORT_SHA256`` pins the same run without ``--export-augmented``, so a
+change to the drawing of exports alone leaves it as it is.
 
 ``REDUCTION_SHA256`` pins R-II reduction at a larger size: the reduced PD
 code (ids, arcs, signs) and the region crossing ids of a few long mixed
@@ -33,7 +35,8 @@ ANNOTATED = 8
 MIXED = 6
 MIXED_LETTERS = 60
 
-GOLDEN_SHA256 = "db07e97c30f5d3799f3767a3e6763d8d15fd32887c8d57617b18ea237ae8b61d"
+GOLDEN_SHA256 = "f6aa2b90cb9cef2dad53034e40c4d03a262d90be78577709b1e5438f9e563793"
+REPORT_SHA256 = "741df63e4d3f8dc106b93ebe31a9f4300f0855b1563822b431008df4d484b669"
 
 REDUCTION_SEED = 20072
 REDUCTION_WORDS = 3
@@ -85,21 +88,30 @@ def _write_corpus(directory) -> list[str]:
     return paths
 
 
-def test_analyze_output_matches_golden_digest(tmp_path):
+def _analyze_corpus(tmp_path, *flags) -> str:
     inputs = tmp_path / "in"
     inputs.mkdir()
-    exports = tmp_path / "out"
     paths = _write_corpus(inputs)
     out = io.StringIO()
     with redirect_stdout(out):
-        status = main(["analyze", *paths, "--json", "--attest-hyperbolic",
-                       "--export-augmented", str(exports)])
+        status = main(["analyze", *paths, "--json", "--attest-hyperbolic", *flags])
     assert status in (0, 2)
+    return out.getvalue().replace(str(tmp_path), "<tmp>")
+
+
+def test_analyze_output_matches_golden_digest(tmp_path):
+    exports = tmp_path / "out"
+    stdout = _analyze_corpus(tmp_path, "--export-augmented", str(exports))
     digest = hashlib.sha256()
-    digest.update(out.getvalue().replace(str(tmp_path), "<tmp>").encode("utf-8"))
+    digest.update(stdout.encode("utf-8"))
     for path in sorted(exports.iterdir()):
         digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
     assert digest.hexdigest() == GOLDEN_SHA256
+
+
+def test_report_matches_golden_digest(tmp_path):
+    stdout = _analyze_corpus(tmp_path)
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == REPORT_SHA256
 
 
 def test_reduction_matches_golden_digest():
