@@ -22,11 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .diagram import Diagram
+from .diagram import Diagram, _next_slot
 from .errors import AugmentError, ExportError
 from .twist import TwistRegion, TwistSelection, _bigon_bonds, _grow_chains
-
-Dart = tuple[int, int]
 
 
 # ============================================================================
@@ -110,179 +108,168 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # PD-code export: port graph
 # ============================================================================
 #
-# New crossings are synthesized as "stubs": four named ports in
-# counterclockwise rotation order, each tagged with a strand role (under-in,
-# under-out, over-in, over-out).  A directed port graph wires out-ports to
-# in-ports; at the end every edge becomes an arc label and every stub a PD
-# quadruple (rotated so the under-in port is slot 0, which also fixes the
-# sign).
+# Every crossing of the drawing is a "stub" with four ports, numbered
+# 4 * stub + k for rotation position k = 0..3 (counterclockwise).  Stubs
+# are numbered in the order they are added: the original crossings first,
+# in diagram order, so that port 4 * i + s is slot s of crossings[i], the
+# integer dart the diagram's own mates use.  Each port carries a strand
+# role; a directed port graph wires out-ports to in-ports.  At the end
+# every wire becomes an arc label and every live stub a PD quadruple,
+# rotated so that the under-in port comes first (which also fixes the sign).
 
-_OUT_ROLES = frozenset({"uout", "oout"})
+_UIN, _UOUT, _OIN, _OOUT = 0, 1, 2, 3  # strand roles; odd roles are out-ports
 
-
-class _Stub:
-    __slots__ = ("key", "rotation", "roles")
-
-    def __init__(self, key, rotation: tuple[str, ...], roles: dict[str, str]):
-        self.key = key
-        self.rotation = rotation
-        self.roles = roles
-
-    def port(self, name: str):
-        return (self.key, name)
-
-    def find(self, role: str):
-        for name, r in self.roles.items():
-            if r == role:
-                return (self.key, name)
-        raise KeyError(role)
+# Rotation positions of synthesized stubs.
+_E, _N, _W, _S = 0, 1, 2, 3  # circle crossings
+_NE, _NW, _SW, _SE = 0, 1, 2, 3  # staircase crossings
 
 
-def _original_stub(key, sign: int) -> _Stub:
-    roles = {"s0": "uin", "s2": "uout"}
-    roles["s3"], roles["s1"] = ("oin", "oout") if sign > 0 else ("oout", "oin")
-    return _Stub(key, ("s0", "s1", "s2", "s3"), roles)
+def _original_roles(sign: int) -> tuple[int, ...]:
+    # Slot order: the under-strand enters at 0 and leaves at 2.
+    return (_UIN, _OOUT, _UOUT, _OIN) if sign > 0 else (_UIN, _OIN, _UOUT, _OOUT)
 
 
-def _circle_over_stub(key, lane_forward: bool) -> _Stub:
+def _circle_over_roles(lane_forward: bool) -> tuple[int, ...]:
     # Circle runs north->south and passes over a west-east strand.
-    roles = {"N": "oin", "S": "oout"}
-    roles["W"], roles["E"] = ("uin", "uout") if lane_forward else ("uout", "uin")
-    return _Stub(key, ("E", "N", "W", "S"), roles)
+    west, east = (_UIN, _UOUT) if lane_forward else (_UOUT, _UIN)
+    return (east, _OIN, west, _OOUT)
 
 
-def _circle_under_stub(key, lane_forward: bool) -> _Stub:
+def _circle_under_roles(lane_forward: bool) -> tuple[int, ...]:
     # Circle runs south->north and passes under a west-east strand.
-    roles = {"S": "uin", "N": "uout"}
-    roles["W"], roles["E"] = ("oin", "oout") if lane_forward else ("oout", "oin")
-    return _Stub(key, ("E", "N", "W", "S"), roles)
+    west, east = (_OIN, _OOUT) if lane_forward else (_OOUT, _OIN)
+    return (east, _UOUT, west, _UIN)
 
 
-def _letter_stub(key, handedness: int, lanes_forward: bool) -> _Stub:
+def _letter_roles(handedness: int, lanes_forward: bool) -> tuple[int, ...]:
     # One staircase crossing between two adjacent lanes: strand A runs
     # NW-SE, strand B runs SW-NE; positive handedness puts A on top.
+    a_in, b_in = (_OIN, _UIN) if handedness > 0 else (_UIN, _OIN)
+    a_out, b_out = a_in + 1, b_in + 1
     if lanes_forward:
-        a_in, a_out, b_in, b_out = "NW", "SE", "SW", "NE"
-    else:
-        a_in, a_out, b_in, b_out = "SE", "NW", "NE", "SW"
-    roles = {}
-    if handedness > 0:
-        roles[a_in], roles[a_out] = "oin", "oout"
-        roles[b_in], roles[b_out] = "uin", "uout"
-    else:
-        roles[a_in], roles[a_out] = "uin", "uout"
-        roles[b_in], roles[b_out] = "oin", "oout"
-    return _Stub(key, ("NE", "NW", "SW", "SE"), roles)
+        return (b_out, a_in, b_in, a_out)
+    return (b_in, a_out, b_out, a_in)
 
 
 class _PortGraph:
-    """Directed wiring between stub ports (strand-out port -> strand-in port)."""
+    """Directed wiring between stub ports (strand-out port -> strand-in port).
+
+    ``role``, ``succ`` and ``pred`` are indexed by port; -1 in ``succ`` or
+    ``pred`` means unwired.  ``live`` flags the stubs not spliced out.
+    """
 
     def __init__(self):
-        self.stubs: dict = {}  # key -> _Stub, insertion-ordered
-        self.succ: dict = {}
-        self.pred: dict = {}
+        self.role: list[int] = []
+        self.succ: list[int] = []
+        self.pred: list[int] = []
+        self.live = bytearray()
 
-    def add(self, stub: _Stub) -> _Stub:
-        self.stubs[stub.key] = stub
-        return stub
+    def add(self, roles: tuple[int, ...]) -> int:
+        """Add a stub with these port roles; returns the stub number."""
+        self.role.extend(roles)
+        self.succ.extend((-1, -1, -1, -1))
+        self.pred.extend((-1, -1, -1, -1))
+        self.live.append(1)
+        return len(self.live) - 1
 
-    def role(self, port) -> str:
-        key, name = port
-        return self.stubs[key].roles[name]
+    def find(self, stub: int, role: int) -> int:
+        return self.role.index(role, 4 * stub, 4 * stub + 4)
 
-    def connect(self, a, b) -> None:
+    def connect(self, a: int, b: int) -> None:
         """Wire two ports; exactly one must be an out-port."""
-        a_out = self.role(a) in _OUT_ROLES
-        b_out = self.role(b) in _OUT_ROLES
-        if a_out == b_out:
+        a_out = self.role[a] & 1
+        if a_out == self.role[b] & 1:
             raise ExportError(f"cannot wire ports {a} and {b}: roles conflict")
         src, dst = (a, b) if a_out else (b, a)
-        if src in self.succ or dst in self.pred:
+        if self.succ[src] >= 0 or self.pred[dst] >= 0:
             raise ExportError(f"port already wired: {src} -> {dst}")
         self.succ[src] = dst
         self.pred[dst] = src
 
-    def disconnect(self, port) -> None:
-        if self.role(port) in _OUT_ROLES:
-            dst = self.succ.pop(port, None)
-            if dst is not None:
-                del self.pred[dst]
+    def disconnect(self, port: int) -> None:
+        if self.role[port] & 1:
+            dst = self.succ[port]
+            if dst >= 0:
+                self.succ[port] = self.pred[dst] = -1
         else:
-            src = self.pred.pop(port, None)
-            if src is not None:
-                del self.succ[src]
+            src = self.pred[port]
+            if src >= 0:
+                self.pred[port] = self.succ[src] = -1
 
-    def remove_stub(self, key) -> None:
+    def remove_stub(self, stub: int, crossing_id: int) -> None:
         """Splice a crossing out, strand-through.
 
         Raises :class:`ExportError` when a strand would close up into a
         crossing-free circle, which a PD code cannot carry.
         """
-        stub = self.stubs[key]
-        uin, uout = stub.find("uin"), stub.find("uout")
-        oin, oout = stub.find("oin"), stub.find("oout")
-        pairs = {"u": [self.pred[uin], self.succ[uout]], "o": [self.pred[oin], self.succ[oout]]}
-        self.delete_stub_edges(key)
+        uin, uout = self.find(stub, _UIN), self.find(stub, _UOUT)
+        oin, oout = self.find(stub, _OIN), self.find(stub, _OOUT)
+        # Per strand (0 = under, 1 = over): [outside source, outside target].
+        pairs = [[self.pred[uin], self.succ[uout]], [self.pred[oin], self.succ[oout]]]
+        self.delete_stub_edges(stub)
 
-        alive = {"u", "o"}
-        entry = {uin: "u", oin: "o"}
-        for k in ("u", "o"):
-            while k in alive and pairs[k][1] in entry:
+        alive = [True, True]
+        entry = {uin: 0, oin: 1}
+        for k in (0, 1):
+            while alive[k] and pairs[k][1] in entry:
                 t = entry[pairs[k][1]]
                 if t == k:
-                    raise ExportError(f"strand closed up while splicing out crossing {key[1]}")
+                    raise ExportError(
+                        f"strand closed up while splicing out crossing {crossing_id}"
+                    )
                 pairs[k][1] = pairs[t][1]
-                alive.discard(t)
-        for k in alive:
-            self.connect(pairs[k][0], pairs[k][1])
+                alive[t] = False
+        for k in (0, 1):
+            if alive[k]:
+                self.connect(pairs[k][0], pairs[k][1])
 
-    def delete_stub_edges(self, key) -> None:
-        stub = self.stubs[key]
-        for name in stub.rotation:
-            self.disconnect(stub.port(name))
-        del self.stubs[key]
+    def delete_stub_edges(self, stub: int) -> None:
+        for port in range(4 * stub, 4 * stub + 4):
+            self.disconnect(port)
+        self.live[stub] = 0
 
     def to_diagram(self, name: str | None) -> Diagram:
-        dangling = [p for key, s in self.stubs.items() for p in map(s.port, s.rotation)
-                    if (p not in self.succ) and (p not in self.pred)]
+        role, pred = self.role, self.pred
+        ports = [p for stub, alive in enumerate(self.live) if alive
+                 for p in range(4 * stub, 4 * stub + 4)]
+        dangling = [p for p in ports if self.succ[p] < 0 and pred[p] < 0]
         if dangling:
             raise ExportError(f"unwired ports remain: {dangling[:4]}")
-        label: dict = {}  # out-port -> arc label
+        label = [0] * len(role)  # out-port -> arc label
         counter = 0
         quads, signs = [], []
-        for stub in self.stubs.values():
-            start = stub.rotation.index(stub.find("uin")[1])
-            ordered = stub.rotation[start:] + stub.rotation[:start]
+        for base in ports[::4]:
+            start = role.index(_UIN, base, base + 4) - base
             arcs = []
-            for pname in ordered:
-                port = stub.port(pname)
-                out_port = port if stub.roles[pname] in _OUT_ROLES else self.pred[port]
-                if out_port not in label:
+            for k in range(start, start + 4):
+                port = base + k % 4
+                out_port = port if role[port] & 1 else pred[port]
+                if not label[out_port]:
                     counter += 1
                     label[out_port] = counter
                 arcs.append(label[out_port])
             quads.append(arcs)
-            signs.append(1 if stub.roles[ordered[3]] == "oin" else -1)
+            signs.append(1 if role[base + (start + 3) % 4] == _OIN else -1)
         return Diagram.from_pd(quads, signs, name)
 
 
 # ============================================================================
 # PD-code export: region rewriting
 # ============================================================================
+#
+# Darts here are the diagram's integer darts, 4 * position + slot, which
+# are also the ports of the original stubs.  Slot s + 2 mod 4 is dart ^ 2.
 
 
-def _region_boundary(mates: Mapping[Dart, Dart], region: frozenset[int],
-                     start: Dart) -> list[Dart]:
+def _region_boundary(mates: tuple[int, ...], region: frozenset[int],
+                     start: int) -> list[int]:
     """Walk the region's outer boundary, returning boundary darts in planar order."""
     cycle = [start]
     dart = start
     while True:
-        c, s = dart
-        e = (c, (s + 1) % 4)
-        while mates[e][0] in region:
-            c2, s2 = mates[e]
-            e = (c2, (s2 + 1) % 4)
+        e = _next_slot(dart)
+        while mates[e] >> 2 in region:
+            e = _next_slot(mates[e])
         if e == cycle[0]:
             return cycle
         if e in cycle or len(cycle) > 4 * len(region):
@@ -291,18 +278,16 @@ def _region_boundary(mates: Mapping[Dart, Dart], region: frozenset[int],
         dart = e
 
 
-def _strand_through(dart: Dart, mates: Mapping[Dart, Dart], region: frozenset[int]) -> Dart:
+def _strand_through(dart: int, mates: tuple[int, ...], region: frozenset[int]) -> int:
     """Follow the strand from one boundary dart through the region to the other side."""
-    c, s = dart
-    e = (c, (s + 2) % 4)
-    while mates[e][0] in region:
-        c2, s2 = mates[e]
-        e = (c2, (s2 + 2) % 4)
+    e = dart ^ 2
+    while mates[e] >> 2 in region:
+        e = mates[e] ^ 2
     return e
 
 
-def _split_boundary(cycle: list[Dart], pairing: dict[Dart, Dart], m: int, eps: int,
-                    flows_in: Mapping[Dart, bool]) -> tuple[list[Dart], list[Dart]]:
+def _split_boundary(cycle: list[int], pairing: dict[int, int], m: int, eps: int,
+                    flows_in: Mapping[int, bool]) -> tuple[list[int], list[int]]:
     """Split the boundary cycle into the two m-port sides of the twist box.
 
     In a counterclockwise boundary walk the far side appears in reversed
@@ -331,48 +316,45 @@ def _split_boundary(cycle: list[Dart], pairing: dict[Dart, Dart], m: int, eps: i
     raise ExportError("region strands do not pair across the boundary like a twist box")
 
 
-def _attachment(graph: _PortGraph, diagram: Diagram, dart: Dart):
+def _attachment(graph: _PortGraph, dart: int) -> tuple[int, bool]:
     """Outside port currently wired to this boundary dart, plus lane direction."""
-    c, s = dart
-    port = (("x", c), f"s{s}")
-    forward = diagram.crossing(c).is_in_slot(s)  # strand flows into the region here
-    outside = graph.pred[port] if forward else graph.succ[port]
-    return outside, forward
+    forward = not graph.role[dart] & 1  # strand flows into the region here
+    return (graph.pred[dart] if forward else graph.succ[dart]), forward
 
 
 def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
-                       mates: Mapping[Dart, Dart], eps: int) -> None:
+                       eps: int) -> None:
     """Region of m >= 3 strands: a box with 2m boundary strand-endpoints."""
     m = region.strand_count
-    ids = frozenset(region.crossing_ids)
-    boundary = sorted(
-        (c, s) for c in ids for s in range(4) if mates[(c, s)][0] not in ids
-    )
+    mates, index = diagram.dart_mates, diagram.index
+    inside = frozenset(index[c] for c in region.crossing_ids)  # positions
+    boundary = [d for c in sorted(region.crossing_ids)
+                for d in range(4 * index[c], 4 * index[c] + 4) if mates[d] >> 2 not in inside]
     if len(boundary) != 2 * m:
         raise ExportError(
             f"region {region.id}: {len(boundary)} boundary strand-endpoints, expected {2 * m}"
         )
-    cycle = _region_boundary(mates, ids, boundary[0])
-    if sorted(cycle) != boundary:
+    cycle = _region_boundary(mates, inside, boundary[0])
+    if sorted(cycle) != sorted(boundary):
         raise ExportError(f"region {region.id}: boundary is not a single cycle")
-    pairing = {d: _strand_through(d, mates, ids) for d in cycle}
-    flows_in = {(c, s): diagram.crossing(c).is_in_slot(s) for c, s in cycle}
+    pairing = {d: _strand_through(d, mates, inside) for d in cycle}
+    flows_in = {d: not graph.role[d] & 1 for d in cycle}
     t_side, u_side = _split_boundary(cycle, pairing, m, eps, flows_in)
 
     # Capture the outside attachment of every lane, then delete the region.
-    west = [_attachment(graph, diagram, d) for d in t_side]
-    east = [_attachment(graph, diagram, d) for d in u_side]
-    for c in region.crossing_ids:
-        graph.delete_stub_edges(("x", c))
+    west = [_attachment(graph, d) for d in t_side]
+    east = [_attachment(graph, d) for d in u_side]
+    for i in inside:
+        graph.delete_stub_edges(i)
 
     # Lane frontier, indexed by bundle position (position i starts at t_side[i]).
     frontier = list(west)
     over = []
     for pos in range(m):
         port, fwd = frontier[pos]
-        stub = graph.add(_circle_over_stub(("a", region.id, "over", pos), fwd))
-        graph.connect(port, stub.port("W"))
-        frontier[pos] = (stub.port("E"), fwd)
+        stub = graph.add(_circle_over_roles(fwd))
+        graph.connect(port, 4 * stub + _W)
+        frontier[pos] = (4 * stub + _E, fwd)
         over.append(stub)
 
     if eps:
@@ -384,20 +366,20 @@ def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
             )
         fwd = frontier[0][1]
         word = [j for k in range(m - 1, 0, -1) for j in range(1, k + 1)]
-        for idx, j in enumerate(word):
-            stub = graph.add(_letter_stub(("a", region.id, "half", idx), region.sign, fwd))
+        for j in word:
+            stub = graph.add(_letter_roles(region.sign, fwd))
             hi, lo = frontier[j - 1], frontier[j]
-            graph.connect(hi[0], stub.port("NW"))
-            graph.connect(lo[0], stub.port("SW"))
-            frontier[j - 1] = (stub.port("NE"), hi[1])
-            frontier[j] = (stub.port("SE"), lo[1])
+            graph.connect(hi[0], 4 * stub + _NW)
+            graph.connect(lo[0], 4 * stub + _SW)
+            frontier[j - 1] = (4 * stub + _NE, hi[1])
+            frontier[j] = (4 * stub + _SE, lo[1])
 
     under = []
     for pos in range(m):
         port, fwd = frontier[pos]
-        stub = graph.add(_circle_under_stub(("a", region.id, "under", pos), fwd))
-        graph.connect(port, stub.port("W"))
-        frontier[pos] = (stub.port("E"), fwd)
+        stub = graph.add(_circle_under_roles(fwd))
+        graph.connect(port, 4 * stub + _W)
+        frontier[pos] = (4 * stub + _E, fwd)
         under.append(stub)
 
     for pos in range(m):
@@ -406,19 +388,19 @@ def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
     _wire_circle(graph, over, under)
 
 
-def _wire_circle(graph: _PortGraph, over: list[_Stub], under: list[_Stub]) -> None:
+def _wire_circle(graph: _PortGraph, over: list[int], under: list[int]) -> None:
     """Close the crossing circle: down through the over-passes, up the unders."""
     m = len(over)
     for pos in range(m - 1):
-        graph.connect(over[pos].port("S"), over[pos + 1].port("N"))
-    graph.connect(over[m - 1].port("S"), under[m - 1].port("S"))
+        graph.connect(4 * over[pos] + _S, 4 * over[pos + 1] + _N)
+    graph.connect(4 * over[m - 1] + _S, 4 * under[m - 1] + _S)
     for pos in range(m - 1, 0, -1):
-        graph.connect(under[pos].port("N"), under[pos - 1].port("S"))
-    graph.connect(under[0].port("N"), over[0].port("N"))
+        graph.connect(4 * under[pos] + _N, 4 * under[pos - 1] + _S)
+    graph.connect(4 * under[0] + _N, 4 * over[0] + _N)
 
 
 def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
-                         bonds, eps: int) -> None:
+                         eps: int) -> None:
     """2-strand region: ring the two arcs that leave x0 away from x1.
 
     x0 ... x(c-1) is the chain order of the bigon bonds.  The spliced
@@ -427,29 +409,28 @@ def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegio
     open, closed and returning chains alike; every strand passes the circle.
     """
     ids = frozenset(region.crossing_ids)
-    local = {(c, k): bonds[(c, k)] for c in ids for k in range(4)
-             if bonds.get((c, k), (None,))[0] in ids}
-    chains = _grow_chains(local, sorted(ids))
+    bonds = _bigon_bonds(diagram, ids)
+    chains = _grow_chains(bonds, sorted(ids))
     if len(chains) != 1:
         raise ExportError(f"region {region.id}: crossings do not form one twist chain")
     (chain,) = chains
     x0 = chain[0]
     # The corner of x0 facing away from x1; any corner of a lone crossing.
     back = 0 if len(chain) == 1 else 2 + next(
-        k for k in range(4) if local.get((x0, k), (None,))[0] == chain[1])
+        k for k in range(4) if bonds.get((x0, k), (None,))[0] == chain[1])
     over, under = [], []
-    for pos, slot in enumerate((back % 4, (back + 1) % 4)):
-        outside, forward = _attachment(graph, diagram, (x0, slot))
-        port = (("x", x0), f"s{slot}")
+    for slot in (back % 4, (back + 1) % 4):
+        port = 4 * diagram.index[x0] + slot
+        outside, forward = _attachment(graph, port)
         graph.disconnect(port)
-        under.append(graph.add(_circle_under_stub(("a", region.id, "under", pos), forward)))
-        over.append(graph.add(_circle_over_stub(("a", region.id, "over", pos), forward)))
-        graph.connect(port, under[pos].port("E"))
-        graph.connect(under[pos].port("W"), over[pos].port("E"))
-        graph.connect(over[pos].port("W"), outside)
+        under.append(graph.add(_circle_under_roles(forward)))
+        over.append(graph.add(_circle_over_roles(forward)))
+        graph.connect(port, 4 * under[-1] + _E)
+        graph.connect(4 * under[-1] + _W, 4 * over[-1] + _E)
+        graph.connect(4 * over[-1] + _W, outside)
     _wire_circle(graph, over, under)
     for c in chain[eps:]:
-        graph.remove_stub(("x", c))
+        graph.remove_stub(diagram.index[c], c)
 
 
 def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
@@ -463,28 +444,26 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     """
     selection = augmented.source
     diagram = selection.diagram
-    mates = diagram.mates
 
     graph = _PortGraph()
     for x in diagram.crossings:
-        graph.add(_original_stub(("x", x.id), x.sign))
-    for (c1, s1), (c2, s2) in mates.items():
-        p1, p2 = (("x", c1), f"s{s1}"), (("x", c2), f"s{s2}")
-        if p1 in graph.succ or p1 in graph.pred:
+        graph.add(_original_roles(x.sign))
+    for d, e in enumerate(diagram.dart_mates):
+        if d > e:
             continue  # wired from its other end
-        if (graph.role(p1) in _OUT_ROLES) == (graph.role(p2) in _OUT_ROLES):
+        if graph.role[d] & 1 == graph.role[e] & 1:
+            arc = diagram.crossings[d >> 2].arcs[d & 3]
             raise ExportError(
-                f"arc {diagram.crossing(c1).arcs[s1]} has no coherent direction; "
+                f"arc {arc} has no coherent direction; "
                 "crossing signs are not orientation-consistent"
             )
-        graph.connect(p1, p2)
+        graph.connect(d, e)
 
-    bonds = _bigon_bonds(diagram, frozenset(diagram.crossing_ids))
     for circle, region in zip(augmented.circles, selection.regions):
         if region.strand_count == 2:
-            _export_chain_region(graph, diagram, region, bonds, circle.epsilon)
+            _export_chain_region(graph, diagram, region, circle.epsilon)
         else:
-            _export_box_region(graph, diagram, region, mates, circle.epsilon)
+            _export_box_region(graph, diagram, region, circle.epsilon)
 
     name = f"{diagram.name}-augmented" if diagram.name else "augmented"
     return graph.to_diagram(name)

@@ -9,12 +9,14 @@ Exit status is 0 when every file was analyzed (certificates may still be
 not-certified; that is data, not an error) and 2 when any file failed to
 parse or validate.  Failures are reported per file and processing
 continues with the remaining inputs.  Each report is written as soon as
-its file is done.  A failed export keeps the report and adds a warning.
+its file is done.  A failed export, whether the drawing or the write
+failed, keeps the report and adds a warning.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -85,7 +87,7 @@ def analyze_file(path: str, config: RunConfig) -> FileResult:
         if config.export_dir is not None:
             try:
                 export_path = _write_export(path, config.export_dir, augmented)
-            except ExportError as exc:
+            except (ExportError, OSError) as exc:
                 warnings += (f"export failed: {exc}",)
         return FileResult(
             file=path,
@@ -104,7 +106,12 @@ def _write_export(path: str, export_dir: str, augmented: AugmentedLink) -> str:
     out_dir = Path(export_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / (Path(path).stem + ".augmented.json")
-    out_path.write_text(serialize_diagram(exported) + "\n", encoding="utf-8")
+    try:
+        out_path.write_text(serialize_diagram(exported) + "\n", encoding="utf-8")
+    except OSError:
+        with contextlib.suppress(OSError):
+            out_path.unlink(missing_ok=True)  # leave no partial export behind
+        raise
     return str(out_path)
 
 

@@ -29,7 +29,7 @@ oriented component.  ``regions`` declares generalized twist regions (see
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -41,6 +41,11 @@ Dart = tuple[int, int]  # (crossing id, slot)
 
 _KNOWN_KEYS = {"name", "pd", "signs", "regions"}
 _KNOWN_REGION_KEYS = {"crossings", "strands", "half_twists"}
+
+
+def _next_slot(dart: int) -> int:
+    """Integer dart 4*i + s -> 4*i + (s + 1) % 4, one slot counterclockwise."""
+    return dart - 3 if dart & 3 == 3 else dart + 1
 
 
 # ============================================================================
@@ -62,17 +67,18 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
-        if len(self.arcs) != 4:
+        arcs, sign = self.arcs, self.sign
+        if len(arcs) != 4:
             raise InvalidDiagramError(
-                f"crossing {self.id}: expected 4 arc labels, got {len(self.arcs)}"
+                f"crossing {self.id}: expected 4 arc labels, got {len(arcs)}"
             )
-        if any(not _is_int(a) or a < 1 for a in self.arcs):
+        if any((type(x) is not int and not _is_int(x)) or x < 1 for x in arcs):
             raise InvalidDiagramError(
-                f"crossing {self.id}: arc labels must be positive integers, got {self.arcs!r}"
+                f"crossing {self.id}: arc labels must be positive integers, got {arcs!r}"
             )
-        if not _is_int(self.sign) or self.sign not in (-1, 1):
+        if (type(sign) is not int and not _is_int(sign)) or sign not in (1, -1):
             raise InvalidDiagramError(
-                f"crossing {self.id}: sign must be +1 or -1, got {self.sign!r}"
+                f"crossing {self.id}: sign must be +1 or -1, got {sign!r}"
             )
 
     @property
@@ -121,6 +127,11 @@ class Diagram:
     out once per diagram, on first use, and shared read-only by every
     caller; copy a value before mutating it.  Equality and hashing see only
     the crossings and the name.
+
+    Underneath, darts are integers: dart ``4 * i + s`` is slot s of
+    ``crossings[i]``.  :attr:`dart_mates`, :attr:`face_next`, the face walk
+    and the graph components work on these; :attr:`mates`, :attr:`faces` and
+    :attr:`graph_components` translate them to crossing ids.
     """
 
     crossings: tuple[Crossing, ...]
@@ -154,54 +165,101 @@ class Diagram:
             raise KeyError(f"no crossing with id {crossing_id}") from None
 
     @cached_property
+    def dart_mates(self) -> tuple[int, ...]:
+        """Each integer dart -> the other end of its arc."""
+        return _mate_darts([x.arcs for x in self.crossings])
+
+    @cached_property
     def mates(self) -> Mapping[Dart, Dart]:
         """Each dart (crossing id, slot) -> the other end of its arc."""
-        places = _dart_places((x.id, x.arcs) for x in self.crossings)
+        darts = [(x.id, slot) for x in self.crossings for slot in range(4)]
         mates: dict[Dart, Dart] = {}
-        for a, b in places.values():
-            mates[a] = b
-            mates[b] = a
+        for d, e in enumerate(self.dart_mates):
+            if d < e:  # arcs in the order their labels first appear
+                mates[darts[d]] = darts[e]
+                mates[darts[e]] = darts[d]
         return MappingProxyType(mates)
+
+    @cached_property
+    def face_next(self) -> tuple[int, ...]:
+        """Each integer dart -> the next dart of its face walk.
+
+        The walk crosses the arc, then rotates one slot counterclockwise.  A
+        dart d lies on a face with two corners exactly when
+        ``face_next[d] != d`` and ``face_next[face_next[d]] == d``.
+        """
+        return tuple(map(_next_slot, self.dart_mates))
+
+    @cached_property
+    def _face_walks(self) -> tuple[tuple[int, ...], ...]:
+        """One tuple per face: the integer darts its walk pivots through.
+
+        Faces are the orbits of :attr:`face_next`; the corner recorded at
+        each step is the mate the walk pivots at.  This is the only face
+        walk: :attr:`faces` and the Euler check read it.
+        """
+        mates, step = self.dart_mates, self.face_next
+        seen = bytearray(len(mates))
+        walks = []
+        for start in range(len(mates)):
+            if seen[start]:
+                continue
+            walk = []
+            dart = start
+            while not seen[dart]:
+                seen[dart] = 1
+                walk.append(mates[dart])
+                dart = step[dart]
+            walks.append(tuple(walk))
+        return tuple(walks)
 
     @cached_property
     def faces(self) -> tuple[Face, ...]:
         """The complementary regions; see :func:`compute_faces`."""
         if not self.crossings:
             return (Face(boundary=()), Face(boundary=()))
-        mates = self.mates
+        darts = [(x.id, slot) for x in self.crossings for slot in range(4)]
         faces: list[Face] = []
-        seen: set[Dart] = set()
-        for x in self.crossings:
-            for slot in range(4):
-                start = (x.id, slot)
-                if start in seen:
-                    continue
-                corners: list[tuple[int, int]] = []
-                dart = start
-                while dart not in seen:
-                    seen.add(dart)
-                    c, s = mates[dart]
-                    corners.append((c, s))
-                    dart = (c, (s + 1) % 4)
-                pivot = corners.index(min(corners))
-                faces.append(Face(boundary=tuple(corners[pivot:] + corners[:pivot])))
+        for walk in self._face_walks:
+            corners = [darts[d] for d in walk]
+            pivot = corners.index(min(corners))
+            faces.append(Face(boundary=tuple(corners[pivot:] + corners[:pivot])))
         faces.sort(key=lambda f: f.boundary[0])
         return tuple(faces)
 
     @cached_property
+    def _component_of(self) -> tuple[int, ...]:
+        """Graph component index of each crossing, by position.
+
+        Components are numbered in the order of their first crossing.
+        """
+        mates = self.dart_mates
+        component = [-1] * len(self.crossings)
+        count = 0
+        for i in range(len(component)):
+            if component[i] >= 0:
+                continue
+            component[i] = count
+            stack = [i]
+            while stack:
+                j = stack.pop()
+                for dart in range(4 * j, 4 * j + 4):
+                    k = mates[dart] >> 2
+                    if component[k] < 0:
+                        component[k] = count
+                        stack.append(k)
+            count += 1
+        return tuple(component)
+
+    @cached_property
     def graph_components(self) -> tuple[tuple[int, ...], ...]:
         """Connected components of the underlying 4-valent graph (crossing ids)."""
-        if not self.crossings:
-            return ()
-        dsu = _DisjointSets(self.crossing_ids)
-        incident: dict[int, int] = {}
-        for x in self.crossings:
-            for arc in x.arcs:
-                if arc in incident:
-                    dsu.union(incident[arc], x.id)
-                else:
-                    incident[arc] = x.id
-        return tuple(tuple(comp) for comp in dsu.classes())
+        groups: list[list[int]] = []
+        for x, k in zip(self.crossings, self._component_of):
+            if k == len(groups):
+                groups.append([])
+            groups[k].append(x.id)
+        return tuple(map(tuple, groups))
 
     @property
     def is_connected(self) -> bool:
@@ -221,6 +279,8 @@ class Diagram:
         and the Euler formula V - E + F = 2 on every connected component of
         the underlying graph (which rejects non-planar or corrupted codes).
         When ``signs`` is omitted they are inferred; see module docstring.
+        Errors come in that order: every shape, then the first label that
+        is not a positive integer, then multiplicity, signs and Euler.
         """
         quads = []
         for i, quad in enumerate(pd):
@@ -229,10 +289,10 @@ class Diagram:
                 raise InvalidDiagramError(f"crossing {i}: expected 4 arc labels, got {got}")
             quads.append(tuple(quad))
 
-        _check_arc_multiplicity(quads)
+        mates = _mate_darts(quads)
 
         if signs is None:
-            signs = _infer_signs(quads) if quads else []
+            signs = _infer_signs(quads, mates) if quads else []
         else:
             signs = list(signs)
             if len(signs) != len(quads):
@@ -240,12 +300,9 @@ class Diagram:
                     f"signs list has {len(signs)} entries for {len(quads)} crossings"
                 )
 
-        diagram = cls(
-            crossings=tuple(
-                Crossing(id=i, arcs=quads[i], sign=signs[i]) for i in range(len(quads))
-            ),
-            name=name,
-        )
+        diagram = cls(crossings=tuple(map(Crossing, range(len(quads)), quads, signs)), name=name)
+        # The mates came out of checking the labels: keep them as the cached value.
+        vars(diagram)["dart_mates"] = mates
         _check_euler(diagram)
         return diagram
 
@@ -373,15 +430,6 @@ def serialize_diagram(diagram: Diagram) -> str:
 # ============================================================================
 
 
-def _dart_places(crossings) -> dict[int, list[Dart]]:
-    """Arc label -> its two darts, from (crossing id, quadruple) pairs."""
-    places: dict[int, list[Dart]] = defaultdict(list)
-    for cid, quad in crossings:
-        for slot, arc in enumerate(quad):
-            places[arc].append((cid, slot))
-    return places
-
-
 def mate_map(diagram: Diagram) -> Mapping[Dart, Dart]:
     """Map each dart (crossing id, slot) to the other end of its arc."""
     return diagram.mates
@@ -461,43 +509,50 @@ class _DisjointSets:
         return list(groups.values())
 
 
-def _check_arc_multiplicity(quads: list[tuple]) -> None:
-    counts = defaultdict(int)
+def _mate_darts(quads) -> tuple[int, ...]:
+    """Check the arc labels and pair their darts, in one pass.
+
+    Every label must be a positive integer (not a bool) used exactly twice;
+    the result maps each integer dart 4*i + slot to the other end of its arc.
+    """
+    mates = [-1] * (4 * len(quads))
+    first: dict[int, int] = {}
+    dart = 0
     for quad in quads:
         for arc in quad:
-            if not _is_int(arc) or arc < 1:
-                raise InvalidDiagramError(
-                    f"arc labels must be positive integers, got {arc!r}"
-                )
-            counts[arc] += 1
-    bad = sorted(a for a, n in counts.items() if n != 2)
-    if bad:
+            if (type(arc) is not int and not _is_int(arc)) or arc < 1:
+                raise InvalidDiagramError(f"arc labels must be positive integers, got {arc!r}")
+            other = first.setdefault(arc, dart)
+            if other != dart and mates[other] < 0:
+                mates[other] = dart
+                mates[dart] = other
+            dart += 1
+    # A label used once, or more than twice, leaves a dart without a mate.
+    if -1 in mates:
+        counts = Counter(arc for quad in quads for arc in quad)
+        bad = sorted(a for a, n in counts.items() if n != 2)
         detail = ", ".join(f"{a} (x{counts[a]})" for a in bad[:8])
         raise InvalidDiagramError(f"each arc label must appear exactly twice; offenders: {detail}")
+    return tuple(mates)
 
 
 def _check_euler(diagram: Diagram) -> None:
     if not diagram.crossings:
         return
-    components = diagram.graph_components
-    comp_of: dict[int, int] = {}
-    for idx, comp in enumerate(components):
-        for cid in comp:
-            comp_of[cid] = idx
-    v = [0] * len(components)
-    e = [0] * len(components)
-    f = [0] * len(components)
-    for x in diagram.crossings:
-        v[comp_of[x.id]] += 1
-        e[comp_of[x.id]] += 2  # four slot endpoints, two per arc
-    for face in diagram.faces:
-        f[comp_of[face.boundary[0][0]]] += 1
-    for idx in range(len(components)):
-        if v[idx] - e[idx] + f[idx] != 2:
+    component = diagram._component_of
+    v = [0] * (max(component) + 1)
+    f = [0] * len(v)
+    for k in component:
+        v[k] += 1
+    for walk in diagram._face_walks:
+        f[component[walk[0] >> 2]] += 1
+    for k in range(len(v)):
+        e = 2 * v[k]  # four slot endpoints per crossing, two per arc
+        if v[k] - e + f[k] != 2:
+            crossings = sorted(diagram.graph_components[k])
             raise InvalidDiagramError(
                 "Euler formula violated (non-planar or corrupted code): "
-                f"component with crossings {sorted(components[idx])} has "
-                f"V={v[idx]} E={e[idx]} F={f[idx]}"
+                f"component with crossings {crossings} has V={v[k]} E={e} F={f[k]}"
             )
 
 
@@ -506,7 +561,7 @@ def _check_euler(diagram: Diagram) -> None:
 # ============================================================================
 
 
-def _infer_signs(quads: list[tuple]) -> list[int]:
+def _infer_signs(quads: list[tuple], mates: tuple[int, ...]) -> list[int]:
     """Infer crossing signs from arc labels.
 
     Two stages.  First, orientation propagation: slot 0 is always an inflow
@@ -519,7 +574,8 @@ def _infer_signs(quads: list[tuple]) -> list[int]:
     ends up with one head and one tail.
     """
     n = len(quads)
-    places = _dart_places(enumerate(quads))
+    # (crossing, slot) of both ends of each arc, in label first-appearance order.
+    arcs = [(d >> 2, d & 3, e >> 2, e & 3) for d, e in enumerate(mates) if d < e]
 
     signs: dict[int, int] = {}
 
@@ -547,8 +603,7 @@ def _infer_signs(quads: list[tuple]) -> list[int]:
     changed = True
     while changed:
         changed = False
-        for arc, ends in places.items():
-            (c1, s1), (c2, s2) = ends
+        for c1, s1, c2, s2 in arcs:
             r1, r2 = role(c1, s1), role(c2, s2)
             if r1 is not None and r2 is None:
                 changed |= force(c2, s2, "out" if r1 == "in" else "in")
@@ -574,11 +629,10 @@ def _infer_signs(quads: list[tuple]) -> list[int]:
                     'supply explicit "signs"'
                 )
 
-    for arc, ends in places.items():
-        roles = sorted(role(c, s) for c, s in ends)
-        if roles != ["in", "out"]:
+    for c1, s1, c2, s2 in arcs:
+        if sorted((role(c1, s1), role(c2, s2))) != ["in", "out"]:
             raise InvalidDiagramError(
-                f"cannot infer consistent signs (arc {arc} has no coherent "
+                f"cannot infer consistent signs (arc {quads[c1][s1]} has no coherent "
                 'direction); supply explicit "signs"'
             )
     return [signs[ci] for ci in range(n)]

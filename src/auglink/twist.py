@@ -20,7 +20,6 @@ are as if each chain were spliced out alone in that order.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass, replace
 
 from .diagram import Dart, Diagram, _DisjointSets, _check_euler
@@ -97,16 +96,24 @@ def _bigon_bonds(diagram: Diagram, scope: frozenset[int]):
     Returns ``bonds[(crossing, corner)] = (other crossing, other corner)``.
     Degree-2 faces whose corners sit on a single crossing (the face inside a
     Reidemeister-I kink) are not bonds: a twist chain needs two strands.
+    A dart of a bigon returns to itself after two steps of the face walk,
+    so only the darts of ``scope`` are looked at: the cost is linear in
+    ``len(scope)``, not in the size of the diagram.
     """
+    mates, step = diagram.dart_mates, diagram.face_next
+    index, crossings = diagram.index, diagram.crossings
     bonds: dict[tuple[int, int], tuple[int, int]] = {}
-    for face in diagram.faces:
-        if face.degree != 2:
-            continue
-        (c1, k1), (c2, k2) = face.boundary
-        if c1 == c2 or c1 not in scope or c2 not in scope:
-            continue
-        bonds[(c1, k1)] = (c2, k2)
-        bonds[(c2, k2)] = (c1, k1)
+    for c in scope:
+        i = 4 * index[c]
+        for dart in (i, i + 1, i + 2, i + 3):
+            after = step[dart]
+            # A bigon is met from both of its darts; take it from the smaller.
+            if after > dart and step[after] == dart:
+                d1, d2 = mates[dart], mates[after]
+                c1, c2 = crossings[d1 >> 2].id, crossings[d2 >> 2].id
+                if c1 != c2 and c1 in scope and c2 in scope:
+                    bonds[(c1, d1 & 3)] = (c2, d2 & 3)
+                    bonds[(c2, d2 & 3)] = (c1, d1 & 3)
     return bonds
 
 
@@ -260,12 +267,9 @@ def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
 
 def boundary_arc_count(diagram: Diagram, crossing_ids: frozenset[int]) -> int:
     """Number of arcs with exactly one endpoint on the given crossings."""
-    hits: dict[int, int] = defaultdict(int)
-    for x in diagram.crossings:
-        if x.id in crossing_ids:
-            for arc in x.arcs:
-                hits[arc] += 1
-    return sum(1 for n in hits.values() if n == 1)
+    mates, index = diagram.dart_mates, diagram.index
+    inside = {index[c] for c in crossing_ids if c in index}  # positions
+    return sum(mates[d] >> 2 not in inside for i in inside for d in range(4 * i, 4 * i + 4))
 
 
 def validate_generalized_region(
@@ -274,13 +278,14 @@ def validate_generalized_region(
     """Check an annotated m-strand region and return it as a TwistRegion.
 
     Checks: the crossing count equals half_twists * m(m-1)/2, all crossings
-    carry one sign, and exactly 2m strand-endpoints leave the crossing set.
+    carry one sign, exactly 2m strand-endpoints leave the crossing set, and
+    the crossings of a 2-strand region form one bigon chain.
     """
     m, c = annotation.strand_count, annotation.half_twists
     ids = annotation.crossing_ids
     if c < 1:
         raise RegionError(f"region {region_id}: half-twist count must be >= 1, got {c}")
-    missing = sorted(ids - set(diagram.crossing_ids))
+    missing = sorted(i for i in ids if i not in diagram.index)
     if missing:
         raise RegionError(f"region {region_id}: unknown crossing ids {missing}")
     signs = {diagram.crossing(i).sign for i in ids}
@@ -302,6 +307,8 @@ def validate_generalized_region(
             f"region {region_id}: {boundary} strand-endpoints leave the region, "
             f"expected 2m = {2 * m}"
         )
+    if m == 2 and len(_grow_chains(_bigon_bonds(diagram, ids), sorted(ids))) != 1:
+        raise RegionError(f"region {region_id}: crossings do not form one twist chain")
     return region
 
 
@@ -365,8 +372,6 @@ def resolve_selection(
     annotated = frozenset(c for a in annotations for c in a.crossing_ids)
     scope = frozenset(diagram.crossing_ids) - annotated
     bonds = _bigon_bonds(diagram, scope)
-    mates = dict(diagram.mates)
-    arcs = {x.id: list(x.arcs) for x in diagram.crossings}
     chain_of: dict[int, list[int]] = {}
     mixed: list[tuple[int, list[int]]] = []  # heap of (smallest id, chain)
 
@@ -378,6 +383,10 @@ def resolve_selection(
                 heapq.heappush(mixed, (min(chain), chain))
 
     grow(scope)
+    reduced = bool(mixed)
+    if reduced:  # only a reduction edits the mates and labels
+        mates = dict(diagram.mates)
+        arcs = {x.id: list(x.arcs) for x in diagram.crossings}
     while mixed:
         start, chain = heapq.heappop(mixed)
         if chain_of.get(start) is not chain:
@@ -432,7 +441,7 @@ def resolve_selection(
             del chain_of[c]
         grow(dirty)
 
-    if len(arcs) < diagram.crossing_count:
+    if reduced:
         diagram = Diagram(
             crossings=tuple(
                 replace(x, arcs=tuple(arcs[x.id])) for x in diagram.crossings if x.id in arcs

@@ -11,7 +11,7 @@ from auglink.augment import (
     filling_slope,
 )
 from auglink.diagram import Diagram, link_components, parse_diagram, serialize_diagram
-from auglink.errors import AugmentError, ExportError
+from auglink.errors import AugmentError, ExportError, RegionError
 from auglink.twist import (
     RegionAnnotation,
     TwistSelection,
@@ -239,14 +239,13 @@ def test_export_rejects_orientation_inconsistent_input():
 
 
 def test_export_rejects_annotated_pair_without_a_bigon():
-    # Crossings 0 and 2 of sigma1 sigma1 sigma2 leave four strand-endpoints,
-    # so the annotation validates, but no bigon joins them into a chain.
+    # Crossings 0 and 2 of sigma1 sigma1 sigma2 leave four strand-endpoints
+    # and share a sign, but no bigon joins them into a chain, so the
+    # annotation is an input error before anything is augmented.
     pd, signs = braid_closure([1, 1, 2], 3)
     annotation = RegionAnnotation(crossing_ids=frozenset({0, 2}), strand_count=2, half_twists=2)
-    reduced, selection = resolve_selection(Diagram.from_pd(pd, signs), (annotation,))
-    augmented = augment(reduced, selection)
-    with pytest.raises(ExportError, match="one twist chain"):
-        export_augmented_diagram(augmented)
+    with pytest.raises(RegionError, match="region 1: crossings do not form one twist chain"):
+        resolve_selection(Diagram.from_pd(pd, signs), (annotation,))
 
 
 def test_name_suffix_on_export():

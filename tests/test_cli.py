@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import errno
 import io
 import json
+import pathlib
 
 import jsonschema
 import pytest
@@ -211,6 +213,40 @@ def test_failed_export_keeps_the_report(tmp_path):
     status, text = _run(path, export_dir=str(out_dir))
     assert status == 0
     assert "warning: export failed: " in text
+
+
+def test_failed_export_write_keeps_the_report(tmp_path):
+    # The export directory is an existing file, so writing the export fails.
+    out_dir = tmp_path / "exports"
+    out_dir.write_text("not a directory", encoding="utf-8")
+    path = _write(tmp_path, "trefoil.json", {"pd": TREFOIL})
+    status, entries = _run_json(path, export_dir=str(out_dir))
+    assert status == 0
+    jsonschema.validate(entries, REPORT_SCHEMA)
+    (entry,) = entries
+    assert entry["ok"] and entry["report"]["tw"] == 1
+    assert "export" not in entry
+    (warning,) = entry["warnings"]
+    assert warning.startswith("export failed: [Errno 17] File exists")
+    assert out_dir.read_text(encoding="utf-8") == "not a directory"
+
+
+def test_failed_export_write_leaves_no_partial_file(tmp_path, monkeypatch):
+    # The disk fills up halfway through the export file.
+    def write_half(self, text, encoding=None):
+        with open(self, "w", encoding=encoding) as handle:
+            handle.write(text[: len(text) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    out_dir = tmp_path / "exports"
+    path = _write(tmp_path, "trefoil.json", {"pd": TREFOIL})
+    monkeypatch.setattr(pathlib.Path, "write_text", write_half)
+    status, entries = _run_json(path, export_dir=str(out_dir))
+    assert status == 0
+    (entry,) = entries
+    assert entry["ok"] and "export" not in entry
+    assert entry["warnings"] == ["export failed: [Errno 28] No space left on device"]
+    assert list(out_dir.iterdir()) == []
 
 
 def test_trivial_diagram_exports_nothing(tmp_path):

@@ -164,28 +164,111 @@ def test_syntax_error_reports_position():
     assert excinfo.value.position is not None
 
 
+_SPLIT_NONPLANAR = (  # a kink, then a non-planar code on other labels
+    '{"pd": [[1, 1, 2, 2], [11, 15, 12, 14], [13, 11, 14, 16], [15, 13, 12, 16]], '
+    '"signs": [1, 1, 1, 1]}'
+)
+
+# Input text -> the exact message of the InvalidDiagramError it raises.
+MALFORMED = {
+    '"just a string"': "top level must be an object or a PD array, got str",
+    "{}": 'missing required key "pd"',
+    '{"pd": 5}': '"pd" must be an array of quadruples',
+    '{"pd": [[1, 2, 3]]}': "crossing 0: expected 4 arc labels, got 3",
+    '{"pd": [[1, 1, 1, 2]]}': (
+        "each arc label must appear exactly twice; offenders: 1 (x3), 2 (x1)"
+    ),
+    '{"pd": [[1, 2, 3, 4]]}': (
+        "each arc label must appear exactly twice; offenders: 1 (x1), 2 (x1), 3 (x1), 4 (x1)"
+    ),
+    '{"pd": [[1, 1, 2, 2]], "signs": [1, 1]}': "signs list has 2 entries for 1 crossings",
+    '{"pd": [[1, 1, 2, 2]], "signs": [2]}': "crossing 0: sign must be +1 or -1, got 2",
+    '{"pd": [[1, 1, 2, 2]], "name": 7}': '"name" must be a string',
+    '{"pd": [[1, 1, 2, 2]], "regions": [{"strands": 2, "half_twists": 1}]}': (
+        "region 0: missing key 'crossings'"
+    ),
+    '{"pd": [[1, 1, 2, 2]], "regions": [{"crossings": [0, 0], "strands": 2, "half_twists": 1}]}': (
+        "region 0: duplicate crossing ids"
+    ),
+    # Non-planar, but sign inference fails first.
+    '{"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]]}': (
+        'cannot infer consistent signs (arc 2 has no coherent direction); supply explicit "signs"'
+    ),
+    '{"pd": [[1, 1, 2, 2]], "signs": [true]}': "crossing 0: sign must be +1 or -1, got True",
+    '{"pd": [[1, 1, 2, 2]], "signs": [1.0]}': "crossing 0: sign must be +1 or -1, got 1.0",
+    '{"pd": [[1, 1, 2, 2]], "signs": [0]}': "crossing 0: sign must be +1 or -1, got 0",
+    '{"pd": [[1, 1, 2, 2]], "signs": ["1"]}': "crossing 0: sign must be +1 or -1, got '1'",
+    # A label used four times, in one crossing or across two.
+    '{"pd": [[1, 1, 1, 1]]}': "each arc label must appear exactly twice; offenders: 1 (x4)",
+    '{"pd": [[1, 1, 2, 2], [1, 1, 2, 2]]}': (
+        "each arc label must appear exactly twice; offenders: 1 (x4), 2 (x4)"
+    ),
+    '{"pd": [[1, 2, 3, 4], [5, 6, 7, 8], [9, 10, 11, 12]]}': (
+        "each arc label must appear exactly twice; offenders: 1 (x1), 2 (x1), 3 (x1), "
+        "4 (x1), 5 (x1), 6 (x1), 7 (x1), 8 (x1)"
+    ),
+    # Arc labels that are not positive integers.
+    '{"pd": [[true, true, 2, 2]]}': "arc labels must be positive integers, got True",
+    '{"pd": [[0, 0, 1, 1]]}': "arc labels must be positive integers, got 0",
+    '{"pd": [[-1, -1, 2, 2]]}': "arc labels must be positive integers, got -1",
+    '{"pd": [[1.0, 1.0, 2, 2]]}': "arc labels must be positive integers, got 1.0",
+    '{"pd": [[[1], 1, 2, 2]]}': "arc labels must be positive integers, got [1]",
+    '{"pd": [["1", "1", 2, 2]]}': "arc labels must be positive integers, got '1'",
+    # A quadruple that is not a list.
+    '{"pd": [5]}': "crossing 0: expected 4 arc labels, got int",
+    '{"pd": ["abcd"]}': "crossing 0: expected 4 arc labels, got str",
+    '{"pd": [{"a": 1}]}': "crossing 0: expected 4 arc labels, got dict",
+    '{"pd": [null]}': "crossing 0: expected 4 arc labels, got NoneType",
+    # The Euler check runs per component of a split code.
+    _SPLIT_NONPLANAR: (
+        "Euler formula violated (non-planar or corrupted code): "
+        "component with crossings [1, 2, 3] has V=3 E=6 F=3"
+    ),
+    # Several faults at once: every shape before any label, the first bad
+    # label in code order before multiplicity, multiplicity before the
+    # signs list, its length before a sign value, a sign value before Euler.
+    '{"pd": [[0, 0, 1, 1], [1, 2]]}': "crossing 1: expected 4 arc labels, got 2",
+    '{"pd": [[1, 1, 3, 2], [0, 5, 5, -6]]}': "arc labels must be positive integers, got 0",
+    '{"pd": [[1, 1, 2, 2], [3, 3, 4]], "signs": [1]}': "crossing 1: expected 4 arc labels, got 3",
+    '{"pd": [[1, 1, 1, 2]], "signs": [1, 1]}': (
+        "each arc label must appear exactly twice; offenders: 1 (x3), 2 (x1)"
+    ),
+    '{"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]], "signs": [1, 1]}': (
+        "signs list has 2 entries for 3 crossings"
+    ),
+    '{"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]], "signs": [1, 2, 0]}': (
+        "crossing 1: sign must be +1 or -1, got 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", list(MALFORMED))
+def test_parse_rejects_malformed_input(text):
+    with pytest.raises(InvalidDiagramError) as excinfo:
+        parse_document(text)
+    assert str(excinfo.value) == MALFORMED[text]
+
+
 @pytest.mark.parametrize(
-    "text",
+    "arcs, sign, message",
     [
-        '"just a string"',
-        "{}",  # missing "pd"
-        '{"pd": 5}',
-        '{"pd": [[1, 2, 3]]}',  # quadruple too short
-        '{"pd": [[1, 1, 1, 2]]}',  # arc used three times
-        '{"pd": [[1, 2, 3, 4]]}',  # arcs used once
-        '{"pd": [[1, 1, 2, 2]], "signs": [1, 1]}',  # signs length mismatch
-        '{"pd": [[1, 1, 2, 2]], "signs": [2]}',  # bad sign value
-        '{"pd": [[1, 1, 2, 2]], "name": 7}',
-        '{"pd": [[1, 1, 2, 2]], "regions": [{"strands": 2, "half_twists": 1}]}',
-        '{"pd": [[1, 1, 2, 2]], "regions": [{"crossings": [0, 0], "strands": 2, "half_twists": 1}]}',
-        '{"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]]}',  # Euler violation
-        '{"pd": [[1, 1, 2, 2]], "signs": [true]}',  # bool sign (True == 1)
-        '{"pd": [[1, 1, 2, 2]], "signs": [1.0]}',  # float sign (1.0 == 1)
+        ((1, 2, 3), 1, "expected 4 arc labels, got 3"),
+        ((1, 2, 3, 4, 5), 1, "expected 4 arc labels, got 5"),
+        ((0, 1, 2, 3), 1, "arc labels must be positive integers, got (0, 1, 2, 3)"),
+        ((True, 1, 2, 3), 1, "arc labels must be positive integers, got (True, 1, 2, 3)"),
+        ((1.0, 1, 2, 3), 1, "arc labels must be positive integers, got (1.0, 1, 2, 3)"),
+        ((1, 2, 3, "4"), 1, "arc labels must be positive integers, got (1, 2, 3, '4')"),
+        ((0, 2, 3, 4), 5, "arc labels must be positive integers, got (0, 2, 3, 4)"),
+        ((1, 2, 3, 4), 0, "sign must be +1 or -1, got 0"),
+        ((1, 2, 3, 4), True, "sign must be +1 or -1, got True"),
+        ((1, 2, 3, 4), -1.0, "sign must be +1 or -1, got -1.0"),
+        ((1, 2, 3, 4), "+1", "sign must be +1 or -1, got '+1'"),
     ],
 )
-def test_parse_rejects_malformed_input(text):
-    with pytest.raises(InvalidDiagramError):
-        parse_document(text)
+def test_crossing_rejects_malformed_fields(arcs, sign, message):
+    with pytest.raises(InvalidDiagramError) as excinfo:
+        Crossing(id=7, arcs=arcs, sign=sign)
+    assert str(excinfo.value) == f"crossing 7: {message}"
 
 
 def test_euler_violation_message_names_the_component():

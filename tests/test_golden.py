@@ -13,6 +13,12 @@ change to the drawing of exports alone leaves it as it is.
 code (ids, arcs, signs) and the region crossing ids of a few long mixed
 closures, where the order in which chains are cancelled shows in the
 surviving crossings and labels.
+
+``EXPORT_SHA256`` pins the bytes of every exported PD code (or the error
+that stopped it) on a corpus that reaches each drawing: 2-strand chains
+that are open, closed or return to themselves, one-crossing kinks, mixed
+words after reduction, and annotated full and half twists of 3, 4 and 5
+strands with 1, 2 or 3 half-twists (the m >= 3 staircase).
 """
 
 from __future__ import annotations
@@ -23,11 +29,13 @@ import json
 import random
 from contextlib import redirect_stdout
 
+from auglink.augment import augment, export_augmented_diagram
 from auglink.cli import main
-from auglink.diagram import Diagram
-from auglink.twist import resolve_selection
+from auglink.diagram import Diagram, serialize_diagram
+from auglink.errors import AuglinkError
+from auglink.twist import RegionAnnotation, resolve_selection
 
-from braid import braid_closure, full_twist_word
+from braid import braid_closure, full_twist_word, half_twist_word
 
 SEED = 20071
 HOMOGENEOUS = 300
@@ -44,6 +52,27 @@ REDUCTION_STRANDS = 6
 REDUCTION_LETTERS = 300
 
 REDUCTION_SHA256 = "0d3d0667e90b5e95041b618d49bd7b0a593cd1bb9730a8109c1df20484dfe03a"
+
+EXPORT_SEED = 20073
+EXPORT_HOMOGENEOUS = 160
+EXPORT_MIXED = 40
+EXPORT_MIXED_LETTERS = 30
+EXPORT_PER_ANNOTATION = 4  # files per (m, c) pair
+EXPORT_WORDS = [  # (word, strands) that name a drawing on their own
+    ([1], 2),  # one-crossing kink
+    ([-1], 2),
+    ([1, 1], 2),  # closed even chain (Hopf link)
+    ([1, 1, 1], 2),  # closed odd chain (trefoil)
+    ([-1] * 6, 2),
+    ([1, 2], 3),  # two kinks
+    ([1, 1, 2], 3),  # even chain whose strand returns to it
+    ([1, 1, 1, -2], 3),  # odd chain whose strand returns to it
+    ([1, 1, 2, 2], 3),  # two open chains
+    ([1, 2, 1, -2], 3),  # reduces to a kinked chain
+    ([1, -1, 1, 2, 2], 3),
+]
+
+EXPORT_SHA256 = "4561563f07676ce6c0fd640b3d7ce4c261aca4e5117a5516cc851a012cba94bb"
 
 
 def _homogeneous(rng: random.Random, strands: int, max_letters: int, prefix=()):
@@ -129,3 +158,43 @@ def test_reduction_matches_golden_digest():
         }
         digest.update(json.dumps(record).encode("utf-8") + b"\n")
     assert digest.hexdigest() == REDUCTION_SHA256
+
+
+def _export_corpus(rng: random.Random):
+    """(word, strands, annotation or None) for the export digest."""
+    for word, strands in EXPORT_WORDS:
+        yield word, strands, None
+    for _ in range(EXPORT_HOMOGENEOUS):
+        strands = rng.choice((2, 3, 4, 5))
+        yield _homogeneous(rng, strands, 16), strands, None
+    for _ in range(EXPORT_MIXED):
+        strands = rng.choice((2, 3, 4))
+        word = [rng.choice((1, -1)) * rng.randint(1, strands - 1)
+                for _ in range(EXPORT_MIXED_LETTERS)]
+        word[: strands - 1] = range(1, strands)
+        yield word, strands, None
+    for m in (3, 4, 5):
+        for c in (1, 2, 3):
+            for _ in range(EXPORT_PER_ANNOTATION):
+                strands = m + rng.randint(0, 1)
+                sign = rng.choice((1, -1))
+                twist = [sign * j for j in half_twist_word(m) * c]
+                word = _homogeneous(rng, strands, 10, twist)
+                annotation = RegionAnnotation(
+                    crossing_ids=frozenset(range(len(twist))), strand_count=m, half_twists=c
+                )
+                yield word, strands, annotation
+
+
+def test_export_matches_golden_digest():
+    digest = hashlib.sha256()
+    for word, strands, annotation in _export_corpus(random.Random(EXPORT_SEED)):
+        pd, signs = braid_closure(word, strands)
+        annotations = () if annotation is None else (annotation,)
+        try:
+            reduced, selection = resolve_selection(Diagram.from_pd(pd, signs), annotations)
+            record = serialize_diagram(export_augmented_diagram(augment(reduced, selection)))
+        except AuglinkError as exc:
+            record = f"{type(exc).__name__}: {exc}"
+        digest.update(record.encode("utf-8") + b"\n")
+    assert digest.hexdigest() == EXPORT_SHA256

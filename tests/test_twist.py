@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import time
+
 import pytest
 
 from auglink.diagram import Diagram
@@ -323,3 +325,18 @@ def test_selection_is_a_twist_selection_over_its_diagram():
     assert selection.diagram == diagram
     assert selection.region_count == 1
     assert selection.regions[0].crossing_count == 2
+
+
+def test_many_annotated_regions_validate_quickly():
+    # Each region is validated from its own darts, so the cost is linear in
+    # the annotated crossings; a scan of the whole diagram per region takes
+    # seconds here.
+    pd, signs = braid_closure([1] * 8000, 2)
+    diagram = Diagram.from_pd(pd, signs)
+    annotations = [RegionAnnotation(frozenset({2 * k, 2 * k + 1}), 2, 2) for k in range(3999)]
+    start = time.perf_counter()
+    reduced, selection = resolve_selection(diagram, annotations)
+    assert time.perf_counter() - start < 1.5
+    assert reduced is diagram
+    assert selection.region_count == 4000
+    assert all(r.crossing_count == 2 and r.sign == 1 for r in selection.regions)
