@@ -37,7 +37,6 @@ from .diagram import (
     serialize_diagram,
 )
 from .errors import (
-    AlreadyAlternatingError,
     AugmentError,
     AuglinkError,
     DiagramSyntaxError,
@@ -74,7 +73,6 @@ from .twist import (
     boundary_arc_count,
     build_selection,
     detect_bigon_chains,
-    reduce_twist_region,
     resolve_selection,
     validate_generalized_region,
 )
@@ -82,7 +80,6 @@ from .twist import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AlreadyAlternatingError",
     "AugmentError",
     "AugmentedLink",
     "AuglinkError",
@@ -126,7 +123,6 @@ __all__ = [
     "normalized_length_lower_bound",
     "parse_diagram",
     "parse_document",
-    "reduce_twist_region",
     "resolve_selection",
     "serialize_diagram",
     "six_theorem_certificate",

@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import functools
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
+from json.encoder import INFINITY as _INFINITY
+from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 
 from .augment import AugmentedLink, augment, export_augmented_diagram
@@ -120,64 +123,104 @@ def _write_export(path: str, export_dir: str, augmented: AugmentedLink) -> str:
 # ============================================================================
 
 
-def report_to_dict(report: CertificateReport) -> dict:
-    """Render a report as the JSON-ready dict the shipped schema describes."""
-    circles = []
-    for circle, estimate in zip(report.circles, report.estimates):
-        circles.append(
-            {
-                "id": circle.id,
-                "m": circle.strand_count,
-                "c": estimate.c,
-                "epsilon": circle.epsilon,
-                "n": circle.filling_n,
-                "slope_length_lb": estimate.length_lb,
-                "normalized_length_lb": estimate.normalized_lb,
-            }
-        )
-    geo = report.geodesic_circles
-    volume = None
+# The entry is written at a fixed shape, as ``json.dumps(entry, indent=2,
+# sort_keys=True)`` lays it out, with two more spaces on every line after
+# the first; ``tests/test_cli.py::test_writer_matches_json_dumps`` holds the
+# bytes equal.  Strings are escaped and floats printed as ``json`` does it.
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INFINITY:
+        return "Infinity"
+    if x == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+def _strings(items, indent: str) -> str:
+    """A JSON array of strings whose items sit at ``indent``."""
+    if not items:
+        return "[]"
+    return f"[\n{indent}" + f",\n{indent}".join(map(_str, items)) + f"\n{indent[:-2]}]"
+
+
+# The blocks every entry repeats, cached by value: the float constants by
+# their exact bits (``float.hex``), so that 0.0 and -0.0 stay apart.
+@functools.lru_cache(maxsize=8)
+def _hypotheses(hypotheses: tuple[str, ...]) -> str:
+    return _strings(hypotheses, " " * 8)
+
+
+@functools.lru_cache(maxsize=8)
+def _threshold(numerator: int, denominator: int) -> str:
+    return _str(str(Fraction(numerator, denominator)))
+
+
+@functools.lru_cache(maxsize=8)
+def _constants(bits: tuple[str, ...]) -> str:
+    hk, six, two_pi, v8 = (_float(float.fromhex(b)) for b in bits)
+    return (f'{{\n        "hk": {hk},\n        "six": {six},\n'
+            f'        "two_pi": {two_pi},\n        "v8": {v8}\n      }}')
+
+
+def _circle(circle, estimate) -> str:
+    return (f'{{\n          "c": {estimate.c},\n          "epsilon": {circle.epsilon},\n'
+            f'          "id": {circle.id},\n          "m": {circle.strand_count},\n'
+            f'          "n": {circle.filling_n},\n'
+            f'          "normalized_length_lb": {_float(estimate.normalized_lb)},\n'
+            f'          "slope_length_lb": {_float(estimate.length_lb)}\n        }}')
+
+
+def _report(report: CertificateReport) -> str:
+    geo, hyp, consts = report.geodesic_circles, report.hyperbolic, report.constants
+    circles = "[]"
+    if report.circles:
+        circles = "[\n        " + ",\n        ".join(
+            map(_circle, report.circles, report.estimates)) + "\n      ]"
+    volume = "null"
     if report.vol_augmentation_lb is not None:
-        volume = {
-            "augmentation_lb": report.vol_augmentation_lb,
-            "euler_char_cut": report.euler_char_cut,
-        }
+        filled = ""
         if report.vol_filled_lb is not None:
-            volume["filled_lb"] = report.vol_filled_lb
-    return {
-        "hypotheses": list(report.hypotheses),
-        "tw": report.tw,
-        "circles": circles,
-        "certificates": {
-            "hyperbolic_6thm": {
-                "certified": report.hyperbolic.certified,
-                "reasons": list(report.hyperbolic.reasons),
-            },
-            "geodesic_hk": {
-                "certified": geo.certified,
-                "sum_of_inverses": str(geo.sum_of_inverses),
-                "threshold": str(geo.threshold),
-                "reasons": list(geo.reasons),
-            },
-        },
-        "volume": volume,
-        "constants": report.constants.as_dict(),
-    }
+            filled = f',\n        "filled_lb": {_float(report.vol_filled_lb)}'
+        volume = (f'{{\n        "augmentation_lb": {_float(report.vol_augmentation_lb)},\n'
+                  f'        "euler_char_cut": {report.euler_char_cut}{filled}\n      }}')
+    threshold = _threshold(geo.threshold.numerator, geo.threshold.denominator)
+    constants = _constants(tuple(map(float.hex, (consts.hk, consts.six, consts.two_pi,
+                                                 consts.v8))))
+    return (
+        '{\n      "certificates": {\n        "geodesic_hk": {\n'
+        f'          "certified": {"true" if geo.certified else "false"},\n'
+        f'          "reasons": {_strings(geo.reasons, " " * 12)},\n'
+        f'          "sum_of_inverses": {_str(str(geo.sum_of_inverses))},\n'
+        f'          "threshold": {threshold}\n        }},\n'
+        '        "hyperbolic_6thm": {\n'
+        f'          "certified": {"true" if hyp.certified else "false"},\n'
+        f'          "reasons": {_strings(hyp.reasons, " " * 12)}\n        }}\n      }},\n'
+        f'      "circles": {circles},\n'
+        f'      "constants": {constants},\n'
+        f'      "hypotheses": {_hypotheses(report.hypotheses)},\n'
+        f'      "tw": {report.tw},\n'
+        f'      "volume": {volume}\n    }}'
+    )
 
 
-def result_to_entry(result: FileResult) -> dict:
-    entry: dict = {"file": result.file, "ok": result.ok}
+def result_to_entry(result: FileResult) -> str:
+    """The JSON text of one entry, at its indent in the report array."""
     if not result.ok:
-        entry["error"] = result.error or "unknown error"
-        return entry
-    entry["name"] = result.name
+        return (f'{{\n    "error": {_str(result.error or "unknown error")},\n'
+                f'    "file": {_str(result.file)},\n    "ok": false\n  }}')
     assert result.report is not None
-    entry["report"] = report_to_dict(result.report)
-    if result.warnings:
-        entry["warnings"] = list(result.warnings)
+    fields = [f'"file": {_str(result.file)}',
+              f'"name": {"null" if result.name is None else _str(result.name)}',
+              '"ok": true',
+              f'"report": {_report(result.report)}']
     if result.export_path is not None:
-        entry["export"] = result.export_path
-    return entry
+        fields.insert(0, f'"export": {_str(result.export_path)}')
+    if result.warnings:
+        fields.append(f'"warnings": {_strings(result.warnings, " " * 6)}')
+    return "{\n    " + ",\n    ".join(fields) + "\n  }"
 
 
 def _fmt(x: float) -> str:
@@ -240,7 +283,8 @@ def analyze(config: RunConfig, stdout=None) -> int:
     """Analyze every input and print reports in input order; return status.
 
     Each report is written as soon as its file is done.  The JSON array has
-    the bytes ``json.dumps(entries, indent=2, sort_keys=True)`` would give.
+    the bytes ``json.dumps(entries, indent=2, sort_keys=True)`` would give;
+    ``tests/test_cli.py::test_writer_matches_json_dumps`` holds them equal.
     """
     out = stdout if stdout is not None else sys.stdout
     all_ok = True
@@ -248,8 +292,7 @@ def analyze(config: RunConfig, stdout=None) -> int:
         result = analyze_file(path, config)
         all_ok = all_ok and result.ok
         if config.json_output:
-            entry = json.dumps(result_to_entry(result), indent=2, sort_keys=True)
-            out.write(("[\n  " if i == 0 else ",\n  ") + entry.replace("\n", "\n  "))
+            out.write(("[\n  " if i == 0 else ",\n  ") + result_to_entry(result))
         else:
             out.write(("" if i == 0 else "\n\n") + render_text(result))
     if config.json_output:

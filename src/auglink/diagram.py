@@ -123,10 +123,10 @@ class ComponentMap:
 class Diagram:
     """An immutable planar diagram code. Build one with :meth:`from_pd`.
 
-    The topology (crossing index, mates, faces, graph components) is worked
-    out once per diagram, on first use, and shared read-only by every
-    caller; copy a value before mutating it.  Equality and hashing see only
-    the crossings and the name.
+    The topology (crossing ids and index, mates, faces, graph components) is
+    worked out once per diagram, on first use, and shared read-only by
+    every caller; copy a value before mutating it.  Equality and hashing
+    see only the crossings and the name.
 
     Underneath, darts are integers: dart ``4 * i + s`` is slot s of
     ``crossings[i]``.  :attr:`dart_mates`, :attr:`face_next`, the face walk
@@ -149,7 +149,7 @@ class Diagram:
     def arc_labels(self) -> frozenset[int]:
         return frozenset(a for x in self.crossings for a in x.arcs)
 
-    @property
+    @cached_property
     def crossing_ids(self) -> tuple[int, ...]:
         return tuple(x.id for x in self.crossings)
 

@@ -33,10 +33,6 @@ class NonAlternatingRegionError(RegionError):
     """A 2-strand chain mixes signs and must be reduced first."""
 
 
-class AlreadyAlternatingError(RegionError):
-    """reduce_twist_region was asked to reduce a region with uniform sign."""
-
-
 class AugmentError(AuglinkError):
     """The diagram/selection pair cannot be augmented."""
 

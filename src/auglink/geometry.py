@@ -32,9 +32,6 @@ class Constants:
     hk: float = 7.5832  # normalized-length constant of the geodesic criterion
     six: float = 6.0
 
-    def as_dict(self) -> dict[str, float]:
-        return {"v8": self.v8, "two_pi": self.two_pi, "hk": self.hk, "six": self.six}
-
 
 CONSTANTS = Constants()
 

@@ -9,12 +9,12 @@ strand-endpoints must leave the region.
 
 A selection partitions every crossing of the diagram into regions.  Regions
 must be alternating (uniform crossing sign); a detected chain with mixed
-signs gets ``sign == 0``.  :func:`reduce_twist_region` cancels the adjacent
-opposite-sign pairs of one such chain (Reidemeister II) until it is uniform,
-and :func:`resolve_selection` reduces every mixed chain in a fixed order:
-the mixed chain with the smallest crossing id first, then the smallest of
-what is left, and so on.  Surviving crossings keep their ids, and arc labels
-are as if each chain were spliced out alone in that order.
+signs gets ``sign == 0``.  :func:`resolve_selection` cancels the adjacent
+opposite-sign pairs of every such chain (Reidemeister II) until it is
+uniform, in a fixed order: the mixed chain with the smallest crossing id
+first, then the smallest of what is left, and so on.  Surviving crossings
+keep their ids, and arc labels are as if each chain were spliced out alone
+in that order.
 """
 
 from __future__ import annotations
@@ -23,11 +23,7 @@ import heapq
 from dataclasses import dataclass, replace
 
 from .diagram import Dart, Diagram, _DisjointSets, _check_euler
-from .errors import (
-    AlreadyAlternatingError,
-    NonAlternatingRegionError,
-    RegionError,
-)
+from .errors import NonAlternatingRegionError, RegionError
 
 
 @dataclass(frozen=True)
@@ -153,9 +149,38 @@ def _grow_chains(bonds, starts) -> list[list[int]]:
     return chains
 
 
-def _chain_sign(diagram: Diagram, chain) -> int:
-    signs = {diagram.crossing(c).sign for c in chain}
-    return signs.pop() if len(signs) == 1 else 0
+def _detect(diagram: Diagram, scope: frozenset[int]):
+    """The bonds among ``scope`` and the chains grown from them.
+
+    Each chain is ``(smallest id, sign, crossing ids)``; the sign is the
+    common crossing sign, or 0 for a chain with mixed signs.
+    """
+    bonds = _bigon_bonds(diagram, scope)
+    return bonds, [_chain(diagram, ids) for ids in _grow_chains(bonds, sorted(scope))]
+
+
+def _chain(diagram: Diagram, ids: list[int]) -> tuple[int, int, list[int]]:
+    signs = {diagram.crossing(c).sign for c in ids}
+    return min(ids), signs.pop() if len(signs) == 1 else 0, ids
+
+
+def _chain_regions(bonds, chains, first_id: int) -> list[TwistRegion]:
+    """Number the chains as regions from ``first_id``, by smallest id."""
+    result = []
+    region_of: dict[int, int] = {}
+    for region_id, (_, sign, ids) in enumerate(sorted(chains), start=first_id):
+        result.append(TwistRegion(id=region_id, crossing_ids=tuple(ids), strand_count=2,
+                                  half_twists=len(ids), sign=sign))
+        for c in ids:
+            region_of[c] = region_id
+
+    # Maximality: a bigon joining two distinct regions would mean two chains
+    # that should have merged; the greedy growth never leaves one behind.
+    for (c1, _), (c2, _) in bonds.items():
+        assert region_of[c1] == region_of[c2], (
+            f"bigon joins two twist regions ({c1} and {c2}); detection is not maximal"
+        )
+    return result
 
 
 def detect_bigon_chains(
@@ -174,32 +199,7 @@ def detect_bigon_chains(
     their smallest crossing id and numbered from ``first_id``.
     """
     scope = frozenset(diagram.crossing_ids) if within is None else frozenset(within)
-    bonds = _bigon_bonds(diagram, scope)
-
-    regions = _grow_chains(bonds, sorted(scope))
-    regions.sort(key=min)
-
-    result = []
-    region_of: dict[int, int] = {}
-    for offset, ids in enumerate(regions):
-        region = TwistRegion(
-            id=first_id + offset,
-            crossing_ids=tuple(ids),
-            strand_count=2,
-            half_twists=len(ids),
-            sign=_chain_sign(diagram, ids),
-        )
-        result.append(region)
-        for c in ids:
-            region_of[c] = region.id
-
-    # Maximality: a bigon joining two distinct regions would mean two chains
-    # that should have merged; the greedy growth never leaves one behind.
-    for (c1, _), (c2, _) in bonds.items():
-        assert region_of[c1] == region_of[c2], (
-            f"bigon joins two twist regions ({c1} and {c2}); detection is not maximal"
-        )
-    return result
+    return _chain_regions(*_detect(diagram, scope), first_id)
 
 
 # ============================================================================
@@ -220,44 +220,6 @@ def _cancel_pairs(diagram: Diagram, chain) -> set[int]:
         else:
             stack.append(cid)
     return set(chain) - set(stack)
-
-
-def reduce_twist_region(diagram: Diagram, region: TwistRegion) -> Diagram:
-    """Cancel opposite-sign pairs in a mixed 2-strand chain (Reidemeister II).
-
-    Removes 2 * min(#positive, #negative) crossings — adjacent opposite
-    pairs, cancelled until the remaining chain is uniform — and reconnects
-    the strands through the gaps.  Surviving crossings keep their ids.
-    Raises :class:`AlreadyAlternatingError` if there is nothing to cancel.
-    A component whose crossings all cancel vanishes from the code (a
-    crossing-free circle has no PD representation); a diagram that empties
-    entirely becomes the 0-crossing unknot.
-    """
-    if region.strand_count != 2:
-        raise RegionError("reduction is defined for 2-strand twist regions only")
-    if len({diagram.crossing(c).sign for c in region.crossing_ids}) <= 1:
-        raise AlreadyAlternatingError(
-            f"region {region.id} is already alternating; nothing to reduce"
-        )
-    return _splice_out(diagram, _cancel_pairs(diagram, region.crossing_ids))
-
-
-def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
-    """Drop ``removed`` crossings, reconnecting each strand straight through."""
-    labels = _DisjointSets(diagram.arc_labels)
-    for x in diagram.crossings:
-        if x.id in removed:
-            labels.union(x.arcs[0], x.arcs[2])
-            labels.union(x.arcs[1], x.arcs[3])
-
-    survivors = []
-    for x in diagram.crossings:
-        if x.id not in removed:
-            arcs = tuple(labels.find(a) for a in x.arcs)
-            survivors.append(replace(x, arcs=arcs))
-    reduced = Diagram(crossings=tuple(survivors), name=diagram.name)
-    _check_euler(reduced)
-    return reduced
 
 
 # ============================================================================
@@ -327,6 +289,13 @@ def build_selection(
     complement.  A detected chain with mixed signs is rejected — reduce it
     first (see :func:`resolve_selection`).
     """
+    annotated = frozenset(c for a in annotations for c in a.crossing_ids)
+    scope = frozenset(diagram.crossing_ids) - annotated
+    return _assemble(diagram, annotations, *_detect(diagram, scope))
+
+
+def _assemble(diagram: Diagram, annotations, bonds, chains) -> TwistSelection:
+    """The selection of ``annotations`` plus the chains detected around them."""
     seen: set[int] = set()
     for idx, a in enumerate(annotations):
         overlap = sorted(seen & a.crossing_ids)
@@ -338,8 +307,7 @@ def build_selection(
         validate_generalized_region(diagram, a, region_id=idx + 1)
         for idx, a in enumerate(annotations)
     ]
-    complement = frozenset(diagram.crossing_ids) - seen
-    detected = detect_bigon_chains(diagram, within=complement, first_id=len(regions) + 1)
+    detected = _chain_regions(bonds, chains, len(regions) + 1)
     for r in detected:
         if r.sign == 0:
             raise NonAlternatingRegionError(
@@ -362,38 +330,31 @@ def resolve_selection(
     Annotated crossings are never touched by the reduction.
 
     The result equals that of the plain loop "detect the chains of the
-    diagram, reduce the mixed chain with the smallest crossing id with
-    :func:`reduce_twist_region`, repeat": survivors keep their ids, and
-    arc labels are as if each chain were spliced out alone, in that order.
-    Chains are detected once; after each splice only the faces through
-    relinked darts are walked again, and only the chains whose bigon bonds
-    changed are grown again.
+    diagram, cancel the adjacent opposite-sign pairs of the mixed chain with
+    the smallest crossing id (Reidemeister II), repeat, then
+    :func:`build_selection`": survivors keep their ids, and arc labels are
+    as if each chain were spliced out alone, in that order.  Chains are
+    detected once; after each splice only the faces through relinked darts
+    are walked again, and only the chains whose bigon bonds changed are
+    grown again.  The final chains and bonds go to the selection as they
+    are, not detected a second time.
     """
     annotated = frozenset(c for a in annotations for c in a.crossing_ids)
     scope = frozenset(diagram.crossing_ids) - annotated
-    bonds = _bigon_bonds(diagram, scope)
-    chain_of: dict[int, list[int]] = {}
-    mixed: list[tuple[int, list[int]]] = []  # heap of (smallest id, chain)
-
-    def grow(starts) -> None:
-        for chain in _grow_chains(bonds, sorted(starts)):
-            for c in chain:
-                chain_of[c] = chain
-            if _chain_sign(diagram, chain) == 0:
-                heapq.heappush(mixed, (min(chain), chain))
-
-    grow(scope)
+    bonds, chains = _detect(diagram, scope)
+    chain_of = {c: chain for chain in chains for c in chain[2]}
+    mixed = [chain for chain in chains if chain[1] == 0]  # sorted: a heap by smallest id
     reduced = bool(mixed)
     if reduced:  # only a reduction edits the mates and labels
         mates = dict(diagram.mates)
         arcs = {x.id: list(x.arcs) for x in diagram.crossings}
     while mixed:
-        start, chain = heapq.heappop(mixed)
-        if chain_of.get(start) is not chain:
+        chain = heapq.heappop(mixed)
+        if chain_of.get(chain[0]) is not chain:
             continue  # stale: the chain was regrown or spliced since
-        removed = _cancel_pairs(diagram, chain)
+        removed = _cancel_pairs(diagram, chain[2])
 
-        # Arc labels: the unions _splice_out makes, in the same order.
+        # Arc labels: each removed crossing joins its opposite arcs, in order.
         order = sorted(removed, key=diagram.index.__getitem__)
         labels = _DisjointSets(a for c in order for a in arcs[c])
         for c in order:
@@ -414,7 +375,7 @@ def resolve_selection(
                     other = mates[(other[0], (other[1] + 2) % 4)]
                 relinked[end] = other
                 arcs[end[0]][end[1]] = labels.find(arcs[end[0]][end[1]])
-        touched = set(chain)
+        touched = set(chain[2])
         for c in removed:
             for k in range(4):
                 del mates[(c, k)]
@@ -436,10 +397,15 @@ def resolve_selection(
                 touched.update((c1, c2))
 
         touched -= removed
-        dirty = {c for t in touched for c in chain_of[t] if c not in removed}
+        dirty = {c for t in touched for c in chain_of[t][2] if c not in removed}
         for c in removed:
             del chain_of[c]
-        grow(dirty)
+        for ids in _grow_chains(bonds, sorted(dirty)):
+            regrown = _chain(diagram, ids)
+            for c in ids:
+                chain_of[c] = regrown
+            if regrown[1] == 0:
+                heapq.heappush(mixed, regrown)
 
     if reduced:
         diagram = Diagram(
@@ -449,4 +415,5 @@ def resolve_selection(
             name=diagram.name,
         )
         _check_euler(diagram)
-    return diagram, build_selection(diagram, annotations)
+        chains = [chain for c, chain in chain_of.items() if chain[0] == c]
+    return diagram, _assemble(diagram, annotations, bonds, chains)

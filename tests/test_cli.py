@@ -6,12 +6,23 @@ import errno
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from auglink.cli import RunConfig, analyze, build_parser, main
+from auglink.augment import CrossingCircle
+from auglink.cli import FileResult, RunConfig, analyze, build_parser, main, result_to_entry
 from auglink.diagram import link_components, parse_diagram
+from auglink.geometry import (
+    Certificate,
+    CertificateReport,
+    Constants,
+    GeodesicCertificate,
+    SlopeEstimate,
+)
 from auglink.report_schema import REPORT_SCHEMA
 
 from braid import braid_closure
@@ -293,3 +304,137 @@ def test_parser_knows_all_flags():
     assert args.files == ["a.json", "b.json"]
     assert args.json and args.attest_hyperbolic and args.strict
     assert args.export_augmented == "out"
+
+
+# ----------------------------------------------------------------------------
+# The fixed-shape writer against json.dumps
+# ----------------------------------------------------------------------------
+
+
+def reference_entry(result: FileResult) -> dict:
+    """The entry as a dict, in the shape the shipped schema describes."""
+    entry: dict = {"file": result.file, "ok": result.ok}
+    if not result.ok:
+        entry["error"] = result.error or "unknown error"
+        return entry
+    report = result.report
+    geo = report.geodesic_circles
+    volume = None
+    if report.vol_augmentation_lb is not None:
+        volume = {
+            "augmentation_lb": report.vol_augmentation_lb,
+            "euler_char_cut": report.euler_char_cut,
+        }
+        if report.vol_filled_lb is not None:
+            volume["filled_lb"] = report.vol_filled_lb
+    consts = report.constants
+    entry["name"] = result.name
+    entry["report"] = {
+        "hypotheses": list(report.hypotheses),
+        "tw": report.tw,
+        "circles": [
+            {
+                "id": circle.id,
+                "m": circle.strand_count,
+                "c": estimate.c,
+                "epsilon": circle.epsilon,
+                "n": circle.filling_n,
+                "slope_length_lb": estimate.length_lb,
+                "normalized_length_lb": estimate.normalized_lb,
+            }
+            for circle, estimate in zip(report.circles, report.estimates)
+        ],
+        "certificates": {
+            "hyperbolic_6thm": {
+                "certified": report.hyperbolic.certified,
+                "reasons": list(report.hyperbolic.reasons),
+            },
+            "geodesic_hk": {
+                "certified": geo.certified,
+                "sum_of_inverses": str(geo.sum_of_inverses),
+                "threshold": str(geo.threshold),
+                "reasons": list(geo.reasons),
+            },
+        },
+        "volume": volume,
+        "constants": {"v8": consts.v8, "two_pi": consts.two_pi, "hk": consts.hk,
+                      "six": consts.six},
+    }
+    if result.warnings:
+        entry["warnings"] = list(result.warnings)
+    if result.export_path is not None:
+        entry["export"] = result.export_path
+    return entry
+
+
+# Quotes, backslashes, control characters, non-ASCII and lone surrogates.
+_texts = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\n\t/é€\U0001f600\ud800\udfff\u2028')
+    | st.characters(exclude_categories=()),
+    max_size=12,
+)
+_floats = st.sampled_from([0.0, -0.0, 1e300, 5e-324, -1e-310, 1e16, 1e-7]) | st.floats()
+_counts = st.integers(-(10**20), 10**20)
+_reasons = st.lists(_texts, max_size=3).map(tuple)
+
+
+@st.composite
+def _reports(draw):
+    circles = draw(st.lists(st.tuples(_counts, _counts, _counts, _counts), max_size=3))
+    augmentation = draw(st.none() | _floats)
+    return CertificateReport(
+        hypotheses=tuple(draw(st.lists(_texts, max_size=3))),
+        tw=draw(_counts),
+        circles=tuple(CrossingCircle(*c) for c in circles),
+        estimates=tuple(
+            SlopeEstimate(draw(_counts), draw(_floats), draw(_floats)) for _ in circles
+        ),
+        hyperbolic=Certificate(draw(st.booleans()), draw(_reasons)),
+        geodesic_circles=GeodesicCertificate(
+            draw(st.booleans()), draw(st.fractions()), draw(st.fractions()), draw(_reasons)
+        ),
+        vol_augmentation_lb=augmentation,
+        vol_filled_lb=None if augmentation is None else draw(st.none() | _floats),
+        euler_char_cut=None if augmentation is None else draw(_counts),
+        constants=Constants(*(draw(_floats) for _ in range(4))),
+    )
+
+
+_results = st.builds(
+    FileResult, file=_texts, ok=st.just(False), error=st.none() | _texts
+) | st.builds(
+    FileResult,
+    file=_texts,
+    ok=st.just(True),
+    name=st.none() | _texts,
+    report=_reports(),
+    warnings=_reasons,
+    export_path=st.none() | _texts,
+)
+
+
+@given(st.lists(_results, max_size=2))
+@example([FileResult(file="e", ok=False, error="bad \ud800 \"x\"")])
+@settings(max_examples=200, deadline=None)
+def test_writer_matches_json_dumps(results):
+    expected = json.dumps([reference_entry(r) for r in results], indent=2, sort_keys=True)
+    written = "".join(
+        ("[\n  " if i == 0 else ",\n  ") + result_to_entry(r) for i, r in enumerate(results)
+    )
+    assert written + ("\n]" if results else "[]") == expected
+
+
+def test_writer_keeps_signed_zero_constants_apart():
+    # The constants block is cached by value; 0.0 and -0.0 print differently.
+    def constants(v8):
+        report = CertificateReport(
+            hypotheses=(), tw=0, circles=(), estimates=(),
+            hyperbolic=Certificate(False),
+            geodesic_circles=GeodesicCertificate(False, Fraction(0), Fraction(1)),
+            vol_augmentation_lb=None, vol_filled_lb=None, euler_char_cut=None,
+            constants=Constants(v8=v8),
+        )
+        entry = result_to_entry(FileResult(file="f", ok=True, report=report))
+        return json.loads(entry)["report"]["constants"]["v8"]
+
+    assert [str(constants(v)) for v in (0.0, -0.0, 0.0)] == ["0.0", "-0.0", "0.0"]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -35,7 +36,7 @@ def test_constants():
     assert CONSTANTS.two_pi == pytest.approx(2 * math.pi)
     assert CONSTANTS.hk == pytest.approx(7.5832, abs=1e-9)
     assert CONSTANTS.six == 6.0
-    assert set(CONSTANTS.as_dict()) == {"v8", "two_pi", "hk", "six"}
+    assert {f.name for f in dataclasses.fields(CONSTANTS)} == {"v8", "two_pi", "hk", "six"}
 
 
 # ----------------------------------------------------------------------------

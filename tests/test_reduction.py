@@ -3,30 +3,71 @@ against the plain detect-and-splice loop, plus its scale.
 
 The reference below re-detects every chain after each splice and always
 reduces the mixed chain with the smallest crossing id, through the public
-:func:`detect_bigon_chains` and :func:`reduce_twist_region` (which checks
-Euler's formula after every splice).  ``resolve_selection`` must return the
-same crossings, arc labels, regions and errors.
+:func:`detect_bigon_chains` and the :func:`reduce_twist_region` defined
+here (which checks Euler's formula after every splice).  ``resolve_selection`` must return the
+same crossings, arc labels, regions and errors, and the selection it hands
+over must equal the one :func:`build_selection` detects from scratch.
 """
 
 from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from auglink.diagram import Diagram, link_components
+from auglink.diagram import Diagram, _check_euler, _DisjointSets, link_components
+from auglink.errors import RegionError
 from auglink.twist import (
     RegionAnnotation,
+    TwistRegion,
+    _cancel_pairs,
     build_selection,
     detect_bigon_chains,
-    reduce_twist_region,
     resolve_selection,
+    validate_generalized_region,
 )
 
 from braid import braid_closure, full_twist_word
+from corpus import TREFOIL
 from oracle import oracle_euler, oracle_link_components
+
+
+def reduce_twist_region(diagram: Diagram, region: TwistRegion) -> Diagram:
+    """Cancel opposite-sign pairs in a mixed 2-strand chain (Reidemeister II).
+
+    Removes 2 * min(#positive, #negative) crossings — adjacent opposite
+    pairs, cancelled until the remaining chain is uniform — and reconnects
+    the strands through the gaps.  Surviving crossings keep their ids.  A
+    component whose crossings all cancel vanishes from the code; a diagram
+    that empties entirely becomes the 0-crossing unknot.
+    """
+    if region.strand_count != 2:
+        raise RegionError("reduction is defined for 2-strand twist regions only")
+    if len({diagram.crossing(c).sign for c in region.crossing_ids}) <= 1:
+        raise RegionError(f"region {region.id} is already alternating; nothing to reduce")
+    return _splice_out(diagram, _cancel_pairs(diagram, region.crossing_ids))
+
+
+def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
+    """Drop ``removed`` crossings, reconnecting each strand straight through."""
+    labels = _DisjointSets(diagram.arc_labels)
+    for x in diagram.crossings:
+        if x.id in removed:
+            labels.union(x.arcs[0], x.arcs[2])
+            labels.union(x.arcs[1], x.arcs[3])
+
+    survivors = []
+    for x in diagram.crossings:
+        if x.id not in removed:
+            arcs = tuple(labels.find(a) for a in x.arcs)
+            survivors.append(replace(x, arcs=arcs))
+    reduced = Diagram(crossings=tuple(survivors), name=diagram.name)
+    _check_euler(reduced)
+    return reduced
 
 
 def reference_resolve(diagram, annotations=()):
@@ -45,10 +86,13 @@ def _outcome(resolve, diagram, annotations):
         reduced, selection = resolve(diagram, annotations)
     except Exception as exc:  # the reference's error is part of the contract
         return type(exc), str(exc)
+    # The selection handed over from the reduction equals a fresh detection.
+    assert selection == build_selection(reduced, annotations)
     return (
         [(x.id, x.arcs, x.sign) for x in reduced.crossings],
         reduced.name,
-        [(r.crossing_ids, r.strand_count, r.half_twists, r.sign) for r in selection.regions],
+        [(r.id, r.crossing_ids, r.strand_count, r.half_twists, r.sign)
+         for r in selection.regions],
     )
 
 
@@ -76,6 +120,7 @@ def mixed_words(draw):
 
 @given(mixed_words())
 @example(([1, 1, -2, 2, -1], 3, (0, 0)))
+@example(([1, 2, 1, 2], 3, (0, 0)))  # nothing to reduce
 @settings(max_examples=300, deadline=None)
 def test_resolve_selection_matches_the_splice_loop(case):
     word, strands, (prefix, m) = case
@@ -115,3 +160,59 @@ def test_long_mixed_closure_resolves_quickly():
     v, e, f = oracle_euler(reduced_pd)
     assert reduced.is_connected and v - e + f == 2
     assert oracle_link_components(reduced_pd) == link_components(reduced).component_count
+
+
+# ----------------------------------------------------------------------------
+# The reference reduction of one chain
+# ----------------------------------------------------------------------------
+
+
+def test_reduce_plus_minus_plus_leaves_one_crossing():
+    pd, signs = braid_closure([1, -1, 1], 2)
+    diagram = Diagram.from_pd(pd, signs)
+    (region,) = detect_bigon_chains(diagram)
+    reduced = reduce_twist_region(diagram, region)
+    assert reduced.crossing_count == 1
+    (survivor,) = reduced.crossings
+    assert survivor.sign in (-1, 1)
+    (after,) = detect_bigon_chains(reduced)
+    assert after.crossing_count == 1
+
+
+def test_reduce_plus_minus_vanishes():
+    pd, signs = braid_closure([1, -1], 2)
+    diagram = Diagram.from_pd(pd, signs)
+    (region,) = detect_bigon_chains(diagram)
+    reduced = reduce_twist_region(diagram, region)
+    assert reduced.crossing_count == 0
+
+
+def test_reduce_alternating_region_is_refused():
+    diagram = Diagram.from_pd(TREFOIL)
+    (region,) = detect_bigon_chains(diagram)
+    with pytest.raises(RegionError, match="already alternating"):
+        reduce_twist_region(diagram, region)
+
+
+def test_reduce_rejects_generalized_regions():
+    pd, signs = braid_closure(full_twist_word(3) + [1, 2], 3)
+    diagram = Diagram.from_pd(pd, signs)
+    annotation = RegionAnnotation(
+        crossing_ids=frozenset(range(6)), strand_count=3, half_twists=2
+    )
+    region = validate_generalized_region(diagram, annotation)
+    with pytest.raises(RegionError):
+        reduce_twist_region(diagram, region)
+
+
+def test_reduce_keeps_surviving_crossing_ids():
+    pd, signs = braid_closure([1, 1, -1, 1, 1], 2)  # signs + + - + +
+    diagram = Diagram.from_pd(pd, signs)
+    (region,) = detect_bigon_chains(diagram)
+    assert region.sign == 0
+    reduced = reduce_twist_region(diagram, region)
+    assert reduced.crossing_count == 3  # removed 2*min(4 plus, 1 minus)
+    assert set(reduced.crossing_ids) <= set(diagram.crossing_ids)
+    (after,) = detect_bigon_chains(reduced)
+    assert after.sign == 1
+    assert after.crossing_count == 3

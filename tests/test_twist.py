@@ -1,4 +1,4 @@
-"""Twist-region detection, validation, reduction, and selection building."""
+"""Twist-region detection, validation, and selection building."""
 
 from __future__ import annotations
 
@@ -7,11 +7,7 @@ import time
 import pytest
 
 from auglink.diagram import Diagram
-from auglink.errors import (
-    AlreadyAlternatingError,
-    NonAlternatingRegionError,
-    RegionError,
-)
+from auglink.errors import NonAlternatingRegionError, RegionError
 from auglink.twist import (
     RegionAnnotation,
     TwistRegion,
@@ -19,7 +15,6 @@ from auglink.twist import (
     boundary_arc_count,
     build_selection,
     detect_bigon_chains,
-    reduce_twist_region,
     resolve_selection,
     validate_generalized_region,
 )
@@ -81,62 +76,6 @@ def test_twist_region_count_formula_enforced():
         id=1, crossing_ids=(0, 1, 2), strand_count=3, half_twists=1, sign=1
     )
     assert region.crossing_count == 3
-
-
-# ----------------------------------------------------------------------------
-# Reduction
-# ----------------------------------------------------------------------------
-
-
-def test_reduce_plus_minus_plus_leaves_one_crossing():
-    pd, signs = braid_closure([1, -1, 1], 2)
-    diagram = Diagram.from_pd(pd, signs)
-    (region,) = detect_bigon_chains(diagram)
-    reduced = reduce_twist_region(diagram, region)
-    assert reduced.crossing_count == 1
-    (survivor,) = reduced.crossings
-    assert survivor.sign in (-1, 1)
-    (after,) = detect_bigon_chains(reduced)
-    assert after.crossing_count == 1
-
-
-def test_reduce_plus_minus_vanishes():
-    pd, signs = braid_closure([1, -1], 2)
-    diagram = Diagram.from_pd(pd, signs)
-    (region,) = detect_bigon_chains(diagram)
-    reduced = reduce_twist_region(diagram, region)
-    assert reduced.crossing_count == 0
-
-
-def test_reduce_alternating_region_is_refused():
-    diagram = Diagram.from_pd(TREFOIL)
-    (region,) = detect_bigon_chains(diagram)
-    with pytest.raises(AlreadyAlternatingError):
-        reduce_twist_region(diagram, region)
-
-
-def test_reduce_rejects_generalized_regions():
-    pd, signs = braid_closure(full_twist_word(3) + [1, 2], 3)
-    diagram = Diagram.from_pd(pd, signs)
-    annotation = RegionAnnotation(
-        crossing_ids=frozenset(range(6)), strand_count=3, half_twists=2
-    )
-    region = validate_generalized_region(diagram, annotation)
-    with pytest.raises(RegionError):
-        reduce_twist_region(diagram, region)
-
-
-def test_reduce_keeps_surviving_crossing_ids():
-    pd, signs = braid_closure([1, 1, -1, 1, 1], 2)  # signs + + - + +
-    diagram = Diagram.from_pd(pd, signs)
-    (region,) = detect_bigon_chains(diagram)
-    assert region.sign == 0
-    reduced = reduce_twist_region(diagram, region)
-    assert reduced.crossing_count == 3  # removed 2*min(4 plus, 1 minus)
-    assert set(reduced.crossing_ids) <= set(diagram.crossing_ids)
-    (after,) = detect_bigon_chains(reduced)
-    assert after.sign == 1
-    assert after.crossing_count == 3
 
 
 # ----------------------------------------------------------------------------
