@@ -8,9 +8,9 @@ one report per file, in input order, as text or JSON.
 Exit status is 0 when every file was analyzed (certificates may still be
 not-certified; that is data, not an error) and 2 when any file failed to
 parse or validate.  Failures are reported per file and processing
-continues with the remaining inputs.  Each report is written as soon as
-its file is done.  A failed export, whether the drawing or the write
-failed, keeps the report and adds a warning.
+continues with the remaining inputs.  Files are split over forked
+processes, one per usable CPU; reports still come in input order, as each
+chunk finishes.  A failed export keeps the report and adds a warning.
 """
 
 from __future__ import annotations
@@ -18,6 +18,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import marshal
+import os
+import signal
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,7 +59,7 @@ class FileResult:
     error: str | None = None
 
 
-def analyze_file(path: str, config: RunConfig) -> FileResult:
+def analyze_file(path: str, config: RunConfig, export_owner: str | None = None) -> FileResult:
     """Run the pipeline on one file; never raises for per-file problems."""
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -89,7 +92,7 @@ def analyze_file(path: str, config: RunConfig) -> FileResult:
         export_path = None
         if config.export_dir is not None:
             try:
-                export_path = _write_export(path, config.export_dir, augmented)
+                export_path = _write_export(path, config.export_dir, augmented, export_owner)
             except (ExportError, OSError) as exc:
                 warnings += (f"export failed: {exc}",)
         return FileResult(
@@ -104,11 +107,13 @@ def analyze_file(path: str, config: RunConfig) -> FileResult:
         return FileResult(file=path, ok=False, error=str(exc))
 
 
-def _write_export(path: str, export_dir: str, augmented: AugmentedLink) -> str:
-    exported = export_augmented_diagram(augmented)
+def _write_export(path: str, export_dir: str, augmented: AugmentedLink, owner: str | None) -> str:
     out_dir = Path(export_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / (Path(path).stem + ".augmented.json")
+    if owner is not None:  # an earlier input has this export path
+        raise ExportError(f"{out_path} is the export of {owner}")
+    exported = export_augmented_diagram(augmented)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
         out_path.write_text(serialize_diagram(exported) + "\n", encoding="utf-8")
     except OSError:
@@ -279,27 +284,79 @@ def render_text(result: FileResult) -> str:
 # ============================================================================
 
 
+_CHUNK = 32  # input files per unit of work; a worker sends back a chunk at a time
+
+
 def analyze(config: RunConfig, stdout=None) -> int:
     """Analyze every input and print reports in input order; return status.
 
-    Each report is written as soon as its file is done.  The JSON array has
-    the bytes ``json.dumps(entries, indent=2, sort_keys=True)`` would give;
-    ``tests/test_cli.py::test_writer_matches_json_dumps`` holds them equal.
+    Chunk j of ``_CHUNK`` inputs goes to process j mod n, one per usable CPU:
+    this is process 0, the others are forked and reply through pipes.  Each
+    chunk is written as it ends; each export path belongs to its first input.
+    The JSON array has the bytes ``json.dumps(entries, indent=2, sort_keys=True)``
+    would give; ``tests/test_cli.py::test_writer_matches_json_dumps`` holds them equal.
     """
     out = stdout if stdout is not None else sys.stdout
-    all_ok = True
-    for i, path in enumerate(config.inputs):
-        result = analyze_file(path, config)
-        all_ok = all_ok and result.ok
-        if config.json_output:
-            out.write(("[\n  " if i == 0 else ",\n  ") + result_to_entry(result))
-        else:
-            out.write(("" if i == 0 else "\n\n") + render_text(result))
-    if config.json_output:
-        out.write("\n]\n" if config.inputs else "[]\n")
-    else:
-        out.write("\n")
+    inputs = config.inputs
+    first: dict[str, int] = {}  # export file name -> the first input that has it
+    owners = [None if (j := first.setdefault(Path(p).stem, i)) == i else inputs[j]
+              for i, p in enumerate(inputs)]
+    chunks = [range(i, min(i + _CHUNK, len(inputs))) for i in range(0, len(inputs), _CHUNK)]
+    forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    n = min(len(os.sched_getaffinity(0)), len(chunks)) if forks else 1
+    head, sep = ("[\n  ", ",\n  ") if config.json_output else ("", "\n\n")
+    all_ok, workers = True, []  # (pid, read end of its pipe) of processes 1 .. n - 1
+    try:
+        for k in range(1, n):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _work(read_end, write_end, chunks[k::n], config, owners)
+            workers.append((pid, open(read_end, "rb")))
+            os.close(write_end)
+        for j, chunk in enumerate(chunks):
+            k = j % n
+            texts = _receive(workers[k - 1][1]) if k else _analyze_chunk(chunk, config, owners)
+            for i, (ok, text) in zip(chunk, texts):
+                all_ok = all_ok and ok
+                out.write((head if i == 0 else sep) + text)
+    finally:
+        for pid, pipe in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pipe.close()
+    out.write(("\n]\n" if inputs else "[]\n") if config.json_output else "\n")
     return 0 if all_ok else 2
+
+
+def _analyze_chunk(chunk: range, config: RunConfig, owners: list) -> list[tuple[bool, str]]:
+    render = result_to_entry if config.json_output else render_text
+    results = (analyze_file(config.inputs[i], config, owners[i]) for i in chunk)
+    return [(result.ok, render(result)) for result in results]
+
+
+def _work(read_end: int, write_end: int, chunks: list, config: RunConfig, owners: list):
+    """A forked worker: send each chunk's texts down the pipe, then leave by ``os._exit``."""
+    try:
+        os.close(read_end)  # so that the worker never waits on a pipe it reads itself
+        pipe = open(write_end, "wb")
+        for chunk in chunks:
+            data = marshal.dumps(_analyze_chunk(chunk, config, owners))
+            pipe.write(len(data).to_bytes(8, "little") + data)
+            pipe.flush()
+        os._exit(0)  # which flushes no buffer inherited from the parent
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the traceback, to stderr
+        sys.stderr.flush()
+    finally:
+        os._exit(1)  # after an exception, or an interrupt
+
+
+def _receive(pipe) -> list[tuple[bool, str]]:
+    data = pipe.read(int.from_bytes(pipe.read(8), "little"))
+    if not data:  # the worker ended early, as it sends no empty chunk
+        raise RuntimeError("an analysis worker ended before sending its reports")
+    return marshal.loads(data)  # raises on a chunk cut short
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -67,7 +67,7 @@ class Crossing:
     sign: int
 
     def __post_init__(self):
-        arcs, sign = self.arcs, self.sign
+        arcs = self.arcs
         if len(arcs) != 4:
             raise InvalidDiagramError(
                 f"crossing {self.id}: expected 4 arc labels, got {len(arcs)}"
@@ -76,10 +76,7 @@ class Crossing:
             raise InvalidDiagramError(
                 f"crossing {self.id}: arc labels must be positive integers, got {arcs!r}"
             )
-        if (type(sign) is not int and not _is_int(sign)) or sign not in (1, -1):
-            raise InvalidDiagramError(
-                f"crossing {self.id}: sign must be +1 or -1, got {sign!r}"
-            )
+        _check_sign(self.id, self.sign)
 
     @property
     def over_in_slot(self) -> int:
@@ -300,7 +297,7 @@ class Diagram:
                     f"signs list has {len(signs)} entries for {len(quads)} crossings"
                 )
 
-        diagram = cls(crossings=tuple(map(Crossing, range(len(quads)), quads, signs)), name=name)
+        diagram = cls(crossings=tuple(map(_crossing, range(len(quads)), quads, signs)), name=name)
         # The mates came out of checking the labels: keep them as the cached value.
         vars(diagram)["dart_mates"] = mates
         _check_euler(diagram)
@@ -483,6 +480,21 @@ def link_components(diagram: Diagram) -> ComponentMap:
 def _is_int(value) -> bool:
     """True for an int that is not a bool (JSON true/false load as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _crossing(id: int, arcs: tuple[int, int, int, int], sign: int) -> Crossing:
+    """A crossing of ``from_pd``, whose labels ``_mate_darts`` has already checked."""
+    _check_sign(id, sign)
+    crossing = object.__new__(Crossing)
+    object.__setattr__(crossing, "id", id)
+    object.__setattr__(crossing, "arcs", arcs)
+    object.__setattr__(crossing, "sign", sign)
+    return crossing
+
+
+def _check_sign(crossing_id: int, sign) -> None:
+    if (type(sign) is not int and not _is_int(sign)) or sign not in (1, -1):
+        raise InvalidDiagramError(f"crossing {crossing_id}: sign must be +1 or -1, got {sign!r}")
 
 
 class _DisjointSets:

@@ -5,7 +5,9 @@ from __future__ import annotations
 import errno
 import io
 import json
+import os
 import pathlib
+import random
 from fractions import Fraction
 
 import jsonschema
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from auglink import cli
 from auglink.augment import CrossingCircle
 from auglink.cli import FileResult, RunConfig, analyze, build_parser, main, result_to_entry
 from auglink.diagram import link_components, parse_diagram
@@ -260,6 +263,35 @@ def test_failed_export_write_leaves_no_partial_file(tmp_path, monkeypatch):
     assert list(out_dir.iterdir()) == []
 
 
+def test_export_path_belongs_to_its_first_input(tmp_path):
+    # a/x.json and b/x.json both export to DIR/x.augmented.json.
+    out_dir = tmp_path / "exports"
+    for sub in ("a", "b", "c"):
+        (tmp_path / sub).mkdir()
+    first = _write(tmp_path / "a", "x.json", {"name": "trefoil", "pd": TREFOIL})
+    second = _write(tmp_path / "b", "x.json", {"name": "fig8", "pd": FIGURE8})
+    third = str(tmp_path / "c" / "x.json")  # missing: its report fails before any export
+    status, entries = _run_json(first, second, third, export_dir=str(out_dir))
+    assert status == 2
+    jsonschema.validate(entries, REPORT_SCHEMA)
+    export = out_dir / "x.augmented.json"
+    assert entries[0]["export"] == str(export) and "warnings" not in entries[0]
+    assert entries[1]["ok"] and entries[1]["report"]["tw"] == 2
+    assert "export" not in entries[1]
+    assert entries[1]["warnings"] == [f"export failed: {export} is the export of {first}"]
+    assert not entries[2]["ok"]
+    assert [p.name for p in out_dir.iterdir()] == ["x.augmented.json"]
+    assert json.loads(export.read_text(encoding="utf-8"))["name"] == "trefoil-augmented"
+    # The path stays with the first input even when that input writes nothing.
+    status, entries = _run_json(third, second, export_dir=str(tmp_path / "other"))
+    assert entries[1]["warnings"] == [
+        f"export failed: {tmp_path / 'other' / 'x.augmented.json'} is the export of {third}"
+    ]
+    assert not (tmp_path / "other").exists()
+    status, text = _run(first, second, export_dir=str(out_dir))
+    assert f"warning: export failed: {export} is the export of {first}" in text
+
+
 def test_trivial_diagram_exports_nothing(tmp_path):
     out_dir = tmp_path / "exports"
     path = _write(tmp_path, "unknot.json", UNKNOT0)
@@ -304,6 +336,128 @@ def test_parser_knows_all_flags():
     assert args.files == ["a.json", "b.json"]
     assert args.json and args.attest_hyperbolic and args.strict
     assert args.export_augmented == "out"
+
+
+# ----------------------------------------------------------------------------
+# Files split over forked worker processes
+# ----------------------------------------------------------------------------
+
+
+def _census(tmp_path) -> list[str]:
+    """98 inputs, so four chunks: braid closures, and among them, over three
+    chunks, golden diagrams, an annotated region, missing, malformed and
+    split files, and a second input with the export path of one in chunk 0."""
+    rng = random.Random(11)
+    paths = []
+    for i in range(88):
+        signs = (rng.choice((1, -1)), rng.choice((1, -1)))
+        word = [1, 2] + [rng.choice((1, 2)) for _ in range(rng.randrange(2, 10))]
+        pd, pd_signs = braid_closure([g * signs[g - 1] for g in word], 3)
+        doc = {"name": f"b{i}", "pd": pd, "signs": pd_signs}
+        paths.append(_write(tmp_path, f"b{i:03d}.json", doc))
+    (tmp_path / "sub").mkdir()
+    special = [
+        _write(tmp_path, "unknot.json", UNKNOT0),
+        str(tmp_path / "missing.json"),
+        _write(tmp_path, "malformed.json", {"pd": [[1, 2, 3]]}),
+        _write(tmp_path, "split.json", [[1, 1, 2, 2], [3, 3, 4, 4]]),
+        _write(tmp_path, "annotated.json", {
+            "pd": TREFOIL, "regions": [{"crossings": [0, 1, 2], "strands": 2, "half_twists": 3}]}),
+        _write(tmp_path / "sub", "b005.json", {"name": "clash", "pd": FIGURE8}),
+    ] + [_write(tmp_path, f"{name}.json", {"name": name, "pd": pd}) for name, pd in GOLDEN.items()]
+    for k, path in enumerate(special):
+        paths.insert(9 * k + 5, path)
+    return paths
+
+
+def _log_worker_exits(monkeypatch, log: pathlib.Path) -> None:
+    """Append the status of every ``os._exit`` call, from any process, to ``log``."""
+    real_exit = os._exit
+
+    def logged_exit(status):
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{status}\n")
+        real_exit(status)
+
+    monkeypatch.setattr(os, "_exit", logged_exit)
+
+
+@pytest.mark.parametrize("json_output", [True, False])
+@pytest.mark.parametrize("export", [False, True])
+def test_workers_give_the_bytes_of_one_process(tmp_path, monkeypatch, json_output, export):
+    inputs = _census(tmp_path)
+    assert len(inputs) > 3 * cli._CHUNK
+    exits = tmp_path / "exits.log"
+    _log_worker_exits(monkeypatch, exits)
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    runs = []
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):  # with 2, the worker has two chunks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        out_dir = tmp_path / f"exports{len(cpus)}"
+        status, text = _run(*inputs, json_output=json_output,
+                            export_dir=str(out_dir) if export else None)
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if export else {}
+        runs.append((status, text.replace(str(out_dir), "DIR"), files))
+    assert len(forks) == 1 + 2
+    # A worker may be killed once its last chunk is sent, before it logs its exit.
+    assert set(exits.read_text(encoding="utf-8").split()) <= {"0"}
+    assert runs[0] == runs[1] == runs[2]
+    status, text, files = runs[0]
+    assert status == 2
+    assert "clash" in text
+    assert ("b005.augmented.json is the export of" in text) == export
+    assert bool(files) == export
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+@pytest.mark.parametrize("index, raised, expected, message", [
+    (3, RuntimeError, RuntimeError, "boom"),  # in the parent's own chunk
+    (40, RuntimeError, RuntimeError, "worker ended"),  # in the worker's chunk
+    (3, KeyboardInterrupt, KeyboardInterrupt, "boom"),
+    (40, KeyboardInterrupt, RuntimeError, "worker ended"),
+])
+def test_uncaught_error_stops_the_run_and_reaps_workers(
+    tmp_path, monkeypatch, capfd, index, raised, expected, message
+):
+    inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(80)]
+    exits = tmp_path / "exits.log"
+    _log_worker_exits(monkeypatch, exits)
+    real = cli.analyze_file
+
+    def flaky(path, config, export_owner=None):
+        if path == inputs[index]:
+            raise raised("boom")
+        return real(path, config, export_owner)
+
+    monkeypatch.setattr(cli, "analyze_file", flaky)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = io.StringIO()
+    with pytest.raises(expected, match=message):
+        analyze(RunConfig(inputs=tuple(inputs), json_output=True), stdout=out)
+    assert not out.getvalue().endswith("]\n")  # no short array passes for a whole one
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    if index >= cli._CHUNK:  # in the worker's chunk
+        assert exits.read_text(encoding="utf-8") == "1\n"
+        if raised is RuntimeError:
+            assert "RuntimeError: boom" in capfd.readouterr().err  # the worker's traceback
+
+
+def test_closed_stdout_reaps_workers(tmp_path, monkeypatch):
+    inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(100)]
+
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with pytest.raises(BrokenPipeError):
+        analyze(RunConfig(inputs=tuple(inputs), json_output=True), stdout=ClosedPipe())
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # ----------------------------------------------------------------------------
