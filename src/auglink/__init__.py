@@ -13,29 +13,14 @@ The pipeline runs in four stages, one module each:
   exact-arithmetic hyperbolicity and geodesic certificates.
 
 :mod:`auglink.cli` wires the stages into the ``auglink analyze`` command.
+The package exports the pipeline's functions and its errors; every other
+name is imported from its module.
 """
 
 from __future__ import annotations
 
-from .augment import (
-    AugmentedLink,
-    CrossingCircle,
-    augment,
-    export_augmented_diagram,
-    filling_slope,
-)
-from .diagram import (
-    ComponentMap,
-    Crossing,
-    Diagram,
-    DiagramDocument,
-    Face,
-    compute_faces,
-    link_components,
-    parse_diagram,
-    parse_document,
-    serialize_diagram,
-)
+from .augment import augment, export_augmented_diagram
+from .diagram import parse_document
 from .errors import (
     AugmentError,
     AuglinkError,
@@ -46,87 +31,23 @@ from .errors import (
     NonAlternatingRegionError,
     RegionError,
 )
-from .geometry import (
-    CONSTANTS,
-    GEODESIC_THRESHOLD,
-    Certificate,
-    CertificateReport,
-    Constants,
-    GeodesicCertificate,
-    SlopeEstimate,
-    augmentation_volume_lower_bound,
-    build_report,
-    euler_char_cut,
-    filled_volume_lower_bound,
-    geodesic_certificate,
-    normalized_length,
-    normalized_length_lower_bound,
-    six_theorem_certificate,
-    slope_length_lower_bound,
-    trivial_report,
-)
-from .report_schema import REPORT_SCHEMA
-from .twist import (
-    RegionAnnotation,
-    TwistRegion,
-    TwistSelection,
-    boundary_arc_count,
-    build_selection,
-    detect_bigon_chains,
-    resolve_selection,
-    validate_generalized_region,
-)
+from .geometry import build_report
+from .twist import resolve_selection
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AugmentError",
-    "AugmentedLink",
     "AuglinkError",
-    "CONSTANTS",
-    "Certificate",
-    "CertificateReport",
-    "ComponentMap",
-    "Constants",
-    "Crossing",
-    "CrossingCircle",
-    "Diagram",
-    "DiagramDocument",
     "DiagramSyntaxError",
     "ExportError",
-    "Face",
-    "GEODESIC_THRESHOLD",
-    "GeodesicCertificate",
     "GeometryError",
     "InvalidDiagramError",
     "NonAlternatingRegionError",
-    "REPORT_SCHEMA",
-    "RegionAnnotation",
     "RegionError",
-    "SlopeEstimate",
-    "TwistRegion",
-    "TwistSelection",
     "augment",
-    "augmentation_volume_lower_bound",
-    "boundary_arc_count",
     "build_report",
-    "build_selection",
-    "compute_faces",
-    "detect_bigon_chains",
-    "euler_char_cut",
     "export_augmented_diagram",
-    "filled_volume_lower_bound",
-    "filling_slope",
-    "geodesic_certificate",
-    "link_components",
-    "normalized_length",
-    "normalized_length_lower_bound",
-    "parse_diagram",
     "parse_document",
     "resolve_selection",
-    "serialize_diagram",
-    "six_theorem_certificate",
-    "slope_length_lower_bound",
-    "trivial_report",
-    "validate_generalized_region",
 ]

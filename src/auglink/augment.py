@@ -24,7 +24,7 @@ from typing import Mapping
 
 from .diagram import Diagram, _next_slot
 from .errors import AugmentError, ExportError
-from .twist import TwistRegion, TwistSelection, _bigon_bonds, _grow_chains
+from .twist import TwistRegion, TwistSelection, _bigon_bonds
 
 
 # ============================================================================
@@ -403,24 +403,22 @@ def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegio
                          eps: int) -> None:
     """2-strand region: ring the two arcs that leave x0 away from x1.
 
-    x0 ... x(c-1) is the chain order of the bigon bonds.  The spliced
+    x0 ... x(c-1) is the chain order of ``region.crossing_ids``.  The spliced
     crossings x(eps) ... x(c-1) are even in number and consecutive, so the
     strands come out parallel and planar on one side of the circle, for
     open, closed and returning chains alike; every strand passes the circle.
     """
-    ids = frozenset(region.crossing_ids)
-    bonds = _bigon_bonds(diagram, ids)
-    chains = _grow_chains(bonds, sorted(ids))
-    if len(chains) != 1:
-        raise ExportError(f"region {region.id}: crossings do not form one twist chain")
-    (chain,) = chains
-    x0 = chain[0]
-    # The corner of x0 facing away from x1; any corner of a lone crossing.
-    back = 0 if len(chain) == 1 else 2 + next(
-        k for k in range(4) if bonds.get((x0, k), (None,))[0] == chain[1])
+    index = diagram.index
+    x0 = index[region.crossing_ids[0]]
+    if region.crossing_count == 1:
+        back = 4 * x0  # any corner of a lone crossing
+    else:
+        # The corner of x0 opposite its smallest corner bonded to x1.
+        x1 = index[region.crossing_ids[1]]
+        bonds = _bigon_bonds(diagram, (x0, x1))
+        back = 2 ^ next(d for d in range(4 * x0, 4 * x0 + 4) if bonds.get(d, -1) >> 2 == x1)
     over, under = [], []
-    for slot in (back % 4, (back + 1) % 4):
-        port = 4 * diagram.index[x0] + slot
+    for port in (back, _next_slot(back)):
         outside, forward = _attachment(graph, port)
         graph.disconnect(port)
         under.append(graph.add(_circle_under_roles(forward)))
@@ -429,8 +427,8 @@ def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegio
         graph.connect(4 * under[-1] + _W, 4 * over[-1] + _E)
         graph.connect(4 * over[-1] + _W, outside)
     _wire_circle(graph, over, under)
-    for c in chain[eps:]:
-        graph.remove_stub(diagram.index[c], c)
+    for c in region.crossing_ids[eps:]:
+        graph.remove_stub(index[c], c)
 
 
 def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:

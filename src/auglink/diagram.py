@@ -37,8 +37,6 @@ from typing import Mapping
 
 from .errors import DiagramSyntaxError, InvalidDiagramError
 
-Dart = tuple[int, int]  # (crossing id, slot)
-
 _KNOWN_KEYS = {"name", "pd", "signs", "regions"}
 _KNOWN_REGION_KEYS = {"crossings", "strands", "half_twists"}
 
@@ -92,23 +90,6 @@ class Crossing:
 
 
 @dataclass(frozen=True)
-class Face:
-    """A complementary region of the diagram in the plane.
-
-    ``boundary`` lists corners in traversal order as (crossing id, corner
-    index); corner k is the wedge between slots k and k+1 mod 4.  Every
-    corner of the diagram belongs to exactly one face.  Faces of the
-    0-crossing unknot have an empty boundary by convention.
-    """
-
-    boundary: tuple[tuple[int, int], ...]
-
-    @property
-    def degree(self) -> int:
-        return len(self.boundary)
-
-
-@dataclass(frozen=True)
 class ComponentMap:
     """Arc label -> link component index (0-based), plus the count."""
 
@@ -125,10 +106,9 @@ class Diagram:
     every caller; copy a value before mutating it.  Equality and hashing
     see only the crossings and the name.
 
-    Underneath, darts are integers: dart ``4 * i + s`` is slot s of
-    ``crossings[i]``.  :attr:`dart_mates`, :attr:`face_next`, the face walk
-    and the graph components work on these; :attr:`mates`, :attr:`faces` and
-    :attr:`graph_components` translate them to crossing ids.
+    A dart is one integer: dart ``4 * i + s`` is slot s of ``crossings[i]``,
+    the i-th crossing by position (not by id), and every topology value here
+    is indexed by it.
     """
 
     crossings: tuple[Crossing, ...]
@@ -167,17 +147,6 @@ class Diagram:
         return _mate_darts([x.arcs for x in self.crossings])
 
     @cached_property
-    def mates(self) -> Mapping[Dart, Dart]:
-        """Each dart (crossing id, slot) -> the other end of its arc."""
-        darts = [(x.id, slot) for x in self.crossings for slot in range(4)]
-        mates: dict[Dart, Dart] = {}
-        for d, e in enumerate(self.dart_mates):
-            if d < e:  # arcs in the order their labels first appear
-                mates[darts[d]] = darts[e]
-                mates[darts[e]] = darts[d]
-        return MappingProxyType(mates)
-
-    @cached_property
     def face_next(self) -> tuple[int, ...]:
         """Each integer dart -> the next dart of its face walk.
 
@@ -193,7 +162,7 @@ class Diagram:
 
         Faces are the orbits of :attr:`face_next`; the corner recorded at
         each step is the mate the walk pivots at.  This is the only face
-        walk: :attr:`faces` and the Euler check read it.
+        walk; the Euler check reads it.
         """
         mates, step = self.dart_mates, self.face_next
         seen = bytearray(len(mates))
@@ -209,20 +178,6 @@ class Diagram:
                 dart = step[dart]
             walks.append(tuple(walk))
         return tuple(walks)
-
-    @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        """The complementary regions; see :func:`compute_faces`."""
-        if not self.crossings:
-            return (Face(boundary=()), Face(boundary=()))
-        darts = [(x.id, slot) for x in self.crossings for slot in range(4)]
-        faces: list[Face] = []
-        for walk in self._face_walks:
-            corners = [darts[d] for d in walk]
-            pivot = corners.index(min(corners))
-            faces.append(Face(boundary=tuple(corners[pivot:] + corners[:pivot])))
-        faces.sort(key=lambda f: f.boundary[0])
-        return tuple(faces)
 
     @cached_property
     def _component_of(self) -> tuple[int, ...]:
@@ -248,20 +203,10 @@ class Diagram:
             count += 1
         return tuple(component)
 
-    @cached_property
-    def graph_components(self) -> tuple[tuple[int, ...], ...]:
-        """Connected components of the underlying 4-valent graph (crossing ids)."""
-        groups: list[list[int]] = []
-        for x, k in zip(self.crossings, self._component_of):
-            if k == len(groups):
-                groups.append([])
-            groups[k].append(x.id)
-        return tuple(map(tuple, groups))
-
     @property
     def is_connected(self) -> bool:
         """Connectivity of the underlying 4-valent graph (split link test)."""
-        return len(self.graph_components) <= 1
+        return not any(self._component_of)
 
     @classmethod
     def from_pd(
@@ -423,27 +368,8 @@ def serialize_diagram(diagram: Diagram) -> str:
 
 
 # ============================================================================
-# Faces and components
+# Link components
 # ============================================================================
-
-
-def mate_map(diagram: Diagram) -> Mapping[Dart, Dart]:
-    """Map each dart (crossing id, slot) to the other end of its arc."""
-    return diagram.mates
-
-
-def compute_faces(diagram: Diagram) -> tuple[Face, ...]:
-    """Enumerate the complementary regions via the rotation system.
-
-    Faces are orbits of darts under "cross the arc, then rotate one slot
-    counterclockwise"; the corner recorded at each step is the wedge the
-    walk pivots through.  For a connected diagram F = V + 2; in general
-    V - E + F = 2 per connected component of the underlying graph.
-
-    The 0-crossing unknot yields two faces with empty boundary (the disk on
-    either side of the crossing-free circle).
-    """
-    return diagram.faces
 
 
 def _strand_classes(quads) -> list[list[int]]:
@@ -561,7 +487,7 @@ def _check_euler(diagram: Diagram) -> None:
     for k in range(len(v)):
         e = 2 * v[k]  # four slot endpoints per crossing, two per arc
         if v[k] - e + f[k] != 2:
-            crossings = sorted(diagram.graph_components[k])
+            crossings = sorted(x.id for x, j in zip(diagram.crossings, component) if j == k)
             raise InvalidDiagramError(
                 "Euler formula violated (non-planar or corrupted code): "
                 f"component with crossings {crossings} has V={v[k]} E={e} F={f[k]}"

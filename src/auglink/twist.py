@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from .diagram import Dart, Diagram, _DisjointSets, _check_euler
+from .diagram import Diagram, _DisjointSets, _check_euler, _next_slot
 from .errors import NonAlternatingRegionError, RegionError
 
 
@@ -39,11 +39,12 @@ class RegionAnnotation:
 class TwistRegion:
     """A validated twist region.
 
-    ``crossing_ids`` is ordered: detected 2-strand chains list their
-    crossings in chain order (ends first/last), validated annotations sort
-    by id.  ``sign`` is the common crossing sign, or 0 for a detected chain
-    with mixed signs (which must be reduced before selection) and for a
-    region whose crossings all cancelled away.
+    ``crossing_ids`` is ordered: every 2-strand region, detected or
+    annotated, lists its crossings in chain order (ends first/last); an
+    annotated region of m >= 3 strands sorts them by id.  ``sign`` is the
+    common crossing sign, or 0 for a detected chain with mixed signs (which
+    must be reduced before selection) and for a region whose crossings all
+    cancelled away.
     """
 
     id: int
@@ -84,37 +85,51 @@ class TwistSelection:
 # ============================================================================
 # Detection
 # ============================================================================
+#
+# Darts here are the diagram's integer darts, 4 * position + slot; the
+# opposite corner of a crossing is dart ^ 2.  Chains hold positions in
+# ``diagram.crossings`` and become crossing ids only where a TwistRegion is
+# built.  Ids ascend with position in every diagram that ``from_pd`` or a
+# reduction builds, so sorted positions are also sorted ids, and a chain's
+# smallest position holds its smallest id.
 
 
-def _bigon_bonds(diagram: Diagram, scope: frozenset[int]):
+def _scope(diagram: Diagram, annotations) -> range | frozenset[int]:
+    """Positions of the crossings that no annotation claims."""
+    if not annotations:
+        return range(len(diagram.crossings))
+    annotated = {c for a in annotations for c in a.crossing_ids}
+    return frozenset(p for p, c in enumerate(diagram.crossing_ids) if c not in annotated)
+
+
+def _bigon_bonds(diagram: Diagram, scope) -> dict[int, int]:
     """Bonds between crossings joined by a bigon face, as a corner map.
 
-    Returns ``bonds[(crossing, corner)] = (other crossing, other corner)``.
-    Degree-2 faces whose corners sit on a single crossing (the face inside a
-    Reidemeister-I kink) are not bonds: a twist chain needs two strands.
-    A dart of a bigon returns to itself after two steps of the face walk,
-    so only the darts of ``scope`` are looked at: the cost is linear in
-    ``len(scope)``, not in the size of the diagram.
+    Returns ``bonds[corner dart] = other corner dart`` among the positions
+    in ``scope``.  Degree-2 faces whose corners sit on a single crossing (the
+    face inside a Reidemeister-I kink) are not bonds: a twist chain needs two
+    strands.  A dart of a bigon returns to itself after two steps of the face
+    walk, so only the darts of ``scope`` are looked at: the cost is linear
+    in ``len(scope)``, not in the size of the diagram.
     """
     mates, step = diagram.dart_mates, diagram.face_next
-    index, crossings = diagram.index, diagram.crossings
-    bonds: dict[tuple[int, int], tuple[int, int]] = {}
-    for c in scope:
-        i = 4 * index[c]
+    bonds: dict[int, int] = {}
+    for p in scope:
+        i = 4 * p
         for dart in (i, i + 1, i + 2, i + 3):
             after = step[dart]
             # A bigon is met from both of its darts; take it from the smaller.
             if after > dart and step[after] == dart:
                 d1, d2 = mates[dart], mates[after]
-                c1, c2 = crossings[d1 >> 2].id, crossings[d2 >> 2].id
-                if c1 != c2 and c1 in scope and c2 in scope:
-                    bonds[(c1, d1 & 3)] = (c2, d2 & 3)
-                    bonds[(c2, d2 & 3)] = (c1, d1 & 3)
+                p1, p2 = d1 >> 2, d2 >> 2
+                if p1 != p2 and p1 in scope and p2 in scope:
+                    bonds[d1] = d2
+                    bonds[d2] = d1
     return bonds
 
 
-def _grow_chains(bonds, starts) -> list[list[int]]:
-    """Grow one chain from each of ``starts`` (sorted ids) not already taken.
+def _grow_chains(bonds: dict[int, int], starts) -> list[list[int]]:
+    """Grow one chain from each of ``starts`` (sorted positions) not already taken.
 
     A chain extends through the bond at the smallest bonded corner of its
     start, then keeps crossing the chain via opposite corners until it ends
@@ -125,60 +140,63 @@ def _grow_chains(bonds, starts) -> list[list[int]]:
     unused = set(starts)
     chains: list[list[int]] = []
 
-    def walk(chain: list[int], c: int, k: int) -> None:
-        while (c, k) in bonds:
-            c2, k2 = bonds[(c, k)]
-            if c2 not in unused:
+    def walk(chain: list[int], dart: int) -> None:
+        while dart in bonds:
+            other = bonds[dart]
+            p = other >> 2
+            if p not in unused:
                 break  # chain closed into a cycle (or hit a finished chain)
-            unused.remove(c2)
-            chain.append(c2)
-            c, k = c2, (k2 + 2) % 4
+            unused.remove(p)
+            chain.append(p)
+            dart = other ^ 2
 
     for start in starts:
         if start not in unused:
             continue
         unused.remove(start)
         chain = [start]
-        corners = [k for k in range(4) if (start, k) in bonds]
-        if corners:
-            walk(chain, start, corners[0])
+        corner = next((d for d in range(4 * start, 4 * start + 4) if d in bonds), None)
+        if corner is not None:
+            walk(chain, corner)
             backward: list[int] = []
-            walk(backward, start, (corners[0] + 2) % 4)
+            walk(backward, corner ^ 2)
             chain = backward[::-1] + chain
         chains.append(chain)
     return chains
 
 
-def _detect(diagram: Diagram, scope: frozenset[int]):
+def _detect(diagram: Diagram, scope):
     """The bonds among ``scope`` and the chains grown from them.
 
-    Each chain is ``(smallest id, sign, crossing ids)``; the sign is the
+    Each chain is ``(smallest id, sign, positions)``; the sign is the
     common crossing sign, or 0 for a chain with mixed signs.
     """
     bonds = _bigon_bonds(diagram, scope)
-    return bonds, [_chain(diagram, ids) for ids in _grow_chains(bonds, sorted(scope))]
+    crossings, ids = diagram.crossings, diagram.crossing_ids
+    return bonds, [_chain(crossings, ids, chain) for chain in _grow_chains(bonds, sorted(scope))]
 
 
-def _chain(diagram: Diagram, ids: list[int]) -> tuple[int, int, list[int]]:
-    signs = {diagram.crossing(c).sign for c in ids}
-    return min(ids), signs.pop() if len(signs) == 1 else 0, ids
+def _chain(crossings, ids, chain: list[int]) -> tuple[int, int, list[int]]:
+    signs = {crossings[p].sign for p in chain}
+    return ids[min(chain)], signs.pop() if len(signs) == 1 else 0, chain
 
 
-def _chain_regions(bonds, chains, first_id: int) -> list[TwistRegion]:
+def _chain_regions(bonds, chains, ids, first_id: int) -> list[TwistRegion]:
     """Number the chains as regions from ``first_id``, by smallest id."""
     result = []
-    region_of: dict[int, int] = {}
-    for region_id, (_, sign, ids) in enumerate(sorted(chains), start=first_id):
-        result.append(TwistRegion(id=region_id, crossing_ids=tuple(ids), strand_count=2,
-                                  half_twists=len(ids), sign=sign))
-        for c in ids:
-            region_of[c] = region_id
+    region_of: dict[int, int] = {}  # position -> region id
+    for region_id, (_, sign, chain) in enumerate(sorted(chains), start=first_id):
+        result.append(TwistRegion(id=region_id, crossing_ids=tuple(map(ids.__getitem__, chain)),
+                                  strand_count=2, half_twists=len(chain), sign=sign))
+        for p in chain:
+            region_of[p] = region_id
 
     # Maximality: a bigon joining two distinct regions would mean two chains
     # that should have merged; the greedy growth never leaves one behind.
-    for (c1, _), (c2, _) in bonds.items():
-        assert region_of[c1] == region_of[c2], (
-            f"bigon joins two twist regions ({c1} and {c2}); detection is not maximal"
+    for d1, d2 in bonds.items():
+        assert region_of[d1 >> 2] == region_of[d2 >> 2], (
+            f"bigon joins two twist regions ({ids[d1 >> 2]} and {ids[d2 >> 2]}); "
+            "detection is not maximal"
         )
     return result
 
@@ -198,8 +216,9 @@ def detect_bigon_chains(
     bigon become single-crossing regions.  Regions are returned ordered by
     their smallest crossing id and numbered from ``first_id``.
     """
-    scope = frozenset(diagram.crossing_ids) if within is None else frozenset(within)
-    return _chain_regions(*_detect(diagram, scope), first_id)
+    scope = (range(len(diagram.crossings)) if within is None
+             else frozenset(map(diagram.index.__getitem__, within)))
+    return _chain_regions(*_detect(diagram, scope), diagram.crossing_ids, first_id)
 
 
 # ============================================================================
@@ -207,18 +226,18 @@ def detect_bigon_chains(
 # ============================================================================
 
 
-def _cancel_pairs(diagram: Diagram, chain) -> set[int]:
-    """Crossings removed by cancelling adjacent opposite-sign pairs.
+def _cancel_pairs(crossings, chain: list[int]) -> set[int]:
+    """Positions removed by cancelling adjacent opposite-sign pairs.
 
     Stack cancellation over the chain order: every adjacent opposite-sign
     pair annihilates, leaving a uniform run of survivors.
     """
-    stack: list[int] = []  # crossing ids
-    for cid in chain:
-        if stack and diagram.crossing(stack[-1]).sign == -diagram.crossing(cid).sign:
+    stack: list[int] = []  # positions
+    for p in chain:
+        if stack and crossings[stack[-1]].sign == -crossings[p].sign:
             stack.pop()
         else:
-            stack.append(cid)
+            stack.append(p)
     return set(chain) - set(stack)
 
 
@@ -241,7 +260,8 @@ def validate_generalized_region(
 
     Checks: the crossing count equals half_twists * m(m-1)/2, all crossings
     carry one sign, exactly 2m strand-endpoints leave the crossing set, and
-    the crossings of a 2-strand region form one bigon chain.
+    the crossings of a 2-strand region form one bigon chain, which then
+    gives the order of ``crossing_ids``.
     """
     m, c = annotation.strand_count, annotation.half_twists
     ids = annotation.crossing_ids
@@ -269,8 +289,13 @@ def validate_generalized_region(
             f"region {region_id}: {boundary} strand-endpoints leave the region, "
             f"expected 2m = {2 * m}"
         )
-    if m == 2 and len(_grow_chains(_bigon_bonds(diagram, ids), sorted(ids))) != 1:
-        raise RegionError(f"region {region_id}: crossings do not form one twist chain")
+    if m == 2:
+        positions = frozenset(map(diagram.index.__getitem__, ids))
+        chains = _grow_chains(_bigon_bonds(diagram, positions), sorted(positions))
+        if len(chains) != 1:
+            raise RegionError(f"region {region_id}: crossings do not form one twist chain")
+        region = replace(region, crossing_ids=tuple(map(diagram.crossing_ids.__getitem__,
+                                                        chains[0])))
     return region
 
 
@@ -289,13 +314,15 @@ def build_selection(
     complement.  A detected chain with mixed signs is rejected — reduce it
     first (see :func:`resolve_selection`).
     """
-    annotated = frozenset(c for a in annotations for c in a.crossing_ids)
-    scope = frozenset(diagram.crossing_ids) - annotated
-    return _assemble(diagram, annotations, *_detect(diagram, scope))
+    bonds, chains = _detect(diagram, _scope(diagram, annotations))
+    return _assemble(diagram, annotations, diagram.crossing_ids, bonds, chains)
 
 
-def _assemble(diagram: Diagram, annotations, bonds, chains) -> TwistSelection:
-    """The selection of ``annotations`` plus the chains detected around them."""
+def _assemble(diagram: Diagram, annotations, ids, bonds, chains) -> TwistSelection:
+    """The selection of ``annotations`` plus the chains detected around them.
+
+    ``ids`` maps the positions in ``bonds`` and ``chains`` to crossing ids.
+    """
     seen: set[int] = set()
     for idx, a in enumerate(annotations):
         overlap = sorted(seen & a.crossing_ids)
@@ -307,7 +334,7 @@ def _assemble(diagram: Diagram, annotations, bonds, chains) -> TwistSelection:
         validate_generalized_region(diagram, a, region_id=idx + 1)
         for idx, a in enumerate(annotations)
     ]
-    detected = _chain_regions(bonds, chains, len(regions) + 1)
+    detected = _chain_regions(bonds, chains, ids, len(regions) + 1)
     for r in detected:
         if r.sign == 0:
             raise NonAlternatingRegionError(
@@ -339,81 +366,83 @@ def resolve_selection(
     grown again.  The final chains and bonds go to the selection as they
     are, not detected a second time.
     """
-    annotated = frozenset(c for a in annotations for c in a.crossing_ids)
-    scope = frozenset(diagram.crossing_ids) - annotated
+    scope = _scope(diagram, annotations)
     bonds, chains = _detect(diagram, scope)
-    chain_of = {c: chain for chain in chains for c in chain[2]}
+    crossings, ids = diagram.crossings, diagram.crossing_ids
+    chain_of = {p: chain for chain in chains for p in chain[2]}
     mixed = [chain for chain in chains if chain[1] == 0]  # sorted: a heap by smallest id
     reduced = bool(mixed)
     if reduced:  # only a reduction edits the mates and labels
-        mates = dict(diagram.mates)
-        arcs = {x.id: list(x.arcs) for x in diagram.crossings}
+        mates = list(diagram.dart_mates)
+        arcs = [list(x.arcs) for x in crossings]  # by position; None once spliced out
     while mixed:
         chain = heapq.heappop(mixed)
-        if chain_of.get(chain[0]) is not chain:
+        if chain_of.get(chain[2][0]) is not chain:
             continue  # stale: the chain was regrown or spliced since
-        removed = _cancel_pairs(diagram, chain[2])
+        removed = _cancel_pairs(crossings, chain[2])
 
         # Arc labels: each removed crossing joins its opposite arcs, in order.
-        order = sorted(removed, key=diagram.index.__getitem__)
-        labels = _DisjointSets(a for c in order for a in arcs[c])
-        for c in order:
-            quad = arcs[c]
+        order = sorted(removed)
+        labels = _DisjointSets(a for p in order for a in arcs[p])
+        for p in order:
+            quad = arcs[p]
             labels.union(quad[0], quad[2])
             labels.union(quad[1], quad[3])
 
         # Each surviving end of a removed dart's arc follows its strand
         # straight through the removed crossings to its new mate.
-        relinked: dict[Dart, Dart] = {}
-        for c in order:
-            for s in range(4):
-                end = mates[(c, s)]
-                if end[0] in removed:
+        relinked: dict[int, int] = {}
+        for p in order:
+            for dart in range(4 * p, 4 * p + 4):
+                end = mates[dart]
+                if end >> 2 in removed:
                     continue
                 other = mates[end]
-                while other[0] in removed:
-                    other = mates[(other[0], (other[1] + 2) % 4)]
+                while other >> 2 in removed:
+                    other = mates[other ^ 2]
                 relinked[end] = other
-                arcs[end[0]][end[1]] = labels.find(arcs[end[0]][end[1]])
+                quad = arcs[end >> 2]
+                quad[end & 3] = labels.find(quad[end & 3])
         touched = set(chain[2])
-        for c in removed:
-            for k in range(4):
-                del mates[(c, k)]
-                partner = bonds.pop((c, k), None)
+        for p in removed:
+            for dart in range(4 * p, 4 * p + 4):
+                partner = bonds.pop(dart, None)
                 if partner is not None:
                     bonds.pop(partner, None)
-                    touched.add(partner[0])
-            del arcs[c]
-        mates.update(relinked)
+                    touched.add(partner >> 2)
+            arcs[p] = None
+        for end, other in relinked.items():
+            mates[end] = other
 
         # Only a face through a relinked dart changed; a bond is a bigon,
         # so two corners tell whether the face closes back on its start.
         for dart in relinked:
-            c1, k1 = mates[dart]
-            c2, k2 = mates[(c1, (k1 + 1) % 4)]
-            if (c2, (k2 + 1) % 4) == dart and c1 != c2 and c1 in scope and c2 in scope:
-                bonds[(c1, k1)] = (c2, k2)
-                bonds[(c2, k2)] = (c1, k1)
-                touched.update((c1, c2))
+            d1 = mates[dart]
+            d2 = mates[_next_slot(d1)]
+            p1, p2 = d1 >> 2, d2 >> 2
+            if _next_slot(d2) == dart and p1 != p2 and p1 in scope and p2 in scope:
+                bonds[d1] = d2
+                bonds[d2] = d1
+                touched.update((p1, p2))
 
         touched -= removed
-        dirty = {c for t in touched for c in chain_of[t][2] if c not in removed}
-        for c in removed:
-            del chain_of[c]
-        for ids in _grow_chains(bonds, sorted(dirty)):
-            regrown = _chain(diagram, ids)
-            for c in ids:
-                chain_of[c] = regrown
+        dirty = {q for t in touched for q in chain_of[t][2] if q not in removed}
+        for p in removed:
+            del chain_of[p]
+        for positions in _grow_chains(bonds, sorted(dirty)):
+            regrown = _chain(crossings, ids, positions)
+            for p in positions:
+                chain_of[p] = regrown
             if regrown[1] == 0:
                 heapq.heappush(mixed, regrown)
 
     if reduced:
         diagram = Diagram(
             crossings=tuple(
-                replace(x, arcs=tuple(arcs[x.id])) for x in diagram.crossings if x.id in arcs
+                replace(x, arcs=tuple(quad)) for x, quad in zip(crossings, arcs) if quad is not None
             ),
             name=diagram.name,
         )
         _check_euler(diagram)
-        chains = [chain for c, chain in chain_of.items() if chain[0] == c]
-    return diagram, _assemble(diagram, annotations, bonds, chains)
+        chains = [chain for p, chain in chain_of.items() if chain[2][0] == p]
+    return diagram, _assemble(diagram, annotations, ids, bonds, chains)

@@ -248,6 +248,21 @@ def test_export_rejects_annotated_pair_without_a_bigon():
         resolve_selection(Diagram.from_pd(pd, signs), (annotation,))
 
 
+def test_annotated_two_strand_region_keeps_chain_order():
+    # Crossing 5 closes up onto 0, so the chain runs 5, 0, 1: an annotation
+    # of those crossings lists them in chain order, and the export reads
+    # that order to draw the same diagram as the detected chain.
+    pd, signs = braid_closure([1, 1, 2, 1, 2, 1], 3)
+    diagram = Diagram.from_pd(pd, signs)
+    annotation = RegionAnnotation(crossing_ids=frozenset({0, 1, 5}), strand_count=2, half_twists=3)
+    reduced, selection = resolve_selection(diagram, (annotation,))
+    assert selection.regions[0].crossing_ids == (5, 0, 1)
+    annotated = serialize_diagram(export_augmented_diagram(augment(reduced, selection)))
+    reduced, selection = resolve_selection(diagram)
+    assert selection.regions[0].crossing_ids == (5, 0, 1)
+    assert annotated == serialize_diagram(export_augmented_diagram(augment(reduced, selection)))
+
+
 def test_name_suffix_on_export():
     named = Diagram.from_pd(TREFOIL, name="trefoil")
     reduced, selection = resolve_selection(named)

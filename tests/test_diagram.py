@@ -9,9 +9,7 @@ import pytest
 from auglink.diagram import (
     Crossing,
     Diagram,
-    compute_faces,
     link_components,
-    mate_map,
     parse_diagram,
     parse_document,
     serialize_diagram,
@@ -30,12 +28,12 @@ from oracle import (
 def test_faces_match_oracle(name):
     pd = GOLDEN[name]
     diagram = Diagram.from_pd(pd)
-    faces = compute_faces(diagram)
-    assert sorted(f.degree for f in faces) == sorted(oracle_face_degrees(pd))
+    walks = diagram._face_walks
+    assert sorted(map(len, walks)) == sorted(oracle_face_degrees(pd))
     v, e, f = oracle_euler(pd)
     assert diagram.crossing_count == v
     assert diagram.arc_count == e
-    assert len(faces) == f
+    assert len(walks) == f
     assert v - e + f == 2
 
 
@@ -48,32 +46,28 @@ def test_link_components_match_oracle(name):
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_faces_partition_corners(name):
     diagram = Diagram.from_pd(GOLDEN[name])
-    corners = [corner for face in compute_faces(diagram) for corner in face.boundary]
-    assert len(corners) == 4 * diagram.crossing_count
-    assert len(set(corners)) == len(corners)
-    assert set(corners) == {(c, k) for c in diagram.crossing_ids for k in range(4)}
+    corners = [dart for walk in diagram._face_walks for dart in walk]
+    assert sorted(corners) == list(range(4 * diagram.crossing_count))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_mate_map_is_a_fixed_point_free_involution(name):
     diagram = Diagram.from_pd(GOLDEN[name])
-    mates = mate_map(diagram)
+    mates = diagram.dart_mates
     assert len(mates) == 4 * diagram.crossing_count
-    for dart, mate in mates.items():
+    for dart, mate in enumerate(mates):
         assert mate != dart
         assert mates[mate] == dart
 
 
 def test_cached_topology_is_shared_and_read_only():
     diagram = Diagram.from_pd(FIGURE8)
-    assert mate_map(diagram) is diagram.mates
-    assert compute_faces(diagram) is diagram.faces
+    assert diagram.dart_mates is diagram.dart_mates
+    assert diagram.index is diagram.index
     with pytest.raises(TypeError):
-        diagram.mates[(0, 0)] = (0, 1)
+        diagram.dart_mates[0] = 1
     with pytest.raises(TypeError):
         diagram.index[0] = 1
-    assert isinstance(diagram.faces, tuple)
-    assert all(isinstance(c, tuple) for c in diagram.graph_components)
     fresh = Diagram.from_pd(FIGURE8)
     assert fresh == diagram and hash(fresh) == hash(diagram)
     with pytest.raises(KeyError):
@@ -84,8 +78,6 @@ def test_zero_crossing_unknot():
     diagram = Diagram.from_pd(UNKNOT0)
     assert diagram.crossing_count == 0
     assert diagram.is_connected
-    faces = compute_faces(diagram)
-    assert [f.degree for f in faces] == [0, 0]
     assert link_components(diagram).component_count == 1
 
 

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import props
 from auglink.augment import filling_slope
-from auglink.diagram import Diagram, compute_faces
+from auglink.diagram import Diagram
 from auglink.geometry import (
     augmentation_volume_lower_bound,
     euler_char_cut,
@@ -127,7 +127,7 @@ def test_euler_on_random_braid_closures(word_and_strands):
     pd, signs = braid_closure(word, strands)
     diagram = Diagram.from_pd(pd, signs)
     assert diagram.is_connected
-    assert len(compute_faces(diagram)) == diagram.crossing_count + 2
+    assert len(diagram._face_walks) == diagram.crossing_count + 2
 
 
 @pytest.mark.parametrize("suite", props.ALL_SUITES, ids=lambda s: s.__name__)

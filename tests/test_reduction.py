@@ -24,7 +24,6 @@ from auglink.errors import RegionError
 from auglink.twist import (
     RegionAnnotation,
     TwistRegion,
-    _cancel_pairs,
     build_selection,
     detect_bigon_chains,
     resolve_selection,
@@ -49,7 +48,13 @@ def reduce_twist_region(diagram: Diagram, region: TwistRegion) -> Diagram:
         raise RegionError("reduction is defined for 2-strand twist regions only")
     if len({diagram.crossing(c).sign for c in region.crossing_ids}) <= 1:
         raise RegionError(f"region {region.id} is already alternating; nothing to reduce")
-    return _splice_out(diagram, _cancel_pairs(diagram, region.crossing_ids))
+    stack: list[int] = []  # crossing ids; adjacent opposite signs annihilate
+    for c in region.crossing_ids:
+        if stack and diagram.crossing(stack[-1]).sign == -diagram.crossing(c).sign:
+            stack.pop()
+        else:
+            stack.append(c)
+    return _splice_out(diagram, set(region.crossing_ids) - set(stack))
 
 
 def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
