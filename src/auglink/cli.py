@@ -59,8 +59,15 @@ class FileResult:
     error: str | None = None
 
 
-def analyze_file(path: str, config: RunConfig, export_owner: str | None = None) -> FileResult:
-    """Run the pipeline on one file; never raises for per-file problems."""
+def analyze_file(
+    path: str, config: RunConfig, export: tuple[str, str | None] | None = None
+) -> FileResult:
+    """Run the pipeline on one file; never raises for per-file problems.
+
+    ``export`` is the file's export path under ``config.export_dir`` and the
+    earlier input that has the same path, if any; by default it is worked
+    out from ``path`` alone.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
         document = parse_document(text, allow_unknown_keys=not config.strict)
@@ -91,8 +98,9 @@ def analyze_file(path: str, config: RunConfig, export_owner: str | None = None) 
         warnings = document.warnings
         export_path = None
         if config.export_dir is not None:
+            target, owner = export or _export_targets((path,), config.export_dir)[0]
             try:
-                export_path = _write_export(path, config.export_dir, augmented, export_owner)
+                export_path = _write_export(target, augmented, owner)
             except (ExportError, OSError) as exc:
                 warnings += (f"export failed: {exc}",)
         return FileResult(
@@ -107,20 +115,48 @@ def analyze_file(path: str, config: RunConfig, export_owner: str | None = None) 
         return FileResult(file=path, ok=False, error=str(exc))
 
 
-def _write_export(path: str, export_dir: str, augmented: AugmentedLink, owner: str | None) -> str:
-    out_dir = Path(export_dir)
-    out_path = out_dir / (Path(path).stem + ".augmented.json")
+def _export_targets(inputs, export_dir: str) -> list[tuple[str, str | None]]:
+    """Each input's path ``DIR/<stem>.augmented.json``, as ``str(Path(DIR) / name)``
+    spells it, and the earlier input that has the same path, if any."""
+    out_dir = str(Path(export_dir))
+    prefix = "" if out_dir == "." else os.path.join(out_dir, "")
+    first: dict[str, int] = {}  # stem -> the first input that has it
+    targets = []
+    for i, p in enumerate(inputs):
+        stem = Path(p).stem
+        j = first.setdefault(stem, i)
+        targets.append((prefix + stem + ".augmented.json", None if j == i else inputs[j]))
+    return targets
+
+
+_EXPORT_FLAGS = os.O_WRONLY | os.O_CREAT  # and no O_TRUNC: see _write_export
+
+
+def _write_export(out_path: str, augmented: AugmentedLink, owner: str | None) -> str:
     if owner is not None:  # an earlier input has this export path
         raise ExportError(f"{out_path} is the export of {owner}")
-    exported = export_augmented_diagram(augmented)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    data = (serialize_diagram(export_augmented_diagram(augmented)) + "\n").encode()
     try:
-        out_path.write_text(serialize_diagram(exported) + "\n", encoding="utf-8")
+        # Rewritten in place: on ext4, truncating a file that is there already
+        # costs several times the write.  A run killed between the write and
+        # the ftruncate leaves the old file's tail after the new bytes.
+        try:
+            fd = os.open(out_path, _EXPORT_FLAGS, 0o666)
+        except (FileNotFoundError, NotADirectoryError):  # DIR is missing, or not a directory
+            Path(out_path).parent.mkdir(parents=True, exist_ok=True)  # raises saying why
+            fd = os.open(out_path, _EXPORT_FLAGS, 0o666)
+        try:
+            view = memoryview(data)
+            while view:  # a write may be short
+                view = view[os.write(fd, view):]
+            os.ftruncate(fd, len(data))
+        finally:
+            os.close(fd)
     except OSError:
         with contextlib.suppress(OSError):
-            out_path.unlink(missing_ok=True)  # leave no partial export behind
+            os.unlink(out_path)  # leave no partial export behind
         raise
-    return str(out_path)
+    return out_path
 
 
 # ============================================================================
@@ -298,9 +334,8 @@ def analyze(config: RunConfig, stdout=None) -> int:
     """
     out = stdout if stdout is not None else sys.stdout
     inputs = config.inputs
-    first: dict[str, int] = {}  # export file name -> the first input that has it
-    owners = [None if (j := first.setdefault(Path(p).stem, i)) == i else inputs[j]
-              for i, p in enumerate(inputs)]
+    exports = ([None] * len(inputs) if config.export_dir is None
+               else _export_targets(inputs, config.export_dir))
     chunks = [range(i, min(i + _CHUNK, len(inputs))) for i in range(0, len(inputs), _CHUNK)]
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     n = min(len(os.sched_getaffinity(0)), len(chunks)) if forks else 1
@@ -311,12 +346,12 @@ def analyze(config: RunConfig, stdout=None) -> int:
             read_end, write_end = os.pipe()
             pid = os.fork()
             if pid == 0:
-                _work(read_end, write_end, chunks[k::n], config, owners)
+                _work(read_end, write_end, chunks[k::n], config, exports)
             workers.append((pid, open(read_end, "rb")))
             os.close(write_end)
         for j, chunk in enumerate(chunks):
             k = j % n
-            texts = _receive(workers[k - 1][1]) if k else _analyze_chunk(chunk, config, owners)
+            texts = _receive(workers[k - 1][1]) if k else _analyze_chunk(chunk, config, exports)
             for i, (ok, text) in zip(chunk, texts):
                 all_ok = all_ok and ok
                 out.write((head if i == 0 else sep) + text)
@@ -329,19 +364,19 @@ def analyze(config: RunConfig, stdout=None) -> int:
     return 0 if all_ok else 2
 
 
-def _analyze_chunk(chunk: range, config: RunConfig, owners: list) -> list[tuple[bool, str]]:
+def _analyze_chunk(chunk: range, config: RunConfig, exports: list) -> list[tuple[bool, str]]:
     render = result_to_entry if config.json_output else render_text
-    results = (analyze_file(config.inputs[i], config, owners[i]) for i in chunk)
+    results = (analyze_file(config.inputs[i], config, exports[i]) for i in chunk)
     return [(result.ok, render(result)) for result in results]
 
 
-def _work(read_end: int, write_end: int, chunks: list, config: RunConfig, owners: list):
+def _work(read_end: int, write_end: int, chunks: list, config: RunConfig, exports: list):
     """A forked worker: send each chunk's texts down the pipe, then leave by ``os._exit``."""
     try:
         os.close(read_end)  # so that the worker never waits on a pipe it reads itself
         pipe = open(write_end, "wb")
         for chunk in chunks:
-            data = marshal.dumps(_analyze_chunk(chunk, config, owners))
+            data = marshal.dumps(_analyze_chunk(chunk, config, exports))
             pipe.write(len(data).to_bytes(8, "little") + data)
             pipe.flush()
         os._exit(0)  # which flushes no buffer inherited from the parent

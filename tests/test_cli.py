@@ -245,22 +245,68 @@ def test_failed_export_write_keeps_the_report(tmp_path):
     assert out_dir.read_text(encoding="utf-8") == "not a directory"
 
 
-def test_failed_export_write_leaves_no_partial_file(tmp_path, monkeypatch):
-    # The disk fills up halfway through the export file.
-    def write_half(self, text, encoding=None):
-        with open(self, "w", encoding=encoding) as handle:
-            handle.write(text[: len(text) // 2])
+def _fill_disk_halfway(monkeypatch) -> None:
+    """The disk fills up halfway through the export file."""
+    real_write = os.write
+
+    def write_half(fd, data):
+        real_write(fd, data[: len(data) // 2])
         raise OSError(errno.ENOSPC, "No space left on device")
 
+    monkeypatch.setattr(os, "write", write_half)
+
+
+def test_failed_export_write_leaves_no_partial_file(tmp_path, monkeypatch):
     out_dir = tmp_path / "exports"
     path = _write(tmp_path, "trefoil.json", {"pd": TREFOIL})
-    monkeypatch.setattr(pathlib.Path, "write_text", write_half)
+    _fill_disk_halfway(monkeypatch)
     status, entries = _run_json(path, export_dir=str(out_dir))
     assert status == 0
     (entry,) = entries
     assert entry["ok"] and "export" not in entry
     assert entry["warnings"] == ["export failed: [Errno 28] No space left on device"]
     assert list(out_dir.iterdir()) == []
+
+
+def test_failed_export_write_removes_a_longer_stale_file(tmp_path, monkeypatch):
+    # The write lands on an older, longer export: no half-overwritten file is left.
+    out_dir = tmp_path / "exports"
+    out_dir.mkdir()
+    (out_dir / "trefoil.augmented.json").write_text("x" * 10_000, encoding="utf-8")
+    path = _write(tmp_path, "trefoil.json", {"pd": TREFOIL})
+    _fill_disk_halfway(monkeypatch)
+    status, entries = _run_json(path, export_dir=str(out_dir))
+    assert status == 0
+    (entry,) = entries
+    assert entry["ok"] and "export" not in entry
+    assert entry["warnings"] == ["export failed: [Errno 28] No space left on device"]
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("stale", ["x" * 100_000, "{}"], ids=["longer", "shorter"])
+def test_export_rewrites_a_stale_file_in_place(tmp_path, stale):
+    paths = [_write(tmp_path, f"{name}.json", {"name": name, "pd": pd})
+             for name, pd in sorted(GOLDEN.items())]
+    fresh, rerun = tmp_path / "fresh", tmp_path / "rerun"
+    rerun.mkdir()
+    for path in paths:
+        (rerun / f"{pathlib.Path(path).stem}.augmented.json").write_text(stale, encoding="utf-8")
+    runs = []
+    for out_dir in (fresh, rerun):
+        status, text = _run(*paths, json_output=True, export_dir=str(out_dir))
+        files = {p.name: p.read_bytes() for p in out_dir.iterdir()}
+        runs.append((status, text.replace(str(out_dir), "DIR"), files))
+    assert runs[0] == runs[1]
+    assert len(runs[0][2]) == len(paths)
+
+
+@pytest.mark.parametrize("export_dir", ["", ".", "./", "out", "./out/", "a//b/./c", "/", "//x"])
+def test_export_paths_are_spelled_as_pathlib_joins_them(export_dir):
+    inputs = ("x.json", "a/y.tar.json", ".json", "b/x.json", "z", "c/x.")
+    assert cli._export_targets(inputs, export_dir) == [
+        (str(pathlib.Path(export_dir) / (pathlib.Path(p).stem + ".augmented.json")), owner)
+        for p, owner in zip(inputs, (None, None, None, "x.json", None, None))
+    ]
 
 
 def test_export_path_belongs_to_its_first_input(tmp_path):
