@@ -2,8 +2,8 @@
 
 The pipeline runs in four stages, one module each:
 
-- :mod:`auglink.diagram` — parse and validate planar-diagram (PD) codes,
-  enumerate faces, check the Euler formula, infer crossing signs.
+- :mod:`auglink.diagram` — parse and validate PD codes, find faces and
+  strands as dart orbits, check the Euler formula, infer crossing signs.
 - :mod:`auglink.twist` — detect maximal twist regions via bigon chains,
   validate annotated generalized regions, reduce mixed-sign regions.
 - :mod:`auglink.augment` — replace each region with an encircling circle

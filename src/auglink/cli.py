@@ -29,7 +29,7 @@ from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 
 from .augment import AugmentedLink, augment, export_augmented_diagram
-from .diagram import link_components, parse_document, serialize_diagram
+from .diagram import parse_document, serialize_diagram
 from .errors import AuglinkError, ExportError, InvalidDiagramError
 from .geometry import CertificateReport, build_report, trivial_report
 from .twist import resolve_selection
@@ -79,8 +79,7 @@ def analyze_file(
         reduced, selection = resolve_selection(diagram, document.annotations)
         if (
             reduced.crossing_count < diagram.crossing_count
-            and link_components(reduced).component_count
-            < link_components(diagram).component_count
+            and reduced.link_component_count < diagram.link_component_count
         ):
             raise InvalidDiagramError(
                 "link is split: R-II reduction cancels every crossing of a component"

@@ -4,8 +4,13 @@ A diagram is a list of crossings; each crossing carries a quadruple of arc
 labels read counterclockwise starting at the incoming under-strand, plus a
 sign (+1/-1).  Arc labels are positive integers and every label appears
 exactly twice in the whole code.  The implicit cyclic order of each quadruple
-is the rotation system of the underlying 4-valent plane graph, which is what
-face traversal uses.
+is the rotation system of the underlying 4-valent plane graph.
+
+Faces and strands come from two permutations of the integer darts (dart
+``4 * i + s`` is slot s of the i-th crossing): the faces are the orbits of
+``face_next`` (cross the arc, turn one slot counterclockwise), and the
+strands are the orbits of ``d -> dart_mates[d ^ 2]`` (pass straight through
+the crossing, then cross the arc), two per link component, one each way.
 
 Slot conventions (slot = index within the quadruple):
 
@@ -29,7 +34,7 @@ oriented component.  ``regions`` declares generalized twist regions (see
 from __future__ import annotations
 
 import json
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -76,39 +81,21 @@ class Crossing:
             )
         _check_sign(self.id, self.sign)
 
-    @property
-    def over_in_slot(self) -> int:
-        return 3 if self.sign > 0 else 1
-
-    @property
-    def over_out_slot(self) -> int:
-        return 1 if self.sign > 0 else 3
-
-    def is_in_slot(self, slot: int) -> bool:
-        """True if the strand flows *into* the crossing at this slot."""
-        return slot == 0 or slot == self.over_in_slot
-
-
-@dataclass(frozen=True)
-class ComponentMap:
-    """Arc label -> link component index (0-based), plus the count."""
-
-    assignment: Mapping[int, int]
-    component_count: int
-
 
 @dataclass(frozen=True)
 class Diagram:
     """An immutable planar diagram code. Build one with :meth:`from_pd`.
 
-    The topology (crossing ids and index, mates, faces, graph components) is
-    worked out once per diagram, on first use, and shared read-only by
-    every caller; copy a value before mutating it.  Equality and hashing
-    see only the crossings and the name.
+    The topology (crossing ids and index, dart mates, the face permutation,
+    graph components, the link component count) is worked out once per
+    diagram, on first use, and shared read-only by every caller; copy a
+    value before mutating it.  Equality and hashing see only the crossings
+    and the name.
 
     A dart is one integer: dart ``4 * i + s`` is slot s of ``crossings[i]``,
     the i-th crossing by position (not by id), and every topology value here
-    is indexed by it.
+    is indexed by it.  Faces are the orbits of :attr:`face_next` and strands
+    the orbits of ``d -> dart_mates[d ^ 2]``.
     """
 
     crossings: tuple[Crossing, ...]
@@ -117,14 +104,6 @@ class Diagram:
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    @property
-    def arc_count(self) -> int:
-        return 2 * len(self.crossings)
-
-    @property
-    def arc_labels(self) -> frozenset[int]:
-        return frozenset(a for x in self.crossings for a in x.arcs)
 
     @cached_property
     def crossing_ids(self) -> tuple[int, ...]:
@@ -157,29 +136,6 @@ class Diagram:
         return tuple(map(_next_slot, self.dart_mates))
 
     @cached_property
-    def _face_walks(self) -> tuple[tuple[int, ...], ...]:
-        """One tuple per face: the integer darts its walk pivots through.
-
-        Faces are the orbits of :attr:`face_next`; the corner recorded at
-        each step is the mate the walk pivots at.  This is the only face
-        walk; the Euler check reads it.
-        """
-        mates, step = self.dart_mates, self.face_next
-        seen = bytearray(len(mates))
-        walks = []
-        for start in range(len(mates)):
-            if seen[start]:
-                continue
-            walk = []
-            dart = start
-            while not seen[dart]:
-                seen[dart] = 1
-                walk.append(mates[dart])
-                dart = step[dart]
-            walks.append(tuple(walk))
-        return tuple(walks)
-
-    @cached_property
     def _component_of(self) -> tuple[int, ...]:
         """Graph component index of each crossing, by position.
 
@@ -202,6 +158,17 @@ class Diagram:
                         stack.append(k)
             count += 1
         return tuple(component)
+
+    @cached_property
+    def link_component_count(self) -> int:
+        """Number of link components; the crossing-free unknot counts as one.
+
+        Each component is two strand orbits, one per direction.
+        """
+        if not self.crossings:
+            return 1
+        mates = self.dart_mates
+        return _orbits([mates[d ^ 2] for d in range(len(mates))])[1] // 2
 
     @property
     def is_connected(self) -> bool:
@@ -347,11 +314,6 @@ def parse_document(text: str, *, allow_unknown_keys: bool = False) -> DiagramDoc
     return DiagramDocument(diagram=diagram, annotations=tuple(annotations), warnings=tuple(warnings))
 
 
-def parse_diagram(text: str, *, allow_unknown_keys: bool = False) -> Diagram:
-    """Parse input text and return just the diagram."""
-    return parse_document(text, allow_unknown_keys=allow_unknown_keys).diagram
-
-
 def serialize_diagram(diagram: Diagram) -> str:
     """Serialize to the object form, always with explicit signs.
 
@@ -365,37 +327,6 @@ def serialize_diagram(diagram: Diagram) -> str:
     if diagram.name is not None:
         doc["name"] = diagram.name
     return json.dumps(doc, sort_keys=True)
-
-
-# ============================================================================
-# Link components
-# ============================================================================
-
-
-def _strand_classes(quads) -> list[list[int]]:
-    """Arc labels grouped by link component, ordered by smallest label.
-
-    The under-strand connects slots 0 and 2, the over-strand slots 1 and 3;
-    this is independent of crossing signs.
-    """
-    dsu = _DisjointSets({a for quad in quads for a in quad})
-    for quad in quads:
-        dsu.union(quad[0], quad[2])
-        dsu.union(quad[1], quad[3])
-    return sorted(dsu.classes(), key=min)
-
-
-def link_components(diagram: Diagram) -> ComponentMap:
-    """Partition arcs into link components by following strands through.
-
-    The crossing-free unknot counts as one component.
-    """
-    if not diagram.crossings:
-        return ComponentMap(assignment={}, component_count=1)
-
-    classes = _strand_classes([x.arcs for x in diagram.crossings])
-    assignment = {arc: idx for idx, cls in enumerate(classes) for arc in cls}
-    return ComponentMap(assignment=assignment, component_count=len(classes))
 
 
 # ============================================================================
@@ -440,12 +371,6 @@ class _DisjointSets:
         if ra != rb:
             self.parent[ra] = rb
 
-    def classes(self) -> list[list]:
-        groups = defaultdict(list)
-        for x in self.parent:
-            groups[self.find(x)].append(x)
-        return list(groups.values())
-
 
 def _mate_darts(quads) -> tuple[int, ...]:
     """Check the arc labels and pair their darts, in one pass.
@@ -474,6 +399,23 @@ def _mate_darts(quads) -> tuple[int, ...]:
     return tuple(mates)
 
 
+def _orbits(step) -> tuple[list[int], int]:
+    """Orbit number of each dart under the permutation ``step``, and the count.
+
+    Orbits are numbered in the order of their smallest dart.
+    """
+    orbit = [-1] * len(step)
+    count = 0
+    for start in range(len(step)):
+        if orbit[start] < 0:
+            dart = start
+            while orbit[dart] < 0:
+                orbit[dart] = count
+                dart = step[dart]
+            count += 1
+    return orbit, count
+
+
 def _check_euler(diagram: Diagram) -> None:
     if not diagram.crossings:
         return
@@ -482,8 +424,9 @@ def _check_euler(diagram: Diagram) -> None:
     f = [0] * len(v)
     for k in component:
         v[k] += 1
-    for walk in diagram._face_walks:
-        f[component[walk[0] >> 2]] += 1
+    faces = _orbits(diagram.face_next)[0]
+    for dart in {face: dart for dart, face in enumerate(faces)}.values():  # one dart per face
+        f[component[dart >> 2]] += 1
     for k in range(len(v)):
         e = 2 * v[k]  # four slot endpoints per crossing, two per arc
         if v[k] - e + f[k] != 2:
@@ -530,29 +473,29 @@ def _infer_signs(quads: list[tuple], mates: tuple[int, ...]) -> list[int]:
             return "in" if sign > 0 else "out"
         return "out" if sign > 0 else "in"
 
-    def force(ci: int, slot: int, r: str) -> bool:
-        # record the sign implied by giving this over-slot the role r
-        implied = 1 if (slot == 3) == (r == "in") else -1
-        if signs.get(ci) is None:
-            signs[ci] = implied
-            return True
-        return False
-
     changed = True
     while changed:
         changed = False
         for c1, s1, c2, s2 in arcs:
             r1, r2 = role(c1, s1), role(c2, s2)
-            if r1 is not None and r2 is None:
-                changed |= force(c2, s2, "out" if r1 == "in" else "in")
-            elif r2 is not None and r1 is None:
-                changed |= force(c1, s1, "out" if r2 == "in" else "in")
+            if (r1 is None) != (r2 is None):
+                # The free end is an over-slot of a crossing with no sign yet:
+                # record the sign that gives it the role opposite the known end's.
+                ci, slot, known = (c2, s2, r1) if r2 is None else (c1, s1, r2)
+                signs[ci] = 1 if (slot == 3) == (known == "out") else -1
+                changed = True
 
     if len(signs) < n:
+        # A strand orbit meets each arc of its component once: its labels
+        # are the component's, and the other direction's orbit repeats them.
+        strand, count = _orbits([mates[d ^ 2] for d in range(len(mates))])
+        labels: list[list[int]] = [[] for _ in range(count)]
+        for d, k in enumerate(strand):
+            labels[k].append(quads[d >> 2][d & 3])
         succ: dict[int, int] = {}  # next label along the same component
-        for cls in _strand_classes(quads):
-            labels = sorted(cls)
-            succ.update(zip(labels, labels[1:] + labels[:1]))
+        for group in labels:
+            group.sort()
+            succ.update(zip(group, group[1:] + group[:1]))
         for ci in range(n):
             if ci in signs:
                 continue

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 
-from auglink.diagram import Diagram
+from auglink.diagram import Diagram, _orbits
 from auglink.geometry import (
     augmentation_volume_lower_bound,
     euler_char_cut,
@@ -26,6 +26,7 @@ from auglink.augment import filling_slope
 from auglink.twist import resolve_selection
 
 from braid import braid_closure
+from oracle import oracle_link_components
 
 
 def check_length_exactness(n, seed=1001):
@@ -135,12 +136,15 @@ def check_selection_partition(n, seed=1005):
 
 
 def check_euler_faces(n, seed=1006):
-    """Connected diagrams satisfy F = V + 2 under face traversal."""
+    """Connected diagrams have F = V + 2 face orbits, and as many link
+    components as the oracle counts."""
     rng = random.Random(seed)
     for _ in range(n):
         diagram = _random_braid_diagram(rng)
         assert diagram.is_connected
-        assert len(diagram._face_walks) == diagram.crossing_count + 2, diagram
+        assert _orbits(diagram.face_next)[1] == diagram.crossing_count + 2, diagram
+        pd = [list(x.arcs) for x in diagram.crossings]
+        assert diagram.link_component_count == oracle_link_components(pd), diagram
     return n
 
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from auglink import cli
 from auglink.augment import CrossingCircle
 from auglink.cli import FileResult, RunConfig, analyze, build_parser, main, result_to_entry
-from auglink.diagram import link_components, parse_diagram
+from auglink.diagram import parse_document
 from auglink.geometry import (
     Certificate,
     CertificateReport,
@@ -81,7 +81,7 @@ def test_geodesic_certified_end_to_end(tmp_path):
 def test_annotated_region_through_the_cli(tmp_path):
     from auglink.twist import detect_bigon_chains
 
-    diagram = parse_diagram(json.dumps(FIGURE8))
+    diagram = parse_document(json.dumps(FIGURE8)).diagram
     ids = sorted(detect_bigon_chains(diagram)[0].crossing_ids)
     path = _write(
         tmp_path,
@@ -208,9 +208,9 @@ def test_export_augmented_files(tmp_path):
         name = entry["name"]
         export_path = entry["export"]
         assert export_path.endswith(f"{name}.augmented.json")
-        exported = parse_diagram((out_dir / f"{name}.augmented.json").read_text())
+        exported = parse_document((out_dir / f"{name}.augmented.json").read_text()).diagram
         original_comps, tw, _ = GOLDEN_TWIST[name]
-        assert link_components(exported).component_count == original_comps + tw
+        assert exported.link_component_count == original_comps + tw
 
 
 def test_failed_export_keeps_the_report(tmp_path):

@@ -3,14 +3,14 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from auglink.diagram import (
     Crossing,
     Diagram,
-    link_components,
-    parse_diagram,
+    _orbits,
     parse_document,
     serialize_diagram,
 )
@@ -28,26 +28,26 @@ from oracle import (
 def test_faces_match_oracle(name):
     pd = GOLDEN[name]
     diagram = Diagram.from_pd(pd)
-    walks = diagram._face_walks
-    assert sorted(map(len, walks)) == sorted(oracle_face_degrees(pd))
+    faces, count = _orbits(diagram.face_next)
+    assert sorted(Counter(faces).values()) == sorted(oracle_face_degrees(pd))
     v, e, f = oracle_euler(pd)
     assert diagram.crossing_count == v
-    assert diagram.arc_count == e
-    assert len(walks) == f
+    assert 2 * diagram.crossing_count == e
+    assert count == f
     assert v - e + f == 2
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_link_components_match_oracle(name):
     pd = GOLDEN[name]
-    assert link_components(Diagram.from_pd(pd)).component_count == oracle_link_components(pd)
+    assert Diagram.from_pd(pd).link_component_count == oracle_link_components(pd)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_faces_partition_corners(name):
+    # face_next is a permutation of the darts, so its orbits partition them.
     diagram = Diagram.from_pd(GOLDEN[name])
-    corners = [dart for walk in diagram._face_walks for dart in walk]
-    assert sorted(corners) == list(range(4 * diagram.crossing_count))
+    assert sorted(diagram.face_next) == list(range(4 * diagram.crossing_count))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -78,7 +78,7 @@ def test_zero_crossing_unknot():
     diagram = Diagram.from_pd(UNKNOT0)
     assert diagram.crossing_count == 0
     assert diagram.is_connected
-    assert link_components(diagram).component_count == 1
+    assert diagram.link_component_count == 1
 
 
 def test_inferred_signs_are_orientation_consistent():
@@ -87,7 +87,10 @@ def test_inferred_signs_are_orientation_consistent():
         flow: dict[int, set[str]] = {}
         for crossing in diagram.crossings:
             for slot, arc in enumerate(crossing.arcs):
-                direction = "in" if crossing.is_in_slot(slot) else "out"
+                # Slot 0 flows in, and the over-strand enters at slot 3 when
+                # the crossing is positive, at slot 1 when it is negative.
+                flows_in = slot == 0 or slot == (3 if crossing.sign > 0 else 1)
+                direction = "in" if flows_in else "out"
                 flow.setdefault(arc, set()).add(direction)
         assert all(dirs == {"in", "out"} for dirs in flow.values())
 
@@ -104,19 +107,10 @@ def test_explicit_signs_override_inference():
     assert [c.sign for c in diagram.crossings] == [-1]
 
 
-def test_crossing_slot_helpers():
-    positive = Crossing(id=0, arcs=(1, 2, 3, 4), sign=1)
-    assert (positive.over_in_slot, positive.over_out_slot) == (3, 1)
-    assert [positive.is_in_slot(s) for s in range(4)] == [True, False, False, True]
-    negative = Crossing(id=0, arcs=(1, 2, 3, 4), sign=-1)
-    assert (negative.over_in_slot, negative.over_out_slot) == (1, 3)
-    assert [negative.is_in_slot(s) for s in range(4)] == [True, True, False, False]
-
-
 def test_split_diagram_parses_but_reports_disconnected():
     diagram = Diagram.from_pd([[1, 1, 2, 2], [3, 3, 4, 4]])
     assert not diagram.is_connected
-    assert link_components(diagram).component_count == 2
+    assert diagram.link_component_count == 2
 
 
 def test_bare_array_equals_object_form():
@@ -129,7 +123,7 @@ def test_bare_array_equals_object_form():
 def test_serialize_parse_round_trip():
     for name, pd in GOLDEN.items():
         diagram = Diagram.from_pd(pd, name=name)
-        again = parse_diagram(serialize_diagram(diagram))
+        again = parse_document(serialize_diagram(diagram)).diagram
         assert again == diagram
         data = json.loads(serialize_diagram(diagram))
         assert data["name"] == name
@@ -152,7 +146,7 @@ def test_document_with_region_annotation():
 
 def test_syntax_error_reports_position():
     with pytest.raises(DiagramSyntaxError) as excinfo:
-        parse_diagram("[[1, 1, 2, 2],")
+        parse_document("[[1, 1, 2, 2],")
     assert excinfo.value.position is not None
 
 
@@ -310,13 +304,10 @@ def test_ambiguous_code_asks_for_explicit_signs():
 
 def test_hopf_requires_consistent_component_count():
     diagram = Diagram.from_pd(HOPF)
-    assignment = link_components(diagram)
-    assert assignment.component_count == 2
-    arcs = sorted(diagram.arc_labels)
-    assert sorted(assignment.assignment) == arcs
+    assert diagram.link_component_count == 2
 
 
 def test_figure8_arc_count():
     diagram = Diagram.from_pd(FIGURE8)
-    assert diagram.arc_count == 8
+    assert len({a for x in diagram.crossings for a in x.arcs}) == 8
     assert diagram.crossing_ids == (0, 1, 2, 3)

@@ -7,12 +7,13 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import props
 from auglink.augment import filling_slope
-from auglink.diagram import Diagram
+from auglink.diagram import Diagram, _orbits
+from auglink.errors import InvalidDiagramError
 from auglink.geometry import (
     augmentation_volume_lower_bound,
     euler_char_cut,
@@ -26,6 +27,7 @@ from auglink.geometry import (
 from auglink.twist import resolve_selection
 
 from braid import braid_closure
+from oracle import oracle_link_components
 
 
 @given(st.integers(min_value=0, max_value=10**6))
@@ -127,7 +129,23 @@ def test_euler_on_random_braid_closures(word_and_strands):
     pd, signs = braid_closure(word, strands)
     diagram = Diagram.from_pd(pd, signs)
     assert diagram.is_connected
-    assert len(diagram._face_walks) == diagram.crossing_count + 2
+    assert _orbits(diagram.face_next)[1] == diagram.crossing_count + 2
+    assert diagram.link_component_count == oracle_link_components(pd)
+
+
+@given(braid_words())
+@settings(max_examples=300, deadline=None)
+@example(([1, -1, 1, -1], 2))  # an over-only component: the fallback decides
+def test_inferred_signs_of_unsigned_braid_closures(word_and_strands):
+    """Without "signs", a closure gets its braid's signs or asks for them."""
+    word, strands = word_and_strands
+    pd, signs = braid_closure(word, strands)
+    try:
+        diagram = Diagram.from_pd(pd)
+    except InvalidDiagramError as e:
+        assert 'supply explicit "signs"' in str(e)
+        return
+    assert [x.sign for x in diagram.crossings] == signs
 
 
 @pytest.mark.parametrize("suite", props.ALL_SUITES, ids=lambda s: s.__name__)

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from auglink.diagram import Diagram, _check_euler, _DisjointSets, link_components
+from auglink.diagram import Diagram, _check_euler, _DisjointSets
 from auglink.errors import RegionError
 from auglink.twist import (
     RegionAnnotation,
@@ -59,7 +59,7 @@ def reduce_twist_region(diagram: Diagram, region: TwistRegion) -> Diagram:
 
 def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
     """Drop ``removed`` crossings, reconnecting each strand straight through."""
-    labels = _DisjointSets(diagram.arc_labels)
+    labels = _DisjointSets({a for x in diagram.crossings for a in x.arcs})
     for x in diagram.crossings:
         if x.id in removed:
             labels.union(x.arcs[0], x.arcs[2])
@@ -164,7 +164,7 @@ def test_long_mixed_closure_resolves_quickly():
     reduced_pd = [list(x.arcs) for x in reduced.crossings]
     v, e, f = oracle_euler(reduced_pd)
     assert reduced.is_connected and v - e + f == 2
-    assert oracle_link_components(reduced_pd) == link_components(reduced).component_count
+    assert oracle_link_components(reduced_pd) == reduced.link_component_count
 
 
 # ----------------------------------------------------------------------------
