@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .diagram import Diagram, _next_slot
-from .errors import AugmentError, ExportError
+from .diagram import Diagram, _crossing, _next_slot, _splice
+from .errors import AugmentError, ExportError, InvalidDiagramError
 from .twist import TwistRegion, TwistSelection, _bigon_bonds
 
 
@@ -113,9 +113,9 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # are numbered in the order they are added: the original crossings first,
 # in diagram order, so that port 4 * i + s is slot s of crossings[i], the
 # integer dart the diagram's own mates use.  Each port carries a strand
-# role; a directed port graph wires out-ports to in-ports.  At the end
-# every wire becomes an arc label and every live stub a PD quadruple,
-# rotated so that the under-in port comes first (which also fixes the sign).
+# role, and every wire joins an out-port to an in-port.  At the end every
+# live stub becomes a crossing, rotated so that the under-in port comes
+# first (which also fixes the sign), and every wire an arc.
 
 _UIN, _UOUT, _OIN, _OOUT = 0, 1, 2, 3  # strand roles; odd roles are out-ports
 
@@ -152,105 +152,71 @@ def _letter_roles(handedness: int, lanes_forward: bool) -> tuple[int, ...]:
 
 
 class _PortGraph:
-    """Directed wiring between stub ports (strand-out port -> strand-in port).
+    """Wiring between stub ports, in the encoding of ``Diagram.dart_mates``.
 
-    ``role``, ``succ`` and ``pred`` are indexed by port; -1 in ``succ`` or
-    ``pred`` means unwired.  ``live`` flags the stubs not spliced out.
+    ``role`` and ``mates`` are indexed by port; ``mates[p]`` is the port at
+    the other end of p's wire, -1 while p is unwired.  ``live`` flags the
+    stubs not spliced out.  :meth:`to_diagram` hands the mates of the live
+    ports to the diagram it builds, which checks only Euler's formula.
     """
 
     def __init__(self):
         self.role: list[int] = []
-        self.succ: list[int] = []
-        self.pred: list[int] = []
+        self.mates: list[int] = []
         self.live = bytearray()
 
     def add(self, roles: tuple[int, ...]) -> int:
         """Add a stub with these port roles; returns the stub number."""
         self.role.extend(roles)
-        self.succ.extend((-1, -1, -1, -1))
-        self.pred.extend((-1, -1, -1, -1))
+        self.mates.extend((-1, -1, -1, -1))
         self.live.append(1)
         return len(self.live) - 1
-
-    def find(self, stub: int, role: int) -> int:
-        return self.role.index(role, 4 * stub, 4 * stub + 4)
 
     def connect(self, a: int, b: int) -> None:
         """Wire two ports; exactly one must be an out-port."""
         a_out = self.role[a] & 1
         if a_out == self.role[b] & 1:
             raise ExportError(f"cannot wire ports {a} and {b}: roles conflict")
-        src, dst = (a, b) if a_out else (b, a)
-        if self.succ[src] >= 0 or self.pred[dst] >= 0:
+        if self.mates[a] >= 0 or self.mates[b] >= 0:
+            src, dst = (a, b) if a_out else (b, a)
             raise ExportError(f"port already wired: {src} -> {dst}")
-        self.succ[src] = dst
-        self.pred[dst] = src
+        self.mates[a] = b
+        self.mates[b] = a
 
     def disconnect(self, port: int) -> None:
-        if self.role[port] & 1:
-            dst = self.succ[port]
-            if dst >= 0:
-                self.succ[port] = self.pred[dst] = -1
-        else:
-            src = self.pred[port]
-            if src >= 0:
-                self.pred[port] = self.succ[src] = -1
-
-    def remove_stub(self, stub: int, crossing_id: int) -> None:
-        """Splice a crossing out, strand-through.
-
-        Raises :class:`ExportError` when a strand would close up into a
-        crossing-free circle, which a PD code cannot carry.
-        """
-        uin, uout = self.find(stub, _UIN), self.find(stub, _UOUT)
-        oin, oout = self.find(stub, _OIN), self.find(stub, _OOUT)
-        # Per strand (0 = under, 1 = over): [outside source, outside target].
-        pairs = [[self.pred[uin], self.succ[uout]], [self.pred[oin], self.succ[oout]]]
-        self.delete_stub_edges(stub)
-
-        alive = [True, True]
-        entry = {uin: 0, oin: 1}
-        for k in (0, 1):
-            while alive[k] and pairs[k][1] in entry:
-                t = entry[pairs[k][1]]
-                if t == k:
-                    raise ExportError(
-                        f"strand closed up while splicing out crossing {crossing_id}"
-                    )
-                pairs[k][1] = pairs[t][1]
-                alive[t] = False
-        for k in (0, 1):
-            if alive[k]:
-                self.connect(pairs[k][0], pairs[k][1])
-
-    def delete_stub_edges(self, stub: int) -> None:
-        for port in range(4 * stub, 4 * stub + 4):
-            self.disconnect(port)
-        self.live[stub] = 0
+        mate = self.mates[port]
+        if mate >= 0:
+            self.mates[port] = self.mates[mate] = -1
 
     def to_diagram(self, name: str | None) -> Diagram:
-        role, pred = self.role, self.pred
-        ports = [p for stub, alive in enumerate(self.live) if alive
-                 for p in range(4 * stub, 4 * stub + 4)]
-        dangling = [p for p in ports if self.succ[p] < 0 and pred[p] < 0]
+        """The live stubs as a diagram, ports renumbered into its darts.
+
+        Arcs are labelled in the order of their first dart.  Raises
+        :class:`ExportError` on a port that is unwired or wired to a
+        spliced-out stub, and on a drawing that fails Euler's formula.
+        """
+        role, mates = self.role, self.mates
+        ports, signs = [], []  # ports in dart order; the sign of each crossing
+        for stub in (s for s, alive in enumerate(self.live) if alive):
+            p = role.index(_UIN, 4 * stub, 4 * stub + 4)
+            q = _next_slot(p)
+            ports += (p, q, p ^ 2, q ^ 2)
+            signs.append(1 if role[q ^ 2] == _OIN else -1)
+        dart = {port: d for d, port in enumerate(ports)}
+        dangling = [p for p in ports if mates[p] not in dart]
         if dangling:
             raise ExportError(f"unwired ports remain: {dangling[:4]}")
-        label = [0] * len(role)  # out-port -> arc label
-        counter = 0
-        quads, signs = [], []
-        for base in ports[::4]:
-            start = role.index(_UIN, base, base + 4) - base
-            arcs = []
-            for k in range(start, start + 4):
-                port = base + k % 4
-                out_port = port if role[port] & 1 else pred[port]
-                if not label[out_port]:
-                    counter += 1
-                    label[out_port] = counter
-                arcs.append(label[out_port])
-            quads.append(arcs)
-            signs.append(1 if role[base + (start + 3) % 4] == _OIN else -1)
-        return Diagram.from_pd(quads, signs, name)
+        dart_mates = tuple(dart[mates[port]] for port in ports)
+        label = [0] * len(ports)
+        firsts = (d for d, e in enumerate(dart_mates) if d < e)  # one dart per arc, in order
+        for arc, d in enumerate(firsts, start=1):
+            label[d] = label[dart_mates[d]] = arc
+        crossings = tuple(_crossing(k, tuple(label[4 * k:4 * k + 4]), sign)
+                          for k, sign in enumerate(signs))
+        try:
+            return Diagram._with_mates(crossings, dart_mates, name)
+        except InvalidDiagramError as exc:
+            raise ExportError(f"drawing is not planar: {exc}") from exc
 
 
 # ============================================================================
@@ -276,14 +242,6 @@ def _region_boundary(mates: tuple[int, ...], region: frozenset[int],
             raise ExportError("region boundary walk did not close into a single cycle")
         cycle.append(e)
         dart = e
-
-
-def _strand_through(dart: int, mates: tuple[int, ...], region: frozenset[int]) -> int:
-    """Follow the strand from one boundary dart through the region to the other side."""
-    e = dart ^ 2
-    while mates[e] >> 2 in region:
-        e = mates[e] ^ 2
-    return e
 
 
 def _split_boundary(cycle: list[int], pairing: dict[int, int], m: int, eps: int,
@@ -316,12 +274,6 @@ def _split_boundary(cycle: list[int], pairing: dict[int, int], m: int, eps: int,
     raise ExportError("region strands do not pair across the boundary like a twist box")
 
 
-def _attachment(graph: _PortGraph, dart: int) -> tuple[int, bool]:
-    """Outside port currently wired to this boundary dart, plus lane direction."""
-    forward = not graph.role[dart] & 1  # strand flows into the region here
-    return (graph.pred[dart] if forward else graph.succ[dart]), forward
-
-
 def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
                        eps: int) -> None:
     """Region of m >= 3 strands: a box with 2m boundary strand-endpoints."""
@@ -337,15 +289,18 @@ def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
     cycle = _region_boundary(mates, inside, boundary[0])
     if sorted(cycle) != sorted(boundary):
         raise ExportError(f"region {region.id}: boundary is not a single cycle")
-    pairing = {d: _strand_through(d, mates, inside) for d in cycle}
+    through = _splice(mates, inside)  # outside dart -> outside dart across the box
+    pairing = {d: mates[through[mates[d]]] for d in cycle}
     flows_in = {d: not graph.role[d] & 1 for d in cycle}
     t_side, u_side = _split_boundary(cycle, pairing, m, eps, flows_in)
 
-    # Capture the outside attachment of every lane, then delete the region.
-    west = [_attachment(graph, d) for d in t_side]
-    east = [_attachment(graph, d) for d in u_side]
+    # Capture the outside port and direction of every lane, then delete the region.
+    west = [(graph.mates[d], flows_in[d]) for d in t_side]
+    east = [(graph.mates[d], flows_in[d]) for d in u_side]
+    for d in cycle:
+        graph.disconnect(d)
     for i in inside:
-        graph.delete_stub_edges(i)
+        graph.live[i] = 0
 
     # Lane frontier, indexed by bundle position (position i starts at t_side[i]).
     frontier = list(west)
@@ -419,7 +374,7 @@ def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegio
         back = 2 ^ next(d for d in range(4 * x0, 4 * x0 + 4) if bonds.get(d, -1) >> 2 == x1)
     over, under = [], []
     for port in (back, _next_slot(back)):
-        outside, forward = _attachment(graph, port)
+        outside, forward = graph.mates[port], not graph.role[port] & 1  # enters x0 here
         graph.disconnect(port)
         under.append(graph.add(_circle_under_roles(forward)))
         over.append(graph.add(_circle_over_roles(forward)))
@@ -427,8 +382,11 @@ def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegio
         graph.connect(4 * under[-1] + _W, 4 * over[-1] + _E)
         graph.connect(4 * over[-1] + _W, outside)
     _wire_circle(graph, over, under)
-    for c in region.crossing_ids[eps:]:
-        graph.remove_stub(index[c], c)
+    removed = {index[c] for c in region.crossing_ids[eps:]}
+    for port, mate in _splice(graph.mates, removed).items():
+        graph.mates[port] = mate
+    for stub in removed:
+        graph.live[stub] = 0
 
 
 def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
@@ -438,7 +396,8 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     the original count plus one circle per region; each region contributes
     2m crossings where the circle crosses the strands, plus m(m-1)/2
     residual crossings when a half-twist remains (drawing as in the module
-    docstring).  Raises :class:`ExportError` when a region cannot be drawn.
+    docstring).  Raises :class:`ExportError` when a region cannot be drawn,
+    or when the drawing is not planar or has another component count.
     """
     selection = augmented.source
     diagram = selection.diagram
@@ -446,16 +405,14 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     graph = _PortGraph()
     for x in diagram.crossings:
         graph.add(_original_roles(x.sign))
+    graph.mates[:] = diagram.dart_mates
     for d, e in enumerate(diagram.dart_mates):
-        if d > e:
-            continue  # wired from its other end
         if graph.role[d] & 1 == graph.role[e] & 1:
             arc = diagram.crossings[d >> 2].arcs[d & 3]
             raise ExportError(
                 f"arc {arc} has no coherent direction; "
                 "crossing signs are not orientation-consistent"
             )
-        graph.connect(d, e)
 
     for circle, region in zip(augmented.circles, selection.regions):
         if region.strand_count == 2:
@@ -464,4 +421,11 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
             _export_box_region(graph, diagram, region, circle.epsilon)
 
     name = f"{diagram.name}-augmented" if diagram.name else "augmented"
-    return graph.to_diagram(name)
+    exported = graph.to_diagram(name)
+    expected = diagram.link_component_count + augmented.circle_count
+    if exported.link_component_count != expected:
+        raise ExportError(
+            f"drawing has {exported.link_component_count} link components, expected "
+            f"{expected} (the input's plus one per circle)"
+        )
+    return exported

@@ -12,6 +12,10 @@ Faces and strands come from two permutations of the integer darts (dart
 strands are the orbits of ``d -> dart_mates[d ^ 2]`` (pass straight through
 the crossing, then cross the arc), two per link component, one each way.
 
+Every diagram is built by ``Diagram._with_mates`` from the dart mates its
+caller already knows: ``from_pd`` pairs them while checking the labels, and
+the R-II reduction and the export relink them with :func:`_splice`.
+
 Slot conventions (slot = index within the quadruple):
 
 * slot 0 = incoming under-strand, slot 2 = outgoing under-strand;
@@ -209,8 +213,16 @@ class Diagram:
                     f"signs list has {len(signs)} entries for {len(quads)} crossings"
                 )
 
-        diagram = cls(crossings=tuple(map(_crossing, range(len(quads)), quads, signs)), name=name)
-        # The mates came out of checking the labels: keep them as the cached value.
+        return cls._with_mates(tuple(map(_crossing, range(len(quads)), quads, signs)), mates, name)
+
+    @classmethod
+    def _with_mates(cls, crossings: tuple[Crossing, ...], mates: tuple[int, ...],
+                    name: str | None) -> "Diagram":
+        """The diagram of ``crossings`` whose darts sharing a label ``mates`` pairs.
+
+        Raises :class:`InvalidDiagramError` when Euler's formula fails.
+        """
+        diagram = cls(crossings=crossings, name=name)
         vars(diagram)["dart_mates"] = mates
         _check_euler(diagram)
         return diagram
@@ -340,7 +352,7 @@ def _is_int(value) -> bool:
 
 
 def _crossing(id: int, arcs: tuple[int, int, int, int], sign: int) -> Crossing:
-    """A crossing of ``from_pd``, whose labels ``_mate_darts`` has already checked."""
+    """A crossing whose labels its builder has already checked."""
     _check_sign(id, sign)
     crossing = object.__new__(Crossing)
     object.__setattr__(crossing, "id", id)
@@ -397,6 +409,25 @@ def _mate_darts(quads) -> tuple[int, ...]:
         detail = ", ".join(f"{a} (x{counts[a]})" for a in bad[:8])
         raise InvalidDiagramError(f"each arc label must appear exactly twice; offenders: {detail}")
     return tuple(mates)
+
+
+def _splice(mates, removed) -> dict[int, int]:
+    """``{dart: new mate}`` once the crossings at positions ``removed`` are gone.
+
+    Each dart outside ``removed`` whose arc ends on one of them follows its
+    strand straight through (``dart ^ 2``) to where it comes out; a strand
+    that closes up inside ``removed`` vanishes.
+    """
+    relinked = {}
+    for p in sorted(removed):
+        for dart in range(4 * p, 4 * p + 4):
+            end = mates[dart]
+            if end >> 2 not in removed:
+                out = dart
+                while out >> 2 in removed:
+                    out = mates[out ^ 2]
+                relinked[end] = out
+    return relinked
 
 
 def _orbits(step) -> tuple[list[int], int]:
@@ -492,17 +523,17 @@ def _infer_signs(quads: list[tuple], mates: tuple[int, ...]) -> list[int]:
         labels: list[list[int]] = [[] for _ in range(count)]
         for d, k in enumerate(strand):
             labels[k].append(quads[d >> 2][d & 3])
-        succ: dict[int, int] = {}  # next label along the same component
+        next_label: dict[int, int] = {}  # along the same component
         for group in labels:
             group.sort()
-            succ.update(zip(group, group[1:] + group[:1]))
+            next_label.update(zip(group, group[1:] + group[:1]))
         for ci in range(n):
             if ci in signs:
                 continue
             b, d = quads[ci][1], quads[ci][3]
-            if succ[d] == b:
+            if next_label[d] == b:
                 signs[ci] = 1
-            elif succ[b] == d:
+            elif next_label[b] == d:
                 signs[ci] = -1
             else:
                 raise InvalidDiagramError(

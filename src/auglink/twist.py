@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, replace
 
-from .diagram import Diagram, _DisjointSets, _check_euler, _next_slot
+from .diagram import Diagram, _DisjointSets, _next_slot, _splice
 from .errors import NonAlternatingRegionError, RegionError
 
 
@@ -389,20 +389,11 @@ def resolve_selection(
             labels.union(quad[0], quad[2])
             labels.union(quad[1], quad[3])
 
-        # Each surviving end of a removed dart's arc follows its strand
-        # straight through the removed crossings to its new mate.
-        relinked: dict[int, int] = {}
-        for p in order:
-            for dart in range(4 * p, 4 * p + 4):
-                end = mates[dart]
-                if end >> 2 in removed:
-                    continue
-                other = mates[end]
-                while other >> 2 in removed:
-                    other = mates[other ^ 2]
-                relinked[end] = other
-                quad = arcs[end >> 2]
-                quad[end & 3] = labels.find(quad[end & 3])
+        relinked = _splice(mates, removed)
+        for end, other in relinked.items():
+            mates[end] = other
+            quad = arcs[end >> 2]
+            quad[end & 3] = labels.find(quad[end & 3])
         touched = set(chain[2])
         for p in removed:
             for dart in range(4 * p, 4 * p + 4):
@@ -411,8 +402,6 @@ def resolve_selection(
                     bonds.pop(partner, None)
                     touched.add(partner >> 2)
             arcs[p] = None
-        for end, other in relinked.items():
-            mates[end] = other
 
         # Only a face through a relinked dart changed; a bond is a bigon,
         # so two corners tell whether the face closes back on its start.
@@ -437,12 +426,12 @@ def resolve_selection(
                 heapq.heappush(mixed, regrown)
 
     if reduced:
-        diagram = Diagram(
-            crossings=tuple(
-                replace(x, arcs=tuple(quad)) for x, quad in zip(crossings, arcs) if quad is not None
-            ),
-            name=diagram.name,
+        kept = [p for p, quad in enumerate(arcs) if quad is not None]
+        at = {p: k for k, p in enumerate(kept)}  # position -> position after
+        diagram = Diagram._with_mates(
+            tuple(replace(crossings[p], arcs=tuple(arcs[p])) for p in kept),
+            tuple(4 * at[d >> 2] + (d & 3) for p in kept for d in mates[4 * p:4 * p + 4]),
+            diagram.name,
         )
-        _check_euler(diagram)
         chains = [chain for p, chain in chain_of.items() if chain[2][0] == p]
     return diagram, _assemble(diagram, annotations, ids, bonds, chains)

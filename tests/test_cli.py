@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import errno
+import importlib
 import io
 import json
 import os
@@ -18,7 +19,8 @@ from hypothesis import strategies as st
 from auglink import cli
 from auglink.augment import CrossingCircle
 from auglink.cli import FileResult, RunConfig, analyze, build_parser, main, result_to_entry
-from auglink.diagram import parse_document
+from auglink.diagram import Diagram, parse_document
+from auglink.errors import ExportError
 from auglink.geometry import (
     Certificate,
     CertificateReport,
@@ -27,6 +29,7 @@ from auglink.geometry import (
     SlopeEstimate,
 )
 from auglink.report_schema import REPORT_SCHEMA
+from auglink.twist import resolve_selection
 
 from braid import braid_closure
 from corpus import FIGURE8, GOLDEN, GOLDEN_TWIST, TREFOIL, UNKNOT0
@@ -227,6 +230,71 @@ def test_failed_export_keeps_the_report(tmp_path):
     status, text = _run(path, export_dir=str(out_dir))
     assert status == 0
     assert "warning: export failed: " in text
+
+
+def test_export_with_the_wrong_component_count_is_refused(tmp_path):
+    # The closure of s3 s2 s2 s1 s1 s3 s2 s3 on 4 strands.  Crossings 0-5
+    # pass as a full twist of 3 strands but are none: the box drawn for them
+    # has 4 link components, not the input's 2 plus one per circle.
+    out_dir = tmp_path / "exports"
+    path = _write(tmp_path, "window.json", {
+        "pd": [[3, 5, 6, 4], [2, 7, 8, 5], [7, 9, 10, 8], [1, 11, 12, 9], [11, 1, 14, 12],
+               [10, 15, 16, 6], [14, 2, 18, 15], [18, 3, 4, 16]],
+        "signs": [1] * 8,
+        "regions": [{"crossings": [0, 1, 2, 3, 4, 5], "strands": 3, "half_twists": 2}],
+    })
+    status, entries = _run_json(path, export_dir=str(out_dir))
+    assert status == 0
+    (entry,) = entries
+    assert entry["ok"] and entry["report"]["tw"] == 3
+    assert "export" not in entry
+    assert entry["warnings"] == [
+        "export failed: drawing has 4 link components, expected 5 "
+        "(the input's plus one per circle)"
+    ]
+    assert not (out_dir / "window.augmented.json").exists()
+
+
+_augment_module = importlib.import_module("auglink.augment")
+
+
+def _strand_out_port(graph, stub):
+    return next(p for p in (4 * stub, 4 * stub + 2) if graph.role[p] & 1)
+
+
+@pytest.mark.parametrize(
+    "pd, other_port, error",
+    [
+        # The circle's wire crossed with a strand's: no longer planar.
+        (TREFOIL, lambda graph, under: _strand_out_port(graph, under[0]),
+         "drawing is not planar: Euler formula violated"),
+        # The circle wired into crossing 0, which the figure-8's even chain splices out.
+        (FIGURE8, lambda graph, under: 2, "unwired ports remain: "),
+    ],
+    ids=["not-planar", "wired-to-a-spliced-crossing"],
+)
+def test_miswired_export_is_an_export_failure(tmp_path, monkeypatch, pd, other_port, error):
+    wire_circle = _augment_module._wire_circle
+
+    def crossed(graph, over, under):
+        # Draw the circle, then swap the far ends of two out-ports' wires.
+        wire_circle(graph, over, under)
+        a, b = 4 * over[0] + _augment_module._S, other_port(graph, under)
+        far_a, far_b = graph.mates[a], graph.mates[b]
+        graph.disconnect(a)
+        graph.disconnect(b)
+        graph.connect(a, far_b)
+        graph.connect(b, far_a)
+
+    monkeypatch.setattr(_augment_module, "_wire_circle", crossed)
+    path = _write(tmp_path, "knot.json", {"pd": pd})
+    reduced, selection = resolve_selection(Diagram.from_pd(pd))
+    with pytest.raises(ExportError, match=f"^{error}"):
+        _augment_module.export_augmented_diagram(_augment_module.augment(reduced, selection))
+    result = cli.analyze_file(path, RunConfig(inputs=(path,), export_dir=str(tmp_path / "out")))
+    assert result.ok and result.report is not None and result.export_path is None
+    (warning,) = result.warnings
+    assert warning.startswith(f"export failed: {error}")
 
 
 def test_failed_export_write_keeps_the_report(tmp_path):

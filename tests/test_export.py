@@ -17,7 +17,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from auglink.augment import augment, export_augmented_diagram
-from auglink.diagram import Diagram
+from auglink.diagram import Diagram, _mate_darts
 from auglink.errors import AugmentError, ExportError, InvalidDiagramError, RegionError
 from auglink.twist import RegionAnnotation, resolve_selection
 
@@ -102,6 +102,8 @@ def test_export_is_a_planar_augmentation(case):
     except ExportError as exc:
         raise AssertionError(f"export failed on {case}: {exc}") from exc
     pd = [list(x.arcs) for x in exported.crossings]
+    # The mates the port graph hands over are the ones its labels pair.
+    assert exported.dart_mates == _mate_darts([x.arcs for x in exported.crossings])
 
     v, e, f = oracle_euler(pd)
     assert v - e + f == 2

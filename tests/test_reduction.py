@@ -19,7 +19,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from auglink.diagram import Diagram, _check_euler, _DisjointSets
+from auglink.diagram import Diagram, _check_euler, _DisjointSets, _mate_darts
 from auglink.errors import RegionError
 from auglink.twist import (
     RegionAnnotation,
@@ -91,8 +91,10 @@ def _outcome(resolve, diagram, annotations):
         reduced, selection = resolve(diagram, annotations)
     except Exception as exc:  # the reference's error is part of the contract
         return type(exc), str(exc)
-    # The selection handed over from the reduction equals a fresh detection.
+    # The selection handed over from the reduction equals a fresh detection,
+    # and the relinked mates are the ones the surviving labels pair.
     assert selection == build_selection(reduced, annotations)
+    assert reduced.dart_mates == _mate_darts([x.arcs for x in reduced.crossings])
     return (
         [(x.id, x.arcs, x.sign) for x in reduced.crossings],
         reduced.name,
