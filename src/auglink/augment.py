@@ -19,8 +19,7 @@ epsilon = 1, a synthesized half-twist staircase.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .diagram import Diagram, _crossing, _next_slot, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
@@ -46,8 +45,7 @@ def filling_slope(c: int) -> tuple[int, int]:
     return (c + 1) // 2, 1
 
 
-@dataclass(frozen=True)
-class CrossingCircle:
+class CrossingCircle(NamedTuple):
     """The circle inserted around one twist region."""
 
     id: int
@@ -61,8 +59,7 @@ class CrossingCircle:
         return 2 * self.filling_n - self.epsilon
 
 
-@dataclass(frozen=True)
-class AugmentedLink:
+class AugmentedLink(NamedTuple):
     circles: tuple[CrossingCircle, ...]
     source: TwistSelection
 

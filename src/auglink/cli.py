@@ -22,11 +22,11 @@ import marshal
 import os
 import signal
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import INFINITY as _INFINITY
 from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
+from typing import NamedTuple
 
 from .augment import AugmentedLink, augment, export_augmented_diagram
 from .diagram import parse_document, serialize_diagram
@@ -35,8 +35,7 @@ from .geometry import CertificateReport, build_report, trivial_report
 from .twist import resolve_selection
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one ``analyze`` invocation needs."""
 
     inputs: tuple[str, ...]
@@ -46,8 +45,7 @@ class RunConfig:
     strict: bool = False
 
 
-@dataclass(frozen=True)
-class FileResult:
+class FileResult(NamedTuple):
     """Outcome of analyzing a single input file."""
 
     file: str

@@ -39,10 +39,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import DiagramSyntaxError, InvalidDiagramError
 
@@ -60,8 +59,13 @@ def _next_slot(dart: int) -> int:
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class Crossing:
+class _CrossingFields(NamedTuple):
+    id: int
+    arcs: tuple[int, int, int, int]
+    sign: int
+
+
+class Crossing(_CrossingFields):
     """One 4-valent vertex of the diagram.
 
     ``arcs`` lists the incident arc labels counterclockwise from the incoming
@@ -69,11 +73,10 @@ class Crossing:
     crossings, so region annotations keep meaning after a reduction.
     """
 
-    id: int
-    arcs: tuple[int, int, int, int]
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         arcs = self.arcs
         if len(arcs) != 4:
             raise InvalidDiagramError(
@@ -84,9 +87,9 @@ class Crossing:
                 f"crossing {self.id}: arc labels must be positive integers, got {arcs!r}"
             )
         _check_sign(self.id, self.sign)
+        return self
 
 
-@dataclass(frozen=True)
 class Diagram:
     """An immutable planar diagram code. Build one with :meth:`from_pd`.
 
@@ -102,8 +105,24 @@ class Diagram:
     the orbits of ``d -> dart_mates[d ^ 2]``.
     """
 
-    crossings: tuple[Crossing, ...]
-    name: str | None = None
+    def __init__(self, crossings: tuple[Crossing, ...], name: str | None = None):
+        vars(self).update(crossings=crossings, name=name)
+
+    def __setattr__(self, name, *value):  # also __delattr__
+        raise AttributeError(f"Diagram is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.crossings, self.name) == (other.crossings, other.name)
+
+    def __hash__(self):
+        return hash((self.crossings, self.name))
+
+    def __repr__(self):
+        return f"Diagram(crossings={self.crossings!r}, name={self.name!r})"
 
     @property
     def crossing_count(self) -> int:
@@ -212,6 +231,8 @@ class Diagram:
                 raise InvalidDiagramError(
                     f"signs list has {len(signs)} entries for {len(quads)} crossings"
                 )
+            for i, sign in enumerate(signs):
+                _check_sign(i, sign)
 
         return cls._with_mates(tuple(map(_crossing, range(len(quads)), quads, signs)), mates, name)
 
@@ -228,8 +249,7 @@ class Diagram:
         return diagram
 
 
-@dataclass(frozen=True)
-class DiagramDocument:
+class DiagramDocument(NamedTuple):
     """A parsed input file: the diagram plus any region annotations."""
 
     diagram: Diagram
@@ -352,13 +372,8 @@ def _is_int(value) -> bool:
 
 
 def _crossing(id: int, arcs: tuple[int, int, int, int], sign: int) -> Crossing:
-    """A crossing whose labels its builder has already checked."""
-    _check_sign(id, sign)
-    crossing = object.__new__(Crossing)
-    object.__setattr__(crossing, "id", id)
-    object.__setattr__(crossing, "arcs", arcs)
-    object.__setattr__(crossing, "sign", sign)
-    return crossing
+    """A crossing whose labels and sign its builder has already checked."""
+    return tuple.__new__(Crossing, (id, arcs, sign))
 
 
 def _check_sign(crossing_id: int, sign) -> None:

@@ -16,15 +16,14 @@ certificate can flip on floating-point rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .augment import AugmentedLink
 from .errors import GeometryError
 
 
-@dataclass(frozen=True)
-class Constants:
+class Constants(NamedTuple):
     """Numeric constants echoed into every report."""
 
     v8: float = 3.66386  # volume of the regular ideal hyperbolic octahedron
@@ -114,8 +113,7 @@ def filled_volume_lower_bound(tw: int, c_min: int) -> float | None:
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     certified: bool
     reasons: tuple[str, ...] = ()
 
@@ -124,8 +122,7 @@ class Certificate:
         return "certified" if self.certified else "not-certified"
 
 
-@dataclass(frozen=True)
-class GeodesicCertificate:
+class GeodesicCertificate(NamedTuple):
     certified: bool
     sum_of_inverses: Fraction
     threshold: Fraction
@@ -173,7 +170,8 @@ def geodesic_certificate(cs, attested_hyperbolic: bool) -> GeodesicCertificate:
         raise GeometryError(
             f"certificate inapplicable: circle(s) {zero} have no half-twists (c = 0)"
         )
-    total = sum(Fraction(1, c) for c in cs)
+    lcm = math.lcm(*cs)
+    total = Fraction(sum(lcm // c for c in cs), lcm)  # one normalization, not one per term
     reasons = []
     if not attested_hyperbolic:
         reasons.append(_MISSING_ATTESTATION)
@@ -194,8 +192,7 @@ def geodesic_certificate(cs, attested_hyperbolic: bool) -> GeodesicCertificate:
 # ============================================================================
 
 
-@dataclass(frozen=True)
-class SlopeEstimate:
+class SlopeEstimate(NamedTuple):
     """Per-circle length data: length_lb^2 = 1/4 + c^2, normalized_lb^2 = c."""
 
     c: int
@@ -211,8 +208,7 @@ class SlopeEstimate:
         )
 
 
-@dataclass(frozen=True)
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Everything the analysis pipeline has to say about one diagram."""
 
     hypotheses: tuple[str, ...]

@@ -20,14 +20,13 @@ in that order.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
-from .diagram import Diagram, _DisjointSets, _next_slot, _splice
+from .diagram import Diagram, _DisjointSets, _crossing, _next_slot, _splice
 from .errors import NonAlternatingRegionError, RegionError
 
 
-@dataclass(frozen=True)
-class RegionAnnotation:
+class RegionAnnotation(NamedTuple):
     """A user-declared generalized twist region, not yet validated."""
 
     crossing_ids: frozenset[int]
@@ -35,8 +34,15 @@ class RegionAnnotation:
     half_twists: int
 
 
-@dataclass(frozen=True)
-class TwistRegion:
+class _TwistRegionFields(NamedTuple):
+    id: int
+    crossing_ids: tuple[int, ...]
+    strand_count: int
+    half_twists: int
+    sign: int
+
+
+class TwistRegion(_TwistRegionFields):
     """A validated twist region.
 
     ``crossing_ids`` is ordered: every 2-strand region, detected or
@@ -47,13 +53,10 @@ class TwistRegion:
     cancelled away.
     """
 
-    id: int
-    crossing_ids: tuple[int, ...]
-    strand_count: int
-    half_twists: int
-    sign: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         m, c = self.strand_count, self.half_twists
         if m < 2:
             raise RegionError(f"region {self.id}: strand count must be >= 2, got {m}")
@@ -63,14 +66,14 @@ class TwistRegion:
                 f"region {self.id}: {len(self.crossing_ids)} crossings cannot make {c} "
                 f"half-twists of {m} strands (needs {expected} = c*m(m-1)/2)"
             )
+        return self
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossing_ids)
 
 
-@dataclass(frozen=True)
-class TwistSelection:
+class TwistSelection(NamedTuple):
     """A partition of all crossings of a diagram into twist regions."""
 
     regions: tuple[TwistRegion, ...]
@@ -294,8 +297,8 @@ def validate_generalized_region(
         chains = _grow_chains(_bigon_bonds(diagram, positions), sorted(positions))
         if len(chains) != 1:
             raise RegionError(f"region {region_id}: crossings do not form one twist chain")
-        region = replace(region, crossing_ids=tuple(map(diagram.crossing_ids.__getitem__,
-                                                        chains[0])))
+        order = tuple(map(diagram.crossing_ids.__getitem__, chains[0]))
+        region = region._replace(crossing_ids=order)
     return region
 
 
@@ -429,7 +432,7 @@ def resolve_selection(
         kept = [p for p, quad in enumerate(arcs) if quad is not None]
         at = {p: k for k, p in enumerate(kept)}  # position -> position after
         diagram = Diagram._with_mates(
-            tuple(replace(crossings[p], arcs=tuple(arcs[p])) for p in kept),
+            tuple(_crossing(crossings[p].id, tuple(arcs[p]), crossings[p].sign) for p in kept),
             tuple(4 * at[d >> 2] + (d & 3) for p in kept for d in mates[4 * p:4 * p + 4]),
             diagram.name,
         )

@@ -9,6 +9,8 @@ import json
 import os
 import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import jsonschema
@@ -450,6 +452,17 @@ def test_parser_knows_all_flags():
     assert args.files == ["a.json", "b.json"]
     assert args.json and args.attest_hyperbolic and args.strict
     assert args.export_augmented == "out"
+
+
+def test_start_up_imports_neither_dataclasses_nor_inspect():
+    # Start-up is most of a one-diagram run, and these two modules, plus a
+    # class built by ``exec`` for each record, were a quarter of it.
+    # -S: no site hooks, so only what ``import auglink.cli`` loads is seen.
+    code = "import sys, auglink.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert done.stdout == "[]\n"
 
 
 # ----------------------------------------------------------------------------

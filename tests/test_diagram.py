@@ -72,6 +72,21 @@ def test_cached_topology_is_shared_and_read_only():
     assert fresh == diagram and hash(fresh) == hash(diagram)
     with pytest.raises(KeyError):
         diagram.crossing(99)
+    # Equality and hashing see the crossings and the name, never the cache.
+    bare = Diagram(diagram.crossings)
+    assert "face_next" in vars(diagram) and "face_next" not in vars(bare)
+    assert bare == diagram == Diagram(crossings=diagram.crossings, name=None)
+    assert hash(bare) == hash(diagram)
+    assert Diagram(diagram.crossings, "figure-8") != diagram
+    assert Diagram(diagram.crossings[::-1]) != diagram
+    assert diagram != (diagram.crossings, None)
+    for attribute in ("crossings", "name", "dart_mates", "face_next", "other"):
+        with pytest.raises(AttributeError):
+            setattr(diagram, attribute, None)
+    for attribute in ("crossings", "dart_mates"):
+        with pytest.raises(AttributeError):
+            delattr(diagram, attribute)
+    assert diagram.dart_mates == fresh.dart_mates
 
 
 def test_zero_crossing_unknot():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -36,7 +35,7 @@ def test_constants():
     assert CONSTANTS.two_pi == pytest.approx(2 * math.pi)
     assert CONSTANTS.hk == pytest.approx(7.5832, abs=1e-9)
     assert CONSTANTS.six == 6.0
-    assert {f.name for f in dataclasses.fields(CONSTANTS)} == {"v8", "two_pi", "hk", "six"}
+    assert set(CONSTANTS._fields) == {"v8", "two_pi", "hk", "six"}
 
 
 # ----------------------------------------------------------------------------

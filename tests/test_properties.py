@@ -5,6 +5,7 @@ runs of the bulk seeded suites (the acceptance test runs those at full size).
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings
@@ -82,6 +83,16 @@ def test_certificates_monotone_in_half_twists(cs):
         assert six_theorem_certificate([c + 1 for c in cs], True).certified
     if geodesic_certificate(cs, True).certified:
         assert geodesic_certificate([c + 1 for c in cs], True).certified
+
+
+@given(st.lists(st.integers(min_value=1, max_value=10**6), min_size=1, max_size=40))
+@example([6, 10, 15])  # 5/30 + 3/30 + 2/30 = 1/3: the sum is normalized
+@example(list(range(1, 395)))  # a 394-circle diagram
+def test_geodesic_sum_is_the_sum_of_fractions(cs):
+    total = geodesic_certificate(cs, True).sum_of_inverses
+    expected = sum(Fraction(1, c) for c in cs)
+    assert (total.numerator, total.denominator) == (expected.numerator, expected.denominator)
+    assert str(total) == str(expected)
 
 
 @st.composite
