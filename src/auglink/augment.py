@@ -17,11 +17,9 @@ m >= 3 strands is redrawn as a box holding the circle's passes and, when
 epsilon = 1, a synthesized half-twist staircase.
 """
 
-from __future__ import annotations
-
 from typing import Mapping, NamedTuple
 
-from .diagram import Diagram, _crossing, _next_slot, _splice
+from .diagram import Crossing, Diagram, _next_slot, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
 from .twist import TwistRegion, TwistSelection, _bigon_bonds
 
@@ -208,10 +206,10 @@ class _PortGraph:
         firsts = (d for d, e in enumerate(dart_mates) if d < e)  # one dart per arc, in order
         for arc, d in enumerate(firsts, start=1):
             label[d] = label[dart_mates[d]] = arc
-        crossings = tuple(_crossing(k, tuple(label[4 * k:4 * k + 4]), sign)
+        crossings = tuple(Crossing(k, tuple(label[4 * k:4 * k + 4]), sign)
                           for k, sign in enumerate(signs))
         try:
-            return Diagram._with_mates(crossings, dart_mates, name)
+            return Diagram(crossings, dart_mates, name)
         except InvalidDiagramError as exc:
             raise ExportError(f"drawing is not planar: {exc}") from exc
 

@@ -13,8 +13,6 @@ processes, one per usable CPU; reports still come in input order, as each
 chunk finishes.  A failed export keeps the report and adds a warning.
 """
 
-from __future__ import annotations
-
 import argparse
 import contextlib
 import functools
@@ -22,7 +20,6 @@ import marshal
 import os
 import signal
 import sys
-from fractions import Fraction
 from json.encoder import INFINITY as _INFINITY
 from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
@@ -31,7 +28,8 @@ from typing import NamedTuple
 from .augment import AugmentedLink, augment, export_augmented_diagram
 from .diagram import parse_document, serialize_diagram
 from .errors import AuglinkError, ExportError, InvalidDiagramError
-from .geometry import CertificateReport, build_report, trivial_report
+from .geometry import (CONSTANTS, GEODESIC_THRESHOLD, CertificateReport, build_report,
+                       trivial_report)
 from .twist import resolve_selection
 
 
@@ -134,14 +132,15 @@ def _write_export(out_path: str, augmented: AugmentedLink, owner: str | None) ->
         raise ExportError(f"{out_path} is the export of {owner}")
     data = (serialize_diagram(export_augmented_diagram(augmented)) + "\n").encode()
     try:
-        # Rewritten in place: on ext4, truncating a file that is there already
-        # costs several times the write.  A run killed between the write and
-        # the ftruncate leaves the old file's tail after the new bytes.
-        try:
-            fd = os.open(out_path, _EXPORT_FLAGS, 0o666)
-        except (FileNotFoundError, NotADirectoryError):  # DIR is missing, or not a directory
-            Path(out_path).parent.mkdir(parents=True, exist_ok=True)  # raises saying why
-            fd = os.open(out_path, _EXPORT_FLAGS, 0o666)
+        fd = os.open(out_path, _EXPORT_FLAGS, 0o666)
+    except (FileNotFoundError, NotADirectoryError):  # DIR is missing, or not a directory
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)  # raises saying why
+        fd = os.open(out_path, _EXPORT_FLAGS, 0o666)
+    # Rewritten in place: on ext4, truncating a file that is there already
+    # costs several times the write.  A run killed between the write and the
+    # ftruncate leaves the old file's tail after the new bytes.  A failure
+    # once the file is open removes it, so that no partial export is left.
+    try:
         try:
             view = memoryview(data)
             while view:  # a write may be short
@@ -151,7 +150,7 @@ def _write_export(out_path: str, augmented: AugmentedLink, owner: str | None) ->
             os.close(fd)
     except OSError:
         with contextlib.suppress(OSError):
-            os.unlink(out_path)  # leave no partial export behind
+            os.unlink(out_path)
         raise
     return out_path
 
@@ -184,23 +183,18 @@ def _strings(items, indent: str) -> str:
     return f"[\n{indent}" + f",\n{indent}".join(map(_str, items)) + f"\n{indent[:-2]}]"
 
 
-# The blocks every entry repeats, cached by value: the float constants by
-# their exact bits (``float.hex``), so that 0.0 and -0.0 stay apart.
+# The blocks every entry repeats: the fixed ones rendered once, the
+# hypotheses cached by value.
+_THRESHOLD = _str(str(GEODESIC_THRESHOLD))
+_CONSTANTS = (f'{{\n        "hk": {_float(CONSTANTS.hk)},\n'
+              f'        "six": {_float(CONSTANTS.six)},\n'
+              f'        "two_pi": {_float(CONSTANTS.two_pi)},\n'
+              f'        "v8": {_float(CONSTANTS.v8)}\n      }}')
+
+
 @functools.lru_cache(maxsize=8)
 def _hypotheses(hypotheses: tuple[str, ...]) -> str:
     return _strings(hypotheses, " " * 8)
-
-
-@functools.lru_cache(maxsize=8)
-def _threshold(numerator: int, denominator: int) -> str:
-    return _str(str(Fraction(numerator, denominator)))
-
-
-@functools.lru_cache(maxsize=8)
-def _constants(bits: tuple[str, ...]) -> str:
-    hk, six, two_pi, v8 = (_float(float.fromhex(b)) for b in bits)
-    return (f'{{\n        "hk": {hk},\n        "six": {six},\n'
-            f'        "two_pi": {two_pi},\n        "v8": {v8}\n      }}')
 
 
 def _circle(circle, estimate) -> str:
@@ -212,7 +206,7 @@ def _circle(circle, estimate) -> str:
 
 
 def _report(report: CertificateReport) -> str:
-    geo, hyp, consts = report.geodesic_circles, report.hyperbolic, report.constants
+    geo, hyp = report.geodesic_circles, report.hyperbolic
     circles = "[]"
     if report.circles:
         circles = "[\n        " + ",\n        ".join(
@@ -224,20 +218,17 @@ def _report(report: CertificateReport) -> str:
             filled = f',\n        "filled_lb": {_float(report.vol_filled_lb)}'
         volume = (f'{{\n        "augmentation_lb": {_float(report.vol_augmentation_lb)},\n'
                   f'        "euler_char_cut": {report.euler_char_cut}{filled}\n      }}')
-    threshold = _threshold(geo.threshold.numerator, geo.threshold.denominator)
-    constants = _constants(tuple(map(float.hex, (consts.hk, consts.six, consts.two_pi,
-                                                 consts.v8))))
     return (
         '{\n      "certificates": {\n        "geodesic_hk": {\n'
         f'          "certified": {"true" if geo.certified else "false"},\n'
         f'          "reasons": {_strings(geo.reasons, " " * 12)},\n'
         f'          "sum_of_inverses": {_str(str(geo.sum_of_inverses))},\n'
-        f'          "threshold": {threshold}\n        }},\n'
+        f'          "threshold": {_THRESHOLD}\n        }},\n'
         '        "hyperbolic_6thm": {\n'
         f'          "certified": {"true" if hyp.certified else "false"},\n'
         f'          "reasons": {_strings(hyp.reasons, " " * 12)}\n        }}\n      }},\n'
         f'      "circles": {circles},\n'
-        f'      "constants": {constants},\n'
+        f'      "constants": {_CONSTANTS},\n'
         f'      "hypotheses": {_hypotheses(report.hypotheses)},\n'
         f'      "tw": {report.tw},\n'
         f'      "volume": {volume}\n    }}'
@@ -294,7 +285,7 @@ def render_text(result: FileResult) -> str:
     lines.append(
         f"geodesic_hk: {geo.status}"
         f" (sum_of_inverses={_fmt(float(geo.sum_of_inverses))},"
-        f" threshold={_fmt(float(geo.threshold))})"
+        f" threshold={_fmt(float(GEODESIC_THRESHOLD))})"
     )
     for reason in geo.reasons:
         lines.append(f"  - {reason}")

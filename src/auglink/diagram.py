@@ -12,9 +12,11 @@ Faces and strands come from two permutations of the integer darts (dart
 strands are the orbits of ``d -> dart_mates[d ^ 2]`` (pass straight through
 the crossing, then cross the arc), two per link component, one each way.
 
-Every diagram is built by ``Diagram._with_mates`` from the dart mates its
-caller already knows: ``from_pd`` pairs them while checking the labels, and
-the R-II reduction and the export relink them with :func:`_splice`.
+Every diagram is built by ``Diagram(crossings, mates, name)``, which checks
+Euler's formula, from the dart mates its caller already knows: ``from_pd``
+pairs them while checking the labels, shapes and signs of its input, and
+the R-II reduction and the export relink them with :func:`_splice`.  The
+records themselves are plain named tuples and check nothing.
 
 Slot conventions (slot = index within the quadruple):
 
@@ -34,8 +36,6 @@ standard convention that labels are numbered consecutively along each
 oriented component.  ``regions`` declares generalized twist regions (see
 :mod:`auglink.twist`); ``crossings`` lists 0-based crossing ids.
 """
-
-from __future__ import annotations
 
 import json
 from collections import Counter
@@ -59,13 +59,7 @@ def _next_slot(dart: int) -> int:
 # ============================================================================
 
 
-class _CrossingFields(NamedTuple):
-    id: int
-    arcs: tuple[int, int, int, int]
-    sign: int
-
-
-class Crossing(_CrossingFields):
+class Crossing(NamedTuple):
     """One 4-valent vertex of the diagram.
 
     ``arcs`` lists the incident arc labels counterclockwise from the incoming
@@ -73,27 +67,20 @@ class Crossing(_CrossingFields):
     crossings, so region annotations keep meaning after a reduction.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        arcs = self.arcs
-        if len(arcs) != 4:
-            raise InvalidDiagramError(
-                f"crossing {self.id}: expected 4 arc labels, got {len(arcs)}"
-            )
-        if any((type(x) is not int and not _is_int(x)) or x < 1 for x in arcs):
-            raise InvalidDiagramError(
-                f"crossing {self.id}: arc labels must be positive integers, got {arcs!r}"
-            )
-        _check_sign(self.id, self.sign)
-        return self
+    id: int
+    arcs: tuple[int, int, int, int]
+    sign: int
 
 
 class Diagram:
-    """An immutable planar diagram code. Build one with :meth:`from_pd`.
+    """An immutable planar diagram code.
 
-    The topology (crossing ids and index, dart mates, the face permutation,
+    ``Diagram(crossings, mates, name)`` keeps the dart mates its caller
+    paired as :attr:`dart_mates` (``mates[d]`` is the other end of dart d's
+    arc) and raises :class:`InvalidDiagramError` when Euler's formula fails;
+    :meth:`from_pd` validates and builds one from a PD code.
+
+    The rest of the topology (crossing ids and index, the face permutation,
     graph components, the link component count) is worked out once per
     diagram, on first use, and shared read-only by every caller; copy a
     value before mutating it.  Equality and hashing see only the crossings
@@ -105,8 +92,10 @@ class Diagram:
     the orbits of ``d -> dart_mates[d ^ 2]``.
     """
 
-    def __init__(self, crossings: tuple[Crossing, ...], name: str | None = None):
-        vars(self).update(crossings=crossings, name=name)
+    def __init__(self, crossings: tuple[Crossing, ...], mates: tuple[int, ...],
+                 name: str | None = None):
+        vars(self).update(crossings=crossings, dart_mates=mates, name=name)
+        _check_euler(self)
 
     def __setattr__(self, name, *value):  # also __delattr__
         raise AttributeError(f"Diagram is immutable: cannot set or delete {name!r}")
@@ -142,11 +131,6 @@ class Diagram:
             return self.crossings[self.index[crossing_id]]
         except KeyError:
             raise KeyError(f"no crossing with id {crossing_id}") from None
-
-    @cached_property
-    def dart_mates(self) -> tuple[int, ...]:
-        """Each integer dart -> the other end of its arc."""
-        return _mate_darts([x.arcs for x in self.crossings])
 
     @cached_property
     def face_next(self) -> tuple[int, ...]:
@@ -232,28 +216,25 @@ class Diagram:
                     f"signs list has {len(signs)} entries for {len(quads)} crossings"
                 )
             for i, sign in enumerate(signs):
-                _check_sign(i, sign)
+                if (type(sign) is not int and not _is_int(sign)) or sign not in (1, -1):
+                    raise InvalidDiagramError(f"crossing {i}: sign must be +1 or -1, got {sign!r}")
 
-        return cls._with_mates(tuple(map(_crossing, range(len(quads)), quads, signs)), mates, name)
+        return cls(tuple(map(Crossing, range(len(quads)), quads, signs)), mates, name)
 
-    @classmethod
-    def _with_mates(cls, crossings: tuple[Crossing, ...], mates: tuple[int, ...],
-                    name: str | None) -> "Diagram":
-        """The diagram of ``crossings`` whose darts sharing a label ``mates`` pairs.
 
-        Raises :class:`InvalidDiagramError` when Euler's formula fails.
-        """
-        diagram = cls(crossings=crossings, name=name)
-        vars(diagram)["dart_mates"] = mates
-        _check_euler(diagram)
-        return diagram
+class RegionAnnotation(NamedTuple):
+    """A user-declared generalized twist region, not yet validated."""
+
+    crossing_ids: frozenset[int]
+    strand_count: int
+    half_twists: int
 
 
 class DiagramDocument(NamedTuple):
     """A parsed input file: the diagram plus any region annotations."""
 
     diagram: Diagram
-    annotations: tuple  # of auglink.twist.RegionAnnotation
+    annotations: tuple[RegionAnnotation, ...]
     warnings: tuple[str, ...] = ()
 
 
@@ -268,8 +249,6 @@ def parse_document(text: str, *, allow_unknown_keys: bool = False) -> DiagramDoc
     Unknown keys are rejected unless ``allow_unknown_keys`` is set, in which
     case they are reported in ``warnings`` instead.
     """
-    from .twist import RegionAnnotation  # deferred: twist imports this module
-
     try:
         data = json.loads(text)
     except json.JSONDecodeError as e:
@@ -369,16 +348,6 @@ def serialize_diagram(diagram: Diagram) -> str:
 def _is_int(value) -> bool:
     """True for an int that is not a bool (JSON true/false load as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _crossing(id: int, arcs: tuple[int, int, int, int], sign: int) -> Crossing:
-    """A crossing whose labels and sign its builder has already checked."""
-    return tuple.__new__(Crossing, (id, arcs, sign))
-
-
-def _check_sign(crossing_id: int, sign) -> None:
-    if (type(sign) is not int and not _is_int(sign)) or sign not in (1, -1):
-        raise InvalidDiagramError(f"crossing {crossing_id}: sign must be +1 or -1, got {sign!r}")
 
 
 class _DisjointSets:

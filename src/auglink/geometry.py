@@ -13,13 +13,11 @@ sum(1/c_i) < 1/7.5832^2 is evaluated in rational arithmetic, so no
 certificate can flip on floating-point rounding.
 """
 
-from __future__ import annotations
-
 import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .augment import AugmentedLink
+from .augment import AugmentedLink, CrossingCircle
 from .errors import GeometryError
 
 
@@ -125,7 +123,6 @@ class Certificate(NamedTuple):
 class GeodesicCertificate(NamedTuple):
     certified: bool
     sum_of_inverses: Fraction
-    threshold: Fraction
     reasons: tuple[str, ...] = ()
 
     @property
@@ -179,12 +176,7 @@ def geodesic_certificate(cs, attested_hyperbolic: bool) -> GeodesicCertificate:
         reasons.append(
             f"sum of 1/c_i = {float(total):.6g} >= threshold {float(GEODESIC_THRESHOLD):.6g}"
         )
-    return GeodesicCertificate(
-        certified=not reasons,
-        sum_of_inverses=total,
-        threshold=GEODESIC_THRESHOLD,
-        reasons=tuple(reasons),
-    )
+    return GeodesicCertificate(certified=not reasons, sum_of_inverses=total, reasons=tuple(reasons))
 
 
 # ============================================================================
@@ -213,14 +205,13 @@ class CertificateReport(NamedTuple):
 
     hypotheses: tuple[str, ...]
     tw: int
-    circles: tuple  # of auglink.augment.CrossingCircle
+    circles: tuple[CrossingCircle, ...]
     estimates: tuple[SlopeEstimate, ...]
     hyperbolic: Certificate
     geodesic_circles: GeodesicCertificate
     vol_augmentation_lb: float | None
     vol_filled_lb: float | None
     euler_char_cut: int | None
-    constants: Constants = CONSTANTS
 
 
 def build_report(augmented: AugmentedLink, attested_hyperbolic: bool) -> CertificateReport:
@@ -249,12 +240,8 @@ def trivial_report() -> CertificateReport:
         circles=(),
         estimates=(),
         hyperbolic=Certificate(certified=False, reasons=none),
-        geodesic_circles=GeodesicCertificate(
-            certified=False,
-            sum_of_inverses=Fraction(0),
-            threshold=GEODESIC_THRESHOLD,
-            reasons=none,
-        ),
+        geodesic_circles=GeodesicCertificate(certified=False, sum_of_inverses=Fraction(0),
+                                             reasons=none),
         vol_augmentation_lb=None,
         vol_filled_lb=None,
         euler_char_cut=None,

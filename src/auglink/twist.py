@@ -17,32 +17,14 @@ keep their ids, and arc labels are as if each chain were spliced out alone
 in that order.
 """
 
-from __future__ import annotations
-
 import heapq
 from typing import NamedTuple
 
-from .diagram import Diagram, _DisjointSets, _crossing, _next_slot, _splice
+from .diagram import Crossing, Diagram, RegionAnnotation, _DisjointSets, _next_slot, _splice
 from .errors import NonAlternatingRegionError, RegionError
 
 
-class RegionAnnotation(NamedTuple):
-    """A user-declared generalized twist region, not yet validated."""
-
-    crossing_ids: frozenset[int]
-    strand_count: int
-    half_twists: int
-
-
-class _TwistRegionFields(NamedTuple):
-    id: int
-    crossing_ids: tuple[int, ...]
-    strand_count: int
-    half_twists: int
-    sign: int
-
-
-class TwistRegion(_TwistRegionFields):
+class TwistRegion(NamedTuple):
     """A validated twist region.
 
     ``crossing_ids`` is ordered: every 2-strand region, detected or
@@ -53,20 +35,11 @@ class TwistRegion(_TwistRegionFields):
     cancelled away.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        m, c = self.strand_count, self.half_twists
-        if m < 2:
-            raise RegionError(f"region {self.id}: strand count must be >= 2, got {m}")
-        expected = c * m * (m - 1) // 2
-        if len(self.crossing_ids) != expected:
-            raise RegionError(
-                f"region {self.id}: {len(self.crossing_ids)} crossings cannot make {c} "
-                f"half-twists of {m} strands (needs {expected} = c*m(m-1)/2)"
-            )
-        return self
+    id: int
+    crossing_ids: tuple[int, ...]
+    strand_count: int
+    half_twists: int
+    sign: int
 
     @property
     def crossing_count(self) -> int:
@@ -184,11 +157,11 @@ def _chain(crossings, ids, chain: list[int]) -> tuple[int, int, list[int]]:
     return ids[min(chain)], signs.pop() if len(signs) == 1 else 0, chain
 
 
-def _chain_regions(bonds, chains, ids, first_id: int) -> list[TwistRegion]:
-    """Number the chains as regions from ``first_id``, by smallest id."""
+def _chain_regions(bonds, chains, ids, start: int = 1) -> list[TwistRegion]:
+    """Number the chains as regions from ``start``, by smallest id."""
     result = []
     region_of: dict[int, int] = {}  # position -> region id
-    for region_id, (_, sign, chain) in enumerate(sorted(chains), start=first_id):
+    for region_id, (_, sign, chain) in enumerate(sorted(chains), start=start):
         result.append(TwistRegion(id=region_id, crossing_ids=tuple(map(ids.__getitem__, chain)),
                                   strand_count=2, half_twists=len(chain), sign=sign))
         for p in chain:
@@ -205,10 +178,7 @@ def _chain_regions(bonds, chains, ids, first_id: int) -> list[TwistRegion]:
 
 
 def detect_bigon_chains(
-    diagram: Diagram,
-    *,
-    within: frozenset[int] | None = None,
-    first_id: int = 1,
+    diagram: Diagram, *, within: frozenset[int] | None = None
 ) -> list[TwistRegion]:
     """Detect maximal 2-strand twist regions among ``within`` (default: all).
 
@@ -217,11 +187,11 @@ def detect_bigon_chains(
     through opposite corners in both directions (a chain may close into a
     cycle, as in the standard trefoil code); crossings adjacent to no usable
     bigon become single-crossing regions.  Regions are returned ordered by
-    their smallest crossing id and numbered from ``first_id``.
+    their smallest crossing id and numbered from 1.
     """
     scope = (range(len(diagram.crossings)) if within is None
              else frozenset(map(diagram.index.__getitem__, within)))
-    return _chain_regions(*_detect(diagram, scope), diagram.crossing_ids, first_id)
+    return _chain_regions(*_detect(diagram, scope), diagram.crossing_ids)
 
 
 # ============================================================================
@@ -273,16 +243,16 @@ def validate_generalized_region(
     missing = sorted(i for i in ids if i not in diagram.index)
     if missing:
         raise RegionError(f"region {region_id}: unknown crossing ids {missing}")
+    if m < 2:
+        raise RegionError(f"region {region_id}: strand count must be >= 2, got {m}")
+    expected = c * m * (m - 1) // 2
+    if len(ids) != expected:
+        raise RegionError(
+            f"region {region_id}: {len(ids)} crossings cannot make {c} "
+            f"half-twists of {m} strands (needs {expected} = c*m(m-1)/2)"
+        )
     signs = {diagram.crossing(i).sign for i in ids}
-    # TwistRegion checks the strand and crossing counts; those come first.
-    region = TwistRegion(
-        id=region_id,
-        crossing_ids=tuple(sorted(ids)),
-        strand_count=m,
-        half_twists=c,
-        sign=next(iter(signs)) if len(signs) == 1 else 0,
-    )
-    if region.sign == 0:
+    if len(signs) != 1:
         raise NonAlternatingRegionError(
             f"region {region_id}: crossings have mixed signs {sorted(signs)}"
         )
@@ -292,14 +262,14 @@ def validate_generalized_region(
             f"region {region_id}: {boundary} strand-endpoints leave the region, "
             f"expected 2m = {2 * m}"
         )
+    order = tuple(sorted(ids))
     if m == 2:
         positions = frozenset(map(diagram.index.__getitem__, ids))
         chains = _grow_chains(_bigon_bonds(diagram, positions), sorted(positions))
         if len(chains) != 1:
             raise RegionError(f"region {region_id}: crossings do not form one twist chain")
         order = tuple(map(diagram.crossing_ids.__getitem__, chains[0]))
-        region = region._replace(crossing_ids=order)
-    return region
+    return TwistRegion(region_id, order, m, c, signs.pop())
 
 
 # ============================================================================
@@ -431,8 +401,8 @@ def resolve_selection(
     if reduced:
         kept = [p for p, quad in enumerate(arcs) if quad is not None]
         at = {p: k for k, p in enumerate(kept)}  # position -> position after
-        diagram = Diagram._with_mates(
-            tuple(_crossing(crossings[p].id, tuple(arcs[p]), crossings[p].sign) for p in kept),
+        diagram = Diagram(
+            tuple(Crossing(crossings[p].id, tuple(arcs[p]), crossings[p].sign) for p in kept),
             tuple(4 * at[d >> 2] + (d & 3) for p in kept for d in mates[4 * p:4 * p + 4]),
             diagram.name,
         )

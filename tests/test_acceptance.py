@@ -1,15 +1,14 @@
 """Acceptance gate: nine numbered criteria, one visible pass/fail line each.
 
-Each criterion prints ``ACCEPTANCE <n>: PASS/FAIL`` directly to the real
-stdout (bypassing capture) so the gate is visible in any pytest run, and
-fails the suite through an ordinary assertion when violated.  Tolerances
-are pinned here and nowhere else.
+Each criterion prints ``ACCEPTANCE <n>: PASS/FAIL`` on a line of its own
+with output capturing suspended (``capsys.disabled()``), so the gate is
+visible in any pytest run, and fails the suite through an ordinary
+assertion when violated.  Tolerances are pinned here and nowhere else.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 import time
 
 from auglink.augment import augment, export_augmented_diagram
@@ -36,53 +35,58 @@ from corpus import FIGURE8, GOLDEN, GOLDEN_TWIST, TREFOIL
 from oracle import oracle_twist_regions
 
 
-def _gate(number: int, description: str, check) -> None:
+def _gate(capsys, number: int, description: str, check) -> None:
     try:
         check()
     except BaseException:
-        print(f"ACCEPTANCE {number}: FAIL — {description}", file=sys.__stdout__)
+        _show(capsys, f"ACCEPTANCE {number}: FAIL — {description}")
         raise
-    print(f"ACCEPTANCE {number}: PASS — {description}", file=sys.__stdout__)
+    _show(capsys, f"ACCEPTANCE {number}: PASS — {description}")
 
 
-def test_criterion_1_slope_length_constant():
+def _show(capsys, line: str) -> None:
+    with capsys.disabled():
+        print(f"\n{line}")
+
+
+def test_criterion_1_slope_length_constant(capsys):
     def check():
         value = slope_length_lower_bound(7)
         assert abs(value - math.sqrt(49.25)) <= 1e-6
         assert abs(value - 7.017834) <= 1e-6
         assert value > 2 * math.pi
 
-    _gate(1, "slope_length_lower_bound(7) = sqrt(49.25) = 7.017834 > 2*pi", check)
+    _gate(capsys, 1, "slope_length_lower_bound(7) = sqrt(49.25) = 7.017834 > 2*pi", check)
 
 
-def test_criterion_2_filled_volume_coefficient():
+def test_criterion_2_filled_volume_coefficient(capsys):
     def check():
         value = filled_volume_lower_bound(2, 7)
         assert value is not None
         assert 0.64756 < value < 0.64800
 
-    _gate(2, "filled_volume_lower_bound(2, 7) in (0.64756, 0.64800)", check)
+    _gate(capsys, 2, "filled_volume_lower_bound(2, 7) in (0.64756, 0.64800)", check)
 
 
-def test_criterion_3_volume_sharpness_anchor():
+def test_criterion_3_volume_sharpness_anchor(capsys):
     def check():
         assert abs(augmentation_volume_lower_bound(2) - 7.32772) <= 1e-5
         assert abs(augmentation_volume_lower_bound(2) - 2 * CONSTANTS.v8) <= 1e-12
 
-    _gate(3, "augmentation_volume_lower_bound(2) = 2*v8 = 7.32772 +/- 1e-5", check)
+    _gate(capsys, 3, "augmentation_volume_lower_bound(2) = 2*v8 = 7.32772 +/- 1e-5", check)
 
 
-def test_criterion_4_geodesic_threshold():
+def test_criterion_4_geodesic_threshold(capsys):
     def check():
         assert geodesic_certificate([58], True).certified
         assert not geodesic_certificate([57], True).certified
         assert geodesic_certificate([116, 116], True).certified
         assert not geodesic_certificate([115, 115], True).certified
 
-    _gate(4, "geodesic certificate: (58) yes, (57) no; (116,116) yes, (115,115) no", check)
+    _gate(capsys, 4, "geodesic certificate: (58) yes, (57) no; (116,116) yes, (115,115) no", check)
 
 
-def test_criterion_5_six_theorem_boundary():
+def test_criterion_5_six_theorem_boundary(capsys):
     def check():
         assert six_theorem_certificate([6, 6, 6], True).certified
         assert not six_theorem_certificate([6, 5, 6], True).certified
@@ -91,10 +95,10 @@ def test_criterion_5_six_theorem_boundary():
         # constants cannot flip the decision.
         assert six_theorem_certificate([6], True).certified
 
-    _gate(5, "6-theorem certificate: all c=6 certified, any c=5 rejected", check)
+    _gate(capsys, 5, "6-theorem certificate: all c=6 certified, any c=5 rejected", check)
 
 
-def test_criterion_6_combinatorial_oracles():
+def test_criterion_6_combinatorial_oracles(capsys):
     def check():
         for name, expected_tw, expected_sizes in (
             ("trefoil", 1, [3]),
@@ -107,10 +111,11 @@ def test_criterion_6_combinatorial_oracles():
             assert len(regions) == oracle_tw
             assert sorted(r.crossing_count for r in regions) == sorted(oracle_sizes)
 
-    _gate(6, "detect_bigon_chains matches brute-force oracle on trefoil and figure-8", check)
+    _gate(capsys, 6, "detect_bigon_chains matches brute-force oracle on trefoil and figure-8",
+          check)
 
 
-def test_criterion_7_generalized_region_validation():
+def test_criterion_7_generalized_region_validation(capsys):
     def check():
         pd, signs = braid_closure(full_twist_word(5) + [1, 2, 3, 4], 5)
         diagram = Diagram.from_pd(pd, signs)
@@ -130,10 +135,10 @@ def test_criterion_7_generalized_region_validation():
                 continue
             raise AssertionError(f"(m={strands}, c={half_twists}) wrongly validated")
 
-    _gate(7, "20-crossing full-twist-of-5 block validates as (m=5,c=2) only", check)
+    _gate(capsys, 7, "20-crossing full-twist-of-5 block validates as (m=5,c=2) only", check)
 
 
-def test_criterion_8_property_suites():
+def test_criterion_8_property_suites(capsys):
     def check():
         start = time.perf_counter()
         cases = {suite.__name__: suite(10_000) for suite in props.ALL_SUITES}
@@ -141,10 +146,10 @@ def test_criterion_8_property_suites():
         assert all(count >= 10_000 for count in cases.values()), cases
         assert elapsed < 30.0, f"property suites took {elapsed:.1f}s"
 
-    _gate(8, "six property suites, 10^4 cases each, under 30 s total", check)
+    _gate(capsys, 8, "six property suites, 10^4 cases each, under 30 s total", check)
 
 
-def test_criterion_9_round_trips():
+def test_criterion_9_round_trips(capsys):
     def check():
         for name, pd in GOLDEN.items():
             diagram = Diagram.from_pd(pd, name=name)
@@ -157,4 +162,4 @@ def test_criterion_9_round_trips():
             original_components, tw, _ = GOLDEN_TWIST[name]
             assert reparsed.link_component_count == original_components + tw
 
-    _gate(9, "serialize/parse identity and export re-parse with components + tw", check)
+    _gate(capsys, 9, "serialize/parse identity and export re-parse with components + tw", check)

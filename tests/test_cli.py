@@ -11,7 +11,6 @@ import pathlib
 import random
 import subprocess
 import sys
-from fractions import Fraction
 
 import jsonschema
 import pytest
@@ -24,9 +23,10 @@ from auglink.cli import FileResult, RunConfig, analyze, build_parser, main, resu
 from auglink.diagram import Diagram, parse_document
 from auglink.errors import ExportError
 from auglink.geometry import (
+    CONSTANTS,
+    GEODESIC_THRESHOLD,
     Certificate,
     CertificateReport,
-    Constants,
     GeodesicCertificate,
     SlopeEstimate,
 )
@@ -353,7 +353,31 @@ def test_failed_export_write_removes_a_longer_stale_file(tmp_path, monkeypatch):
     assert list(out_dir.iterdir()) == []
 
 
-@pytest.mark.parametrize("stale", ["x" * 100_000, "{}"], ids=["longer", "shorter"])
+def test_export_that_cannot_be_opened_is_left_as_it_was(tmp_path, monkeypatch):
+    # A read-only earlier export: opening it fails, and it must not be removed.
+    # Mode bits do not stop root, so the refused open is simulated.
+    out_dir = tmp_path / "exports"
+    out_dir.mkdir()
+    target = out_dir / "trefoil.augmented.json"
+    target.write_bytes(b"an earlier export\n")
+    path = _write(tmp_path, "trefoil.json", {"pd": TREFOIL})
+    real_open = os.open
+
+    def refuse(file, flags, *args):
+        if os.fspath(file) == str(target):
+            raise PermissionError(errno.EACCES, "Permission denied", str(target))
+        return real_open(file, flags, *args)
+
+    monkeypatch.setattr(os, "open", refuse)
+    status, entries = _run_json(path, export_dir=str(out_dir))
+    assert status == 0
+    (entry,) = entries
+    assert entry["ok"] and entry["report"]["tw"] == 1 and "export" not in entry
+    assert entry["warnings"] == [f"export failed: [Errno 13] Permission denied: '{target}'"]
+    assert target.read_bytes() == b"an earlier export\n"
+
+
+@pytest.mark.parametrize("stale",["x" * 100_000, "{}"], ids=["longer", "shorter"])
 def test_export_rewrites_a_stale_file_in_place(tmp_path, stale):
     paths = [_write(tmp_path, f"{name}.json", {"name": name, "pd": pd})
              for name, pd in sorted(GOLDEN.items())]
@@ -608,7 +632,6 @@ def reference_entry(result: FileResult) -> dict:
         }
         if report.vol_filled_lb is not None:
             volume["filled_lb"] = report.vol_filled_lb
-    consts = report.constants
     entry["name"] = result.name
     entry["report"] = {
         "hypotheses": list(report.hypotheses),
@@ -633,13 +656,13 @@ def reference_entry(result: FileResult) -> dict:
             "geodesic_hk": {
                 "certified": geo.certified,
                 "sum_of_inverses": str(geo.sum_of_inverses),
-                "threshold": str(geo.threshold),
+                "threshold": str(GEODESIC_THRESHOLD),
                 "reasons": list(geo.reasons),
             },
         },
         "volume": volume,
-        "constants": {"v8": consts.v8, "two_pi": consts.two_pi, "hk": consts.hk,
-                      "six": consts.six},
+        "constants": {"v8": CONSTANTS.v8, "two_pi": CONSTANTS.two_pi, "hk": CONSTANTS.hk,
+                      "six": CONSTANTS.six},
     }
     if result.warnings:
         entry["warnings"] = list(result.warnings)
@@ -672,12 +695,11 @@ def _reports(draw):
         ),
         hyperbolic=Certificate(draw(st.booleans()), draw(_reasons)),
         geodesic_circles=GeodesicCertificate(
-            draw(st.booleans()), draw(st.fractions()), draw(st.fractions()), draw(_reasons)
+            draw(st.booleans()), draw(st.fractions()), draw(_reasons)
         ),
         vol_augmentation_lb=augmentation,
         vol_filled_lb=None if augmentation is None else draw(st.none() | _floats),
         euler_char_cut=None if augmentation is None else draw(_counts),
-        constants=Constants(*(draw(_floats) for _ in range(4))),
     )
 
 
@@ -704,18 +726,3 @@ def test_writer_matches_json_dumps(results):
     )
     assert written + ("\n]" if results else "[]") == expected
 
-
-def test_writer_keeps_signed_zero_constants_apart():
-    # The constants block is cached by value; 0.0 and -0.0 print differently.
-    def constants(v8):
-        report = CertificateReport(
-            hypotheses=(), tw=0, circles=(), estimates=(),
-            hyperbolic=Certificate(False),
-            geodesic_circles=GeodesicCertificate(False, Fraction(0), Fraction(1)),
-            vol_augmentation_lb=None, vol_filled_lb=None, euler_char_cut=None,
-            constants=Constants(v8=v8),
-        )
-        entry = result_to_entry(FileResult(file="f", ok=True, report=report))
-        return json.loads(entry)["report"]["constants"]["v8"]
-
-    assert [str(constants(v)) for v in (0.0, -0.0, 0.0)] == ["0.0", "-0.0", "0.0"]

@@ -8,7 +8,6 @@ from collections import Counter
 import pytest
 
 from auglink.diagram import (
-    Crossing,
     Diagram,
     _orbits,
     parse_document,
@@ -73,12 +72,14 @@ def test_cached_topology_is_shared_and_read_only():
     with pytest.raises(KeyError):
         diagram.crossing(99)
     # Equality and hashing see the crossings and the name, never the cache.
-    bare = Diagram(diagram.crossings)
-    assert "face_next" in vars(diagram) and "face_next" not in vars(bare)
-    assert bare == diagram == Diagram(crossings=diagram.crossings, name=None)
+    assert diagram.link_component_count == 1
+    bare = Diagram(diagram.crossings, diagram.dart_mates)
+    assert "link_component_count" in vars(diagram) and "link_component_count" not in vars(bare)
+    assert bare == diagram == Diagram(crossings=diagram.crossings, mates=diagram.dart_mates)
     assert hash(bare) == hash(diagram)
-    assert Diagram(diagram.crossings, "figure-8") != diagram
-    assert Diagram(diagram.crossings[::-1]) != diagram
+    assert Diagram(diagram.crossings, diagram.dart_mates, "figure-8") != diagram
+    reversed_code = [x.arcs for x in reversed(diagram.crossings)]
+    assert Diagram.from_pd(reversed_code, [x.sign for x in reversed(diagram.crossings)]) != diagram
     assert diagram != (diagram.crossings, None)
     for attribute in ("crossings", "name", "dart_mates", "face_next", "other"):
         with pytest.raises(AttributeError):
@@ -179,6 +180,7 @@ MALFORMED = {
     '{"pd": [[1, 1, 1, 2]]}': (
         "each arc label must appear exactly twice; offenders: 1 (x3), 2 (x1)"
     ),
+    '{"pd": [[1, 2, 3, 4, 5]]}': "crossing 0: expected 4 arc labels, got 5",
     '{"pd": [[1, 2, 3, 4]]}': (
         "each arc label must appear exactly twice; offenders: 1 (x1), 2 (x1), 3 (x1), 4 (x1)"
     ),
@@ -250,31 +252,20 @@ def test_parse_rejects_malformed_input(text):
     assert str(excinfo.value) == MALFORMED[text]
 
 
-@pytest.mark.parametrize(
-    "arcs, sign, message",
-    [
-        ((1, 2, 3), 1, "expected 4 arc labels, got 3"),
-        ((1, 2, 3, 4, 5), 1, "expected 4 arc labels, got 5"),
-        ((0, 1, 2, 3), 1, "arc labels must be positive integers, got (0, 1, 2, 3)"),
-        ((True, 1, 2, 3), 1, "arc labels must be positive integers, got (True, 1, 2, 3)"),
-        ((1.0, 1, 2, 3), 1, "arc labels must be positive integers, got (1.0, 1, 2, 3)"),
-        ((1, 2, 3, "4"), 1, "arc labels must be positive integers, got (1, 2, 3, '4')"),
-        ((0, 2, 3, 4), 5, "arc labels must be positive integers, got (0, 2, 3, 4)"),
-        ((1, 2, 3, 4), 0, "sign must be +1 or -1, got 0"),
-        ((1, 2, 3, 4), True, "sign must be +1 or -1, got True"),
-        ((1, 2, 3, 4), -1.0, "sign must be +1 or -1, got -1.0"),
-        ((1, 2, 3, 4), "+1", "sign must be +1 or -1, got '+1'"),
-    ],
-)
-def test_crossing_rejects_malformed_fields(arcs, sign, message):
-    with pytest.raises(InvalidDiagramError) as excinfo:
-        Crossing(id=7, arcs=arcs, sign=sign)
-    assert str(excinfo.value) == f"crossing 7: {message}"
-
-
 def test_euler_violation_message_names_the_component():
     with pytest.raises(InvalidDiagramError, match="Euler"):
         Diagram.from_pd([[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]], signs=[1, 1, 1])
+    # The constructor checks the mates it is given: two figure-8 arcs cross-wired.
+    diagram = Diagram.from_pd(FIGURE8)
+    mates = list(diagram.dart_mates)
+    assert mates[0] == 11 and mates[1] == 12
+    mates[0], mates[1], mates[11], mates[12] = 12, 11, 1, 0
+    with pytest.raises(InvalidDiagramError) as excinfo:
+        Diagram(diagram.crossings, tuple(mates))
+    assert str(excinfo.value) == (
+        "Euler formula violated (non-planar or corrupted code): "
+        "component with crossings [0, 1, 2, 3] has V=4 E=8 F=4"
+    )
 
 
 def test_unknown_keys_strict_versus_lenient():

@@ -136,7 +136,6 @@ def test_geodesic_certificate_thresholds():
 def test_geodesic_certificate_is_exact():
     cert = geodesic_certificate([58], True)
     assert cert.sum_of_inverses == Fraction(1, 58)
-    assert cert.threshold == GEODESIC_THRESHOLD
     assert GEODESIC_THRESHOLD == Fraction(10**8, 75832**2)
     # 1/58 < 10^8/75832^2 < 1/57, exactly the wedge the examples probe.
     assert Fraction(1, 58) < GEODESIC_THRESHOLD < Fraction(1, 57)

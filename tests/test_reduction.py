@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from auglink.diagram import Crossing, Diagram, _check_euler, _DisjointSets, _mate_darts
+from auglink.diagram import Crossing, Diagram, _DisjointSets, _mate_darts
 from auglink.errors import RegionError
 from auglink.twist import (
     RegionAnnotation,
@@ -68,10 +68,9 @@ def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
     for x in diagram.crossings:
         if x.id not in removed:
             arcs = tuple(labels.find(a) for a in x.arcs)
-            survivors.append(Crossing(x.id, arcs, x.sign))  # checked; _replace would skip that
-    reduced = Diagram(crossings=tuple(survivors), name=diagram.name)
-    _check_euler(reduced)
-    return reduced
+            survivors.append(Crossing(x.id, arcs, x.sign))
+    # The mates worked out again from the labels; the constructor checks Euler.
+    return Diagram(tuple(survivors), _mate_darts([x.arcs for x in survivors]), diagram.name)
 
 
 def reference_resolve(diagram, annotations=()):

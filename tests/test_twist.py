@@ -70,12 +70,16 @@ def test_kink_self_bigon_does_not_bond():
 
 
 def test_twist_region_count_formula_enforced():
-    with pytest.raises(RegionError):
-        TwistRegion(id=1, crossing_ids=(0, 1), strand_count=3, half_twists=1, sign=1)
-    region = TwistRegion(
-        id=1, crossing_ids=(0, 1, 2), strand_count=3, half_twists=1, sign=1
-    )
+    # sigma1 sigma2 sigma1 is one half-twist of 3 strands: 3 = 1 * 3 * 2 / 2 crossings.
+    pd, signs = braid_closure([1, 2, 1, 1, 2, 2], 3)
+    diagram = Diagram.from_pd(pd, signs)
+    block = frozenset({0, 1, 2})
+    region = validate_generalized_region(diagram, RegionAnnotation(block, 3, 1))
+    assert region == TwistRegion(id=1, crossing_ids=(0, 1, 2), strand_count=3, half_twists=1,
+                                 sign=1)
     assert region.crossing_count == 3
+    with pytest.raises(RegionError, match="needs 6 = c"):
+        validate_generalized_region(diagram, RegionAnnotation(block, 3, 2))
 
 
 # ----------------------------------------------------------------------------
@@ -105,12 +109,21 @@ def test_validate_two_strand_region_on_figure8():
 
 
 def test_validate_rejects_wrong_count():
+    # The strand and crossing counts are checked after the ids and before
+    # the signs: crossings 0-2 of the figure-8 have mixed signs.
     diagram = Diagram.from_pd(FIGURE8)
-    annotation = RegionAnnotation(
-        crossing_ids=frozenset({0, 1, 2}), strand_count=2, half_twists=2
-    )
-    with pytest.raises(RegionError):
-        validate_generalized_region(diagram, annotation)
+    for (ids, m, c), message in [
+        (({0, 1, 2}, 2, 2), "region 1: 3 crossings cannot make 2 half-twists of 2 strands "
+                            "(needs 2 = c*m(m-1)/2)"),
+        (({0, 1}, 3, 1), "region 1: 2 crossings cannot make 1 half-twists of 3 strands "
+                         "(needs 3 = c*m(m-1)/2)"),
+        (({0, 1, 2}, 1, 1), "region 1: strand count must be >= 2, got 1"),
+        (({0, 9}, 1, 1), "region 1: unknown crossing ids [9]"),
+    ]:
+        annotation = RegionAnnotation(crossing_ids=frozenset(ids), strand_count=m, half_twists=c)
+        with pytest.raises(RegionError) as excinfo:
+            validate_generalized_region(diagram, annotation)
+        assert type(excinfo.value) is RegionError and str(excinfo.value) == message
 
 
 def test_validate_rejects_mixed_signs():
