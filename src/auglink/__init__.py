@@ -17,8 +17,6 @@ The package exports the pipeline's functions and its errors; every other
 name is imported from its module.
 """
 
-from __future__ import annotations
-
 from .augment import augment, export_augmented_diagram
 from .diagram import parse_document
 from .errors import (

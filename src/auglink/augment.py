@@ -19,7 +19,7 @@ epsilon = 1, a synthesized half-twist staircase.
 
 from typing import Mapping, NamedTuple
 
-from .diagram import Crossing, Diagram, _next_slot, _splice
+from .diagram import Crossing, Diagram, _incoherent_dart, _next_slot, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
 from .twist import TwistRegion, TwistSelection, _bigon_bonds
 
@@ -401,13 +401,12 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     for x in diagram.crossings:
         graph.add(_original_roles(x.sign))
     graph.mates[:] = diagram.dart_mates
-    for d, e in enumerate(diagram.dart_mates):
-        if graph.role[d] & 1 == graph.role[e] & 1:
-            arc = diagram.crossings[d >> 2].arcs[d & 3]
-            raise ExportError(
-                f"arc {arc} has no coherent direction; "
-                "crossing signs are not orientation-consistent"
-            )
+    bad = _incoherent_dart([x.sign for x in diagram.crossings], diagram.dart_mates)
+    if bad is not None:
+        raise ExportError(
+            f"arc {diagram.crossings[bad >> 2].arcs[bad & 3]} has no coherent direction; "
+            "crossing signs are not orientation-consistent"
+        )
 
     for circle, region in zip(augmented.circles, selection.regions):
         if region.strand_count == 2:

@@ -31,15 +31,18 @@ Input files are JSON, either a bare PD array or an object::
      "signs": [1, 1, 1],
      "regions": [{"crossings": [0, 1, 2], "strands": 2, "half_twists": 3}]}
 
-``signs`` is optional; without it the parser infers signs assuming the
-standard convention that labels are numbered consecutively along each
-oriented component.  ``regions`` declares generalized twist regions (see
+``signs`` is optional; without it each strand orbit is oriented by its
+first under-slot (slot 0 runs with it, slot 2 against it), a strand that
+only passes over by the convention that labels are numbered consecutively
+along it, and the result must give every arc one head and one tail (see
+:func:`_infer_signs`).  ``regions`` declares generalized twist regions (see
 :mod:`auglink.twist`); ``crossings`` lists 0-based crossing ids.
 """
 
 import json
 from collections import Counter
 from functools import cached_property
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -457,62 +460,57 @@ def _check_euler(diagram: Diagram) -> None:
 # ============================================================================
 
 
-def _infer_signs(quads: list[tuple], mates: tuple[int, ...]) -> list[int]:
-    """Infer crossing signs from arc labels.
+# The slots of a crossing of each sign where the oriented strand enters:
+# the under-strand at slot 0, the over-strand at slot 3 (+1) or 1 (-1).
+_ENTERS = {1: b"\1\0\0\1", -1: b"\1\1\0\0"}
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")
 
-    Two stages.  First, orientation propagation: slot 0 is always an inflow
-    and slot 2 an outflow, so every arc touching an under-slot has a forced
-    direction; pushing directions across arcs pins down the over-slot roles
-    (hence the sign) of every crossing they touch, transitively.  Second, any
-    crossing still free gets the standard consecutive-numbering reading: for
-    over pair (b, d) = (slot 1, slot 3), the crossing is positive when b is
-    d's successor along its component.  A final pass checks that every arc
-    ends up with one head and one tail.
+
+def _incoherent_dart(signs, mates: tuple[int, ...]) -> int | None:
+    """The first dart, in dart order, of an arc whose ends both enter or both leave.
+
+    ``signs`` orient the link exactly when every arc joins a slot where its
+    strand leaves one crossing to a slot where it enters the next; then
+    this returns None.  Needs at least one crossing.
     """
-    n = len(quads)
-    # (crossing, slot) of both ends of each arc, in label first-appearance order.
-    arcs = [(d >> 2, d & 3, e >> 2, e & 3) for d, e in enumerate(mates) if d < e]
+    enters = b"".join(map(_ENTERS.__getitem__, signs))
+    if bytes(itemgetter(*mates)(enters)) == enters.translate(_FLIP):
+        return None
+    return next(d for d, e in enumerate(mates) if enters[d] == enters[e])
 
-    signs: dict[int, int] = {}
 
-    def role(ci: int, slot: int) -> str | None:
-        # "in" / "out" / None when it hinges on an unknown sign
-        if slot == 0:
-            return "in"
-        if slot == 2:
-            return "out"
-        sign = signs.get(ci)
-        if sign is None:
-            return None
-        if slot == 3:
-            return "in" if sign > 0 else "out"
-        return "out" if sign > 0 else "in"
+def _infer_signs(quads: list[tuple], mates: tuple[int, ...]) -> list[int]:
+    """Infer crossing signs from the strand orbits.
 
-    changed = True
-    while changed:
-        changed = False
-        for c1, s1, c2, s2 in arcs:
-            r1, r2 = role(c1, s1), role(c2, s2)
-            if (r1 is None) != (r2 is None):
-                # The free end is an over-slot of a crossing with no sign yet:
-                # record the sign that gives it the role opposite the known end's.
-                ci, slot, known = (c2, s2, r1) if r2 is None else (c1, s1, r2)
-                signs[ci] = 1 if (slot == 3) == (known == "out") else -1
-                changed = True
+    Each orbit of ``d -> mates[d ^ 2]`` lists the darts where one strand,
+    run one way, enters a crossing.  Its smallest under-slot dart orients
+    it (slot 0 forward, slot 2 backward), and crossing i is positive when
+    the orbit through dart 4i + 3 runs forward.  A crossing whose
+    over-strand meets no under-slot is positive when its slot-1 label b
+    follows its slot-3 label d along the component, negative when d
+    follows b.  Signs that orient no link are refused, naming the arc of
+    :func:`_incoherent_dart`.
+    """
+    strand, count = _orbits([mates[d ^ 2] for d in range(len(mates))])
+    runs = [0] * count  # +1 with the orientation, -1 against it, 0 not known
+    for d in range(0, len(mates), 2):  # the under-slot darts, smallest first
+        if not runs[strand[d]]:
+            runs[strand[d]] = 1 - (d & 2)
+    signs = [runs[strand[d]] for d in range(3, len(mates), 4)]
 
-    if len(signs) < n:
+    if 0 in signs:
         # A strand orbit meets each arc of its component once: its labels
         # are the component's, and the other direction's orbit repeats them.
-        strand, count = _orbits([mates[d ^ 2] for d in range(len(mates))])
         labels: list[list[int]] = [[] for _ in range(count)]
         for d, k in enumerate(strand):
-            labels[k].append(quads[d >> 2][d & 3])
+            if not runs[k]:
+                labels[k].append(quads[d >> 2][d & 3])
         next_label: dict[int, int] = {}  # along the same component
         for group in labels:
             group.sort()
             next_label.update(zip(group, group[1:] + group[:1]))
-        for ci in range(n):
-            if ci in signs:
+        for ci, sign in enumerate(signs):
+            if sign:
                 continue
             b, d = quads[ci][1], quads[ci][3]
             if next_label[d] == b:
@@ -525,10 +523,10 @@ def _infer_signs(quads: list[tuple], mates: tuple[int, ...]) -> list[int]:
                     'supply explicit "signs"'
                 )
 
-    for c1, s1, c2, s2 in arcs:
-        if sorted((role(c1, s1), role(c2, s2))) != ["in", "out"]:
-            raise InvalidDiagramError(
-                f"cannot infer consistent signs (arc {quads[c1][s1]} has no coherent "
-                'direction); supply explicit "signs"'
-            )
-    return [signs[ci] for ci in range(n)]
+    bad = _incoherent_dart(signs, mates)
+    if bad is not None:
+        raise InvalidDiagramError(
+            f"cannot infer consistent signs (arc {quads[bad >> 2][bad & 3]} has no coherent "
+            'direction); supply explicit "signs"'
+        )
+    return signs

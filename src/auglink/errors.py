@@ -6,8 +6,6 @@ Programming errors (wrong argument types, impossible states) raise the usual
 built-ins instead.
 """
 
-from __future__ import annotations
-
 
 class AuglinkError(Exception):
     """Base class for all input and domain errors raised by this package."""

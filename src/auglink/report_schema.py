@@ -10,8 +10,6 @@ as strings like ``"1/58"`` so no precision is lost in transit; every other
 number is a plain JSON number at full double precision.
 """
 
-from __future__ import annotations
-
 _CIRCLE = {
     "type": "object",
     "properties": {

@@ -155,6 +155,27 @@ def test_link_split_by_reduction_is_an_input_error(tmp_path):
     assert "split" in entries[0]["error"]
 
 
+@pytest.mark.parametrize(
+    "word, strands, error",
+    [
+        # Cancelling s2 s2^-1 leaves two trefoils on their own strands: the
+        # link keeps both components, but its diagram falls apart.
+        ([1, 1, 1, 2, -2, 3, 3, 3], 4,
+         "diagram is split (disconnected); augmentation undefined"),
+        # Cancelling s1 s1^-1 takes every crossing of the first strand.
+        ([1, -1, 2, 2, 2], 3,
+         "link is split: R-II reduction cancels every crossing of a component"),
+    ],
+    ids=["diagram", "component"],
+)
+def test_split_after_reduction_messages(tmp_path, word, strands, error):
+    pd, signs = braid_closure(word, strands)
+    path = _write(tmp_path, "split.json", {"pd": pd, "signs": signs})
+    status, entries = _run_json(path)
+    assert status == 2
+    assert entries == [{"error": error, "file": path, "ok": False}]
+
+
 def test_json_reports_stream_as_one_array(tmp_path):
     paths = [_write(tmp_path, f"{name}.json", {"pd": pd}) for name, pd in sorted(GOLDEN.items())]
     paths.append(str(tmp_path / "missing.json"))

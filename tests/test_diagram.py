@@ -193,9 +193,10 @@ MALFORMED = {
     '{"pd": [[1, 1, 2, 2]], "regions": [{"crossings": [0, 0], "strands": 2, "half_twists": 1}]}': (
         "region 0: duplicate crossing ids"
     ),
-    # Non-planar, but sign inference fails first.
+    # Non-planar, but sign inference fails first.  Arc 2 joins two slot-2
+    # darts, but arc 5 (darts 1 and 8) is the first incoherent one in dart order.
     '{"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]]}': (
-        'cannot infer consistent signs (arc 2 has no coherent direction); supply explicit "signs"'
+        'cannot infer consistent signs (arc 5 has no coherent direction); supply explicit "signs"'
     ),
     '{"pd": [[1, 1, 2, 2]], "signs": [true]}': "crossing 0: sign must be +1 or -1, got True",
     '{"pd": [[1, 1, 2, 2]], "signs": [1.0]}': "crossing 0: sign must be +1 or -1, got 1.0",
