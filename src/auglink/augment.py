@@ -19,7 +19,7 @@ epsilon = 1, a synthesized half-twist staircase.
 
 from typing import Mapping, NamedTuple
 
-from .diagram import Crossing, Diagram, _incoherent_dart, _next_slot, _splice
+from .diagram import _ENTERS, Crossing, Diagram, _next_slot, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
 from .twist import TwistRegion, TwistSelection, _bigon_bonds
 
@@ -104,77 +104,60 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # ============================================================================
 #
 # Every crossing of the drawing is a "stub" with four ports, numbered
-# 4 * stub + k for rotation position k = 0..3 (counterclockwise).  Stubs
-# are numbered in the order they are added: the original crossings first,
-# in diagram order, so that port 4 * i + s is slot s of crossings[i], the
-# integer dart the diagram's own mates use.  Each port carries a strand
-# role, and every wire joins an out-port to an in-port.  At the end every
-# live stub becomes a crossing, rotated so that the under-in port comes
-# first (which also fixes the sign), and every wire an arc.
-
-_UIN, _UOUT, _OIN, _OOUT = 0, 1, 2, 3  # strand roles; odd roles are out-ports
+# 4 * stub + k for rotation position k = 0..3 (counterclockwise).  The
+# graph starts as the diagram itself, its crossings the first stubs in
+# diagram order, so that port 4 * i + s is slot s of crossings[i], the
+# integer dart the diagram's own mates use.  Each stub records only its
+# sign and the rotation position of its slot 0 (0 for the originals); a
+# port's strand enters the stub exactly when ``_ENTERS[sign][slot]`` says
+# so, the table the parser checks the input's orientation with.  At the
+# end every live stub becomes a crossing read from its slot 0, and every
+# wire an arc.
 
 # Rotation positions of synthesized stubs.
 _E, _N, _W, _S = 0, 1, 2, 3  # circle crossings
 _NE, _NW, _SW, _SE = 0, 1, 2, 3  # staircase crossings
 
-
-def _original_roles(sign: int) -> tuple[int, ...]:
-    # Slot order: the under-strand enters at 0 and leaves at 2.
-    return (_UIN, _OOUT, _UOUT, _OIN) if sign > 0 else (_UIN, _OIN, _UOUT, _OOUT)
-
-
-def _circle_over_roles(lane_forward: bool) -> tuple[int, ...]:
-    # Circle runs north->south and passes over a west-east strand.
-    west, east = (_UIN, _UOUT) if lane_forward else (_UOUT, _UIN)
-    return (east, _OIN, west, _OOUT)
-
-
-def _circle_under_roles(lane_forward: bool) -> tuple[int, ...]:
-    # Circle runs south->north and passes under a west-east strand.
-    west, east = (_OIN, _OOUT) if lane_forward else (_OOUT, _OIN)
-    return (east, _UOUT, west, _UIN)
-
-
-def _letter_roles(handedness: int, lanes_forward: bool) -> tuple[int, ...]:
-    # One staircase crossing between two adjacent lanes: strand A runs
-    # NW-SE, strand B runs SW-NE; positive handedness puts A on top.
-    a_in, b_in = (_OIN, _UIN) if handedness > 0 else (_UIN, _OIN)
-    a_out, b_out = a_in + 1, b_in + 1
-    if lanes_forward:
-        return (b_out, a_in, b_in, a_out)
-    return (b_in, a_out, b_out, a_in)
+# (sign, slot-0 position) of a circle crossing, by whether the west-east
+# strand runs forward (west to east).  The circle runs north to south over
+# the strands and south to north under them, entering the under-pass at _S.
+_OVER = {True: (1, _W), False: (-1, _E)}
+_UNDER = {True: (1, _S), False: (-1, _S)}
+# (sign, slot-0 position) of one staircase crossing between two adjacent
+# lanes, by (handedness, lanes forward): strand A runs NW-SE, strand B runs
+# SW-NE, and positive handedness puts A on top.
+_LETTER = {(1, True): (1, _SW), (1, False): (1, _NE),
+           (-1, True): (-1, _NW), (-1, False): (-1, _SE)}
 
 
 class _PortGraph:
     """Wiring between stub ports, in the encoding of ``Diagram.dart_mates``.
 
-    ``role`` and ``mates`` are indexed by port; ``mates[p]`` is the port at
-    the other end of p's wire, -1 while p is unwired.  ``live`` flags the
-    stubs not spliced out.  :meth:`to_diagram` hands the mates of the live
-    ports to the diagram it builds, which checks only Euler's formula.
+    ``mates`` is indexed by port; ``mates[p]`` is the port at the other end
+    of p's wire, -1 while p is unwired.  ``signs``, ``starts`` and ``live``
+    are indexed by stub; ``live`` flags the stubs not spliced out.
+    :meth:`to_diagram` hands the mates of the live ports to the diagram it
+    builds, which checks only Euler's formula.
     """
 
-    def __init__(self):
-        self.role: list[int] = []
-        self.mates: list[int] = []
-        self.live = bytearray()
+    def __init__(self, diagram: Diagram):
+        self.mates = list(diagram.dart_mates)
+        self.signs = [x.sign for x in diagram.crossings]
+        self.starts = [0] * len(self.signs)
+        self.live = bytearray(b"\1" * len(self.signs))
 
-    def add(self, roles: tuple[int, ...]) -> int:
-        """Add a stub with these port roles; returns the stub number."""
-        self.role.extend(roles)
+    def add(self, sign: int, start: int) -> int:
+        """Add a stub with this sign and slot-0 position; returns the stub number."""
+        self.signs.append(sign)
+        self.starts.append(start)
         self.mates.extend((-1, -1, -1, -1))
         self.live.append(1)
         return len(self.live) - 1
 
     def connect(self, a: int, b: int) -> None:
-        """Wire two ports; exactly one must be an out-port."""
-        a_out = self.role[a] & 1
-        if a_out == self.role[b] & 1:
-            raise ExportError(f"cannot wire ports {a} and {b}: roles conflict")
+        """Wire two unwired ports."""
         if self.mates[a] >= 0 or self.mates[b] >= 0:
-            src, dst = (a, b) if a_out else (b, a)
-            raise ExportError(f"port already wired: {src} -> {dst}")
+            raise ExportError(f"port already wired: {a} or {b}")
         self.mates[a] = b
         self.mates[b] = a
 
@@ -190,13 +173,12 @@ class _PortGraph:
         :class:`ExportError` on a port that is unwired or wired to a
         spliced-out stub, and on a drawing that fails Euler's formula.
         """
-        role, mates = self.role, self.mates
-        ports, signs = [], []  # ports in dart order; the sign of each crossing
-        for stub in (s for s, alive in enumerate(self.live) if alive):
-            p = role.index(_UIN, 4 * stub, 4 * stub + 4)
+        mates, ports = self.mates, []  # ports in dart order
+        stubs = [s for s, alive in enumerate(self.live) if alive]
+        for stub in stubs:
+            p = 4 * stub + self.starts[stub]
             q = _next_slot(p)
             ports += (p, q, p ^ 2, q ^ 2)
-            signs.append(1 if role[q ^ 2] == _OIN else -1)
         dart = {port: d for d, port in enumerate(ports)}
         dangling = [p for p in ports if mates[p] not in dart]
         if dangling:
@@ -206,8 +188,8 @@ class _PortGraph:
         firsts = (d for d, e in enumerate(dart_mates) if d < e)  # one dart per arc, in order
         for arc, d in enumerate(firsts, start=1):
             label[d] = label[dart_mates[d]] = arc
-        crossings = tuple(Crossing(k, tuple(label[4 * k:4 * k + 4]), sign)
-                          for k, sign in enumerate(signs))
+        crossings = tuple(Crossing(k, tuple(label[4 * k:4 * k + 4]), self.signs[stub])
+                          for k, stub in enumerate(stubs))
         try:
             return Diagram(crossings, dart_mates, name)
         except InvalidDiagramError as exc:
@@ -286,7 +268,7 @@ def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
         raise ExportError(f"region {region.id}: boundary is not a single cycle")
     through = _splice(mates, inside)  # outside dart -> outside dart across the box
     pairing = {d: mates[through[mates[d]]] for d in cycle}
-    flows_in = {d: not graph.role[d] & 1 for d in cycle}
+    flows_in = {d: _ENTERS[diagram.crossings[d >> 2].sign][d & 3] for d in cycle}
     t_side, u_side = _split_boundary(cycle, pairing, m, eps, flows_in)
 
     # Capture the outside port and direction of every lane, then delete the region.
@@ -302,7 +284,7 @@ def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
     over = []
     for pos in range(m):
         port, fwd = frontier[pos]
-        stub = graph.add(_circle_over_roles(fwd))
+        stub = graph.add(*_OVER[fwd])
         graph.connect(port, 4 * stub + _W)
         frontier[pos] = (4 * stub + _E, fwd)
         over.append(stub)
@@ -317,7 +299,7 @@ def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
         fwd = frontier[0][1]
         word = [j for k in range(m - 1, 0, -1) for j in range(1, k + 1)]
         for j in word:
-            stub = graph.add(_letter_roles(region.sign, fwd))
+            stub = graph.add(*_LETTER[region.sign, fwd])
             hi, lo = frontier[j - 1], frontier[j]
             graph.connect(hi[0], 4 * stub + _NW)
             graph.connect(lo[0], 4 * stub + _SW)
@@ -327,7 +309,7 @@ def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
     under = []
     for pos in range(m):
         port, fwd = frontier[pos]
-        stub = graph.add(_circle_under_roles(fwd))
+        stub = graph.add(*_UNDER[fwd])
         graph.connect(port, 4 * stub + _W)
         frontier[pos] = (4 * stub + _E, fwd)
         under.append(stub)
@@ -369,10 +351,10 @@ def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegio
         back = 2 ^ next(d for d in range(4 * x0, 4 * x0 + 4) if bonds.get(d, -1) >> 2 == x1)
     over, under = [], []
     for port in (back, _next_slot(back)):
-        outside, forward = graph.mates[port], not graph.role[port] & 1  # enters x0 here
+        outside, forward = graph.mates[port], _ENTERS[diagram.crossings[x0].sign][port & 3]
         graph.disconnect(port)
-        under.append(graph.add(_circle_under_roles(forward)))
-        over.append(graph.add(_circle_over_roles(forward)))
+        under.append(graph.add(*_UNDER[forward]))
+        over.append(graph.add(*_OVER[forward]))
         graph.connect(port, 4 * under[-1] + _E)
         graph.connect(4 * under[-1] + _W, 4 * over[-1] + _E)
         graph.connect(4 * over[-1] + _W, outside)
@@ -397,17 +379,7 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     selection = augmented.source
     diagram = selection.diagram
 
-    graph = _PortGraph()
-    for x in diagram.crossings:
-        graph.add(_original_roles(x.sign))
-    graph.mates[:] = diagram.dart_mates
-    bad = _incoherent_dart([x.sign for x in diagram.crossings], diagram.dart_mates)
-    if bad is not None:
-        raise ExportError(
-            f"arc {diagram.crossings[bad >> 2].arcs[bad & 3]} has no coherent direction; "
-            "crossing signs are not orientation-consistent"
-        )
-
+    graph = _PortGraph(diagram)
     for circle, region in zip(augmented.circles, selection.regions):
         if region.strand_count == 2:
             _export_chain_region(graph, diagram, region, circle.epsilon)

@@ -34,9 +34,10 @@ Input files are JSON, either a bare PD array or an object::
 ``signs`` is optional; without it each strand orbit is oriented by its
 first under-slot (slot 0 runs with it, slot 2 against it), a strand that
 only passes over by the convention that labels are numbered consecutively
-along it, and the result must give every arc one head and one tail (see
-:func:`_infer_signs`).  ``regions`` declares generalized twist regions (see
-:mod:`auglink.twist`); ``crossings`` lists 0-based crossing ids.
+along it (see :func:`_infer_signs`).  Given or inferred, the signs must give
+every arc one head and one tail, so every diagram is oriented.  ``regions``
+declares generalized twist regions (see :mod:`auglink.twist`); ``crossings``
+lists 0-based crossing ids.
 """
 
 import json
@@ -199,7 +200,8 @@ class Diagram:
         the underlying graph (which rejects non-planar or corrupted codes).
         When ``signs`` is omitted they are inferred; see module docstring.
         Errors come in that order: every shape, then the first label that
-        is not a positive integer, then multiplicity, signs and Euler.
+        is not a positive integer, then multiplicity, the signs' count and
+        values, their coherence (see module docstring), and Euler.
         """
         quads = []
         for i, quad in enumerate(pd):
@@ -221,6 +223,12 @@ class Diagram:
             for i, sign in enumerate(signs):
                 if (type(sign) is not int and not _is_int(sign)) or sign not in (1, -1):
                     raise InvalidDiagramError(f"crossing {i}: sign must be +1 or -1, got {sign!r}")
+            bad = _incoherent_dart(signs, mates) if quads else None
+            if bad is not None:
+                raise InvalidDiagramError(
+                    f"signs orient no link (arc {quads[bad >> 2][bad & 3]} has no coherent "
+                    "direction)"
+                )
 
         return cls(tuple(map(Crossing, range(len(quads)), quads, signs)), mates, name)
 

@@ -1,15 +1,17 @@
-"""Independent brute-force oracles for face and twist-region counts.
+"""Independent brute-force oracles for faces, twist regions and orientation.
 
-Written before the main package and kept deliberately separate from it: these
-functions take raw PD data (lists of 4-tuples of arc labels) and use a
-directed-arc / clockwise-turn formulation of face traversal, instead of the
-dart rotation used by the package.  Unit and acceptance tests compare the
-package's answers against these.
+Kept deliberately separate from the main package, and importing nothing
+from it: these functions take raw PD data (lists of 4-tuples of arc labels,
+and the crossing signs for orientation) and use a directed-arc /
+clockwise-turn formulation of face traversal, instead of the dart rotation
+used by the package, and per-arc head and tail counts, instead of its slot
+table.  Unit and acceptance tests compare the package's answers against
+these.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 
 def _endpoints(pd):
@@ -170,3 +172,21 @@ def oracle_component_crossings(pd):
             counts[under][2] += 1
     labels = {arc for quad in pd for arc in quad}
     return [tuple(counts[r]) for r in sorted({find(a) for a in labels})]
+
+
+def oracle_incoherent_arcs(pd, signs):
+    """Sorted arc labels that the signs do not orient, from labels and signs alone.
+
+    Run along its orientation, a strand passing under a crossing comes in
+    on slot 0 and goes out on slot 2; passing over, it comes in on slot 3
+    and out on slot 1 of a positive crossing, in on 1 and out on 3 of a
+    negative one.  The signs orient the link exactly when every arc comes
+    in to one crossing end and goes out of the other, so this is empty.
+    """
+    comes_in, goes_out = Counter(), Counter()
+    for quad, sign in zip(pd, signs):
+        over_in, over_out = (quad[3], quad[1]) if sign > 0 else (quad[1], quad[3])
+        comes_in.update((quad[0], over_in))
+        goes_out.update((quad[2], over_out))
+    labels = {arc for quad in pd for arc in quad}
+    return sorted(a for a in labels if comes_in[a] != 1 or goes_out[a] != 1)

@@ -11,7 +11,7 @@ from auglink.augment import (
     filling_slope,
 )
 from auglink.diagram import Diagram, parse_document, serialize_diagram
-from auglink.errors import AugmentError, ExportError, RegionError
+from auglink.errors import AugmentError, InvalidDiagramError, RegionError
 from auglink.twist import (
     RegionAnnotation,
     TwistSelection,
@@ -22,6 +22,7 @@ from auglink.twist import (
 
 from braid import braid_closure, full_twist_word
 from corpus import FIGURE8, GOLDEN, GOLDEN_TWIST, HOPF, KINK, TREFOIL
+from oracle import oracle_incoherent_arcs
 
 
 def _augmented(pd, annotations=()):
@@ -181,14 +182,8 @@ def test_export_round_trips_through_serialization(name):
 def test_export_is_orientation_consistent(name):
     _, augmented = _augmented(GOLDEN[name])
     exported = export_augmented_diagram(augmented)
-    flow: dict[int, set[bool]] = {}
-    for crossing in exported.crossings:
-        for slot, arc in enumerate(crossing.arcs):
-            # Slot 0 flows in, and so does slot 3 of a positive crossing and
-            # slot 1 of a negative one (docs/diagram-format.md).
-            flows_in = slot == 0 or slot == (3 if crossing.sign > 0 else 1)
-            flow.setdefault(arc, set()).add(flows_in)
-    assert all(dirs == {True, False} for dirs in flow.values())
+    pd = [x.arcs for x in exported.crossings]
+    assert oracle_incoherent_arcs(pd, [x.sign for x in exported.crossings]) == []
 
 
 def test_export_is_deterministic():
@@ -228,14 +223,11 @@ def test_export_odd_generalized_block():
     assert exported.link_component_count == original_comps + augmented.circle_count
 
 
-def test_export_rejects_orientation_inconsistent_input():
-    # Parses under the lenient sign policy, but no oriented diagram has
-    # these signs, so the exporter must refuse rather than emit nonsense.
-    diagram = Diagram.from_pd(KINK, signs=[-1])
-    selection = build_selection(diagram)
-    augmented = augment(diagram, selection)
-    with pytest.raises(ExportError):
-        export_augmented_diagram(augmented)
+def test_orientation_inconsistent_input_never_reaches_the_export():
+    # No oriented diagram has these signs, so the parser refuses them and
+    # nothing downstream is augmented or drawn from them.
+    with pytest.raises(InvalidDiagramError, match=r"^signs orient no link \(arc 1 has"):
+        Diagram.from_pd(KINK, signs=[-1])
 
 
 def test_export_rejects_annotated_pair_without_a_bigon():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from auglink import cli
 from auglink.augment import CrossingCircle
 from auglink.cli import FileResult, RunConfig, analyze, build_parser, main, result_to_entry
-from auglink.diagram import Diagram, parse_document
+from auglink.diagram import _ENTERS, Diagram, parse_document
 from auglink.errors import ExportError
 from auglink.geometry import (
     CONSTANTS,
@@ -239,15 +239,26 @@ def test_export_augmented_files(tmp_path):
         assert exported.link_component_count == original_comps + tw
 
 
+# The closure of s3 s2 s2 s1 s1 s3 s2 s3 on 4 strands.  Crossings 0-5 pass
+# as a full twist of 3 strands but are none: the box drawn for them has 4
+# link components, not the input's 2 plus one per circle.
+_WINDOW = {
+    "pd": [[3, 5, 6, 4], [2, 7, 8, 5], [7, 9, 10, 8], [1, 11, 12, 9], [11, 1, 14, 12],
+           [10, 15, 16, 6], [14, 2, 18, 15], [18, 3, 4, 16]],
+    "signs": [1] * 8,
+    "regions": [{"crossings": [0, 1, 2, 3, 4, 5], "strands": 3, "half_twists": 2}],
+}
+
+
 def test_failed_export_keeps_the_report(tmp_path):
-    # Orientation-inconsistent signs parse and analyze, but cannot be drawn.
+    # The window analyzes, but its drawing is refused: a warning on a kept report.
     out_dir = tmp_path / "exports"
-    path = _write(tmp_path, "kink.json", {"pd": [[1, 1, 2, 2]], "signs": [-1]})
+    path = _write(tmp_path, "window.json", _WINDOW)
     status, entries = _run_json(path, export_dir=str(out_dir))
     assert status == 0
     jsonschema.validate(entries, REPORT_SCHEMA)
     (entry,) = entries
-    assert entry["ok"] and entry["report"]["tw"] == 1
+    assert entry["ok"] and entry["report"]["tw"] == 3
     assert "export" not in entry
     assert [w.startswith("export failed: ") for w in entry["warnings"]] == [True]
     status, text = _run(path, export_dir=str(out_dir))
@@ -256,16 +267,8 @@ def test_failed_export_keeps_the_report(tmp_path):
 
 
 def test_export_with_the_wrong_component_count_is_refused(tmp_path):
-    # The closure of s3 s2 s2 s1 s1 s3 s2 s3 on 4 strands.  Crossings 0-5
-    # pass as a full twist of 3 strands but are none: the box drawn for them
-    # has 4 link components, not the input's 2 plus one per circle.
     out_dir = tmp_path / "exports"
-    path = _write(tmp_path, "window.json", {
-        "pd": [[3, 5, 6, 4], [2, 7, 8, 5], [7, 9, 10, 8], [1, 11, 12, 9], [11, 1, 14, 12],
-               [10, 15, 16, 6], [14, 2, 18, 15], [18, 3, 4, 16]],
-        "signs": [1] * 8,
-        "regions": [{"crossings": [0, 1, 2, 3, 4, 5], "strands": 3, "half_twists": 2}],
-    })
+    path = _write(tmp_path, "window.json", _WINDOW)
     status, entries = _run_json(path, export_dir=str(out_dir))
     assert status == 0
     (entry,) = entries
@@ -282,7 +285,10 @@ _augment_module = importlib.import_module("auglink.augment")
 
 
 def _strand_out_port(graph, stub):
-    return next(p for p in (4 * stub, 4 * stub + 2) if graph.role[p] & 1)
+    # Of the circle crossing's strand ports (E and W), the one its strand
+    # leaves by, read from the stub's sign and slot-0 position.
+    enters = _ENTERS[graph.signs[stub]]
+    return next(p for p in (4 * stub, 4 * stub + 2) if not enters[(p - graph.starts[stub]) & 3])
 
 
 @pytest.mark.parametrize(

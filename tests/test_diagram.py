@@ -19,6 +19,7 @@ from corpus import FIGURE8, GOLDEN, HOPF, KINK, TREFOIL, UNKNOT0
 from oracle import (
     oracle_euler,
     oracle_face_degrees,
+    oracle_incoherent_arcs,
     oracle_link_components,
 )
 
@@ -100,15 +101,7 @@ def test_zero_crossing_unknot():
 def test_inferred_signs_are_orientation_consistent():
     for pd in GOLDEN.values():
         diagram = Diagram.from_pd(pd)
-        flow: dict[int, set[str]] = {}
-        for crossing in diagram.crossings:
-            for slot, arc in enumerate(crossing.arcs):
-                # Slot 0 flows in, and the over-strand enters at slot 3 when
-                # the crossing is positive, at slot 1 when it is negative.
-                flows_in = slot == 0 or slot == (3 if crossing.sign > 0 else 1)
-                direction = "in" if flows_in else "out"
-                flow.setdefault(arc, set()).add(direction)
-        assert all(dirs == {"in", "out"} for dirs in flow.values())
+        assert oracle_incoherent_arcs(pd, [x.sign for x in diagram.crossings]) == []
 
 
 def test_kink_sign_inference():
@@ -119,8 +112,13 @@ def test_kink_sign_inference():
 
 
 def test_explicit_signs_override_inference():
-    diagram = Diagram.from_pd(KINK, signs=[-1])
-    assert [c.sign for c in diagram.crossings] == [-1]
+    # A circle lying over another at four crossings, its labels 11-14
+    # consecutive along it.  It never passes under, so it may run either
+    # way: inference picks one direction and explicit signs the other.
+    pd = [[1, 12, 4, 11], [4, 12, 5, 13], [5, 14, 8, 13], [8, 14, 1, 11]]
+    assert [c.sign for c in Diagram.from_pd(pd).crossings] == [1, -1, 1, -1]
+    diagram = Diagram.from_pd(pd, signs=[-1, 1, -1, 1])
+    assert [c.sign for c in diagram.crossings] == [-1, 1, -1, 1]
 
 
 def test_split_diagram_parses_but_reports_disconnected():
@@ -166,9 +164,9 @@ def test_syntax_error_reports_position():
     assert excinfo.value.position is not None
 
 
-_SPLIT_NONPLANAR = (  # a kink, then a non-planar code on other labels
-    '{"pd": [[1, 1, 2, 2], [11, 15, 12, 14], [13, 11, 14, 16], [15, 13, 12, 16]], '
-    '"signs": [1, 1, 1, 1]}'
+_SPLIT_NONPLANAR = (  # a kink, then a non-planar code on other labels, oriented
+    '{"pd": [[1, 1, 2, 2], [11, 15, 12, 14], [13, 11, 14, 16], [15, 12, 13, 16]], '
+    '"signs": [1, 1, 1, -1]}'
 )
 
 # Input text -> the exact message of the InvalidDiagramError it raises.
@@ -185,6 +183,11 @@ MALFORMED = {
         "each arc label must appear exactly twice; offenders: 1 (x1), 2 (x1), 3 (x1), 4 (x1)"
     ),
     '{"pd": [[1, 1, 2, 2]], "signs": [1, 1]}': "signs list has 2 entries for 1 crossings",
+    # The figure-8 is +1 +1 -1 -1; flipping one sign leaves arcs 7 and 8
+    # with two heads or two tails, and arc 8 comes first in dart order.
+    '{"pd": [[4, 2, 5, 1], [8, 6, 1, 5], [6, 3, 7, 4], [2, 7, 3, 8]], "signs": [1, 1, -1, 1]}': (
+        "signs orient no link (arc 8 has no coherent direction)"
+    ),
     '{"pd": [[1, 1, 2, 2]], "signs": [2]}': "crossing 0: sign must be +1 or -1, got 2",
     '{"pd": [[1, 1, 2, 2]], "name": 7}': '"name" must be a string',
     '{"pd": [[1, 1, 2, 2]], "regions": [{"strands": 2, "half_twists": 1}]}': (
@@ -230,7 +233,8 @@ MALFORMED = {
     ),
     # Several faults at once: every shape before any label, the first bad
     # label in code order before multiplicity, multiplicity before the
-    # signs list, its length before a sign value, a sign value before Euler.
+    # signs list, its length before a sign value, a sign value before their
+    # coherence, coherence before Euler.
     '{"pd": [[0, 0, 1, 1], [1, 2]]}': "crossing 1: expected 4 arc labels, got 2",
     '{"pd": [[1, 1, 3, 2], [0, 5, 5, -6]]}': "arc labels must be positive integers, got 0",
     '{"pd": [[1, 1, 2, 2], [3, 3, 4]], "signs": [1]}': "crossing 1: expected 4 arc labels, got 3",
@@ -243,6 +247,9 @@ MALFORMED = {
     '{"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]], "signs": [1, 2, 0]}': (
         "crossing 1: sign must be +1 or -1, got 2"
     ),
+    '{"pd": [[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]], "signs": [1, 1, 1]}': (
+        "signs orient no link (arc 2 has no coherent direction)"
+    ),
 }
 
 
@@ -254,8 +261,9 @@ def test_parse_rejects_malformed_input(text):
 
 
 def test_euler_violation_message_names_the_component():
+    # Coherent signs on a non-planar code: crossing 0 alone fails Euler.
     with pytest.raises(InvalidDiagramError, match="Euler"):
-        Diagram.from_pd([[1, 5, 2, 4], [3, 1, 4, 6], [5, 3, 2, 6]], signs=[1, 1, 1])
+        Diagram.from_pd([[2, 3, 2, 3], [1, 4, 4, 1]], signs=[1, -1])
     # The constructor checks the mates it is given: two figure-8 arcs cross-wired.
     diagram = Diagram.from_pd(FIGURE8)
     mates = list(diagram.dart_mates)

@@ -3,10 +3,11 @@
 Random braid closures (2-5 strands, homogeneous and mixed signs, some
 starting with an annotated full twist of 3 or 4 strands) go through
 reduction, augmentation and export.  Every exported code is then read
-only through ``tests/oracle.py``: it must be planar, carry one new
-component per twist region, have the crossing count the drawing promises,
-and draw each circle as a component that never crosses itself and passes
-once over and once under each strand of its region.
+only through ``tests/oracle.py``: it must be planar, oriented by its
+signs, carry one new component per twist region, have the crossing count
+the drawing promises, and draw each circle as a component that never
+crosses itself and passes once over and once under each strand of its
+region.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from auglink.errors import AugmentError, ExportError, InvalidDiagramError, Regio
 from auglink.twist import RegionAnnotation, resolve_selection
 
 from braid import braid_closure, full_twist_word
-from oracle import oracle_component_crossings, oracle_euler, oracle_link_components
+from oracle import (
+    oracle_component_crossings,
+    oracle_euler,
+    oracle_incoherent_arcs,
+    oracle_link_components,
+)
 
 
 @st.composite
@@ -107,6 +113,7 @@ def test_export_is_a_planar_augmentation(case):
 
     v, e, f = oracle_euler(pd)
     assert v - e + f == 2
+    assert oracle_incoherent_arcs(pd, [x.sign for x in exported.crossings]) == []
     original = oracle_link_components([list(x.arcs) for x in reduced.crossings])
     assert oracle_link_components(pd) == original + len(regions)
     assert len(pd) == sum(

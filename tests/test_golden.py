@@ -18,7 +18,9 @@ surviving crossings and labels.
 that stopped it) on a corpus that reaches each drawing: 2-strand chains
 that are open, closed or return to themselves, one-crossing kinks, mixed
 words after reduction, and annotated full and half twists of 3, 4 and 5
-strands with 1, 2 or 3 half-twists (the m >= 3 staircase).
+strands with 1, 2 or 3 half-twists (the m >= 3 staircase).  Each of
+those exports must also be oriented by its signs, as ``tests/oracle.py``
+reads them.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ from auglink.errors import AuglinkError
 from auglink.twist import RegionAnnotation, resolve_selection
 
 from braid import braid_closure, full_twist_word, half_twist_word
+from oracle import oracle_incoherent_arcs
 
 SEED = 20071
 HOMOGENEOUS = 300
@@ -193,8 +196,13 @@ def test_export_matches_golden_digest():
         annotations = () if annotation is None else (annotation,)
         try:
             reduced, selection = resolve_selection(Diagram.from_pd(pd, signs), annotations)
-            record = serialize_diagram(export_augmented_diagram(augment(reduced, selection)))
+            exported = export_augmented_diagram(augment(reduced, selection))
         except AuglinkError as exc:
             record = f"{type(exc).__name__}: {exc}"
+        else:
+            # Nothing in the package checks the signs an export carries.
+            exported_pd = [x.arcs for x in exported.crossings]
+            assert oracle_incoherent_arcs(exported_pd, [x.sign for x in exported.crossings]) == []
+            record = serialize_diagram(exported)
         digest.update(record.encode("utf-8") + b"\n")
     assert digest.hexdigest() == EXPORT_SHA256

@@ -7,21 +7,22 @@ consecutive numbering.  On seeded random unsigned closures, with arcs
 relabelled and quads rotated or mirrored, ``_infer_signs`` must give the
 same signs wherever either one succeeds, and the same error everywhere
 else; only the arc a coherence error names may differ, because the
-reference's depends on its propagation order.
+reference's depends on its propagation order.  Explicit signs meet the same
+coherence rule at parse: a closure with one sign flipped never gets a report.
 """
 
 from __future__ import annotations
 
+import json
 import random
 import re
 from collections import Counter
 
 import pytest
 
-from auglink.augment import augment, export_augmented_diagram
+from auglink.cli import RunConfig, analyze_file
 from auglink.diagram import Diagram, _incoherent_dart, _infer_signs, _mate_darts, _orbits
-from auglink.errors import ExportError, InvalidDiagramError
-from auglink.twist import resolve_selection
+from auglink.errors import InvalidDiagramError
 
 from braid import braid_closure
 from corpus import FIGURE8
@@ -182,11 +183,34 @@ def test_incoherent_dart_matches_a_plain_loop():
 
 
 @pytest.mark.parametrize("sign, arc", [(1, 4), (-1, 2)])
-def test_export_names_the_first_incoherent_arc(sign, arc):
+def test_parse_names_the_first_incoherent_arc(sign, arc):
     # The figure-8 is +1 +1 -1 -1: with one sign throughout it orients no link.
-    reduced, selection = resolve_selection(Diagram.from_pd(FIGURE8, [sign] * 4))
-    with pytest.raises(ExportError) as excinfo:
-        export_augmented_diagram(augment(reduced, selection))
-    assert str(excinfo.value) == (
-        f"arc {arc} has no coherent direction; crossing signs are not orientation-consistent"
-    )
+    with pytest.raises(InvalidDiagramError) as excinfo:
+        Diagram.from_pd(FIGURE8, [sign] * 4)
+    assert str(excinfo.value) == f"signs orient no link (arc {arc} has no coherent direction)"
+
+
+def test_one_flipped_sign_is_refused_before_any_report(tmp_path):
+    # Flipping crossing i's sign swaps where its over-strand enters and
+    # leaves, so the arcs at its slots 1 and 3 lose their coherent direction.
+    rng = random.Random(1601)
+    path = tmp_path / "flipped.json"
+    config = RunConfig(inputs=(str(path),), export_dir=str(tmp_path / "out"))
+    for _ in range(1000):
+        strands = rng.randint(2, 5)
+        word = list(range(1, strands)) + [rng.randint(1, strands - 1)
+                                          for _ in range(rng.randint(0, 19))]
+        rng.shuffle(word)
+        pd, signs = braid_closure([rng.choice((1, -1)) * j for j in word], strands)
+        i = rng.randrange(len(signs))
+        signs[i] = -signs[i]
+        with pytest.raises(InvalidDiagramError) as excinfo:
+            Diagram.from_pd(pd, signs)
+        arc = re.fullmatch(r"signs orient no link \(arc (\d+) has no coherent direction\)",
+                           str(excinfo.value))
+        assert arc and int(arc[1]) in (pd[i][1], pd[i][3]), (pd, signs)
+        path.write_text(json.dumps({"pd": pd, "signs": signs}), encoding="utf-8")
+        result = analyze_file(str(path), config)
+        assert not result.ok and result.report is None and not result.warnings
+        assert result.error == str(excinfo.value)
+    assert not (tmp_path / "out").exists()
