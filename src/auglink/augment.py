@@ -13,15 +13,16 @@ of its region on one side and under them on the other.  For a 2-strand
 region it rings the two arcs that leave the chain's first crossing x0 away
 from x1, and x(epsilon) ... x(c-1) are spliced out, so a residual half-twist
 is x0 itself, with its handedness and strand orientations.  A region of
-m >= 3 strands is redrawn as a box holding the circle's passes and, when
-epsilon = 1, a synthesized half-twist staircase.
+m >= 3 strands is redrawn, between the two sides its validation found, as
+a box holding the circle's passes and, when epsilon = 1, a synthesized
+half-twist staircase.
 """
 
-from typing import Mapping, NamedTuple
+from typing import NamedTuple
 
 from .diagram import _ENTERS, Crossing, Diagram, _next_slot, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
-from .twist import TwistRegion, TwistSelection, _bigon_bonds
+from .twist import TwistRegion, TwistSelection, _bigon_bonds, _box_sides
 
 
 # ============================================================================
@@ -204,119 +205,44 @@ class _PortGraph:
 # are also the ports of the original stubs.  Slot s + 2 mod 4 is dart ^ 2.
 
 
-def _region_boundary(mates: tuple[int, ...], region: frozenset[int],
-                     start: int) -> list[int]:
-    """Walk the region's outer boundary, returning boundary darts in planar order."""
-    cycle = [start]
-    dart = start
-    while True:
-        e = _next_slot(dart)
-        while mates[e] >> 2 in region:
-            e = _next_slot(mates[e])
-        if e == cycle[0]:
-            return cycle
-        if e in cycle or len(cycle) > 4 * len(region):
-            raise ExportError("region boundary walk did not close into a single cycle")
-        cycle.append(e)
-        dart = e
-
-
-def _split_boundary(cycle: list[int], pairing: dict[int, int], m: int, eps: int,
-                    flows_in: Mapping[int, bool]) -> tuple[list[int], list[int]]:
-    """Split the boundary cycle into the two m-port sides of the twist box.
-
-    In a counterclockwise boundary walk the far side appears in reversed
-    strand order, and an odd twist count additionally reverses the strand
-    permutation, so entry i pairs with exit m-1-i (even c) or exit i (odd c).
-
-    For odd c the pairing in cycle positions is i <-> i+m, which every
-    rotation of the cycle satisfies, so the pairing alone cannot find the
-    box corners; among pairing-valid rotations, one whose side carries a
-    single flow direction (a parallel bundle entering together) is the
-    geometric one and is preferred.
-    """
-    n = 2 * m
-    candidates = []
-    for r in range(n):
-        t = [cycle[(r + i) % n] for i in range(m)]
-        u = [cycle[(r + m + i) % n] for i in range(m)]
-        want = (lambda i: u[i]) if eps else (lambda i: u[m - 1 - i])
-        if all(pairing[t[i]] == want(i) for i in range(m)):
-            candidates.append((t, u))
-    for t, u in candidates:
-        if len({flows_in[d] for d in t}) == 1:
-            return t, u
-    if candidates:
-        return candidates[0]
-    raise ExportError("region strands do not pair across the boundary like a twist box")
-
-
 def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
                        eps: int) -> None:
-    """Region of m >= 3 strands: a box with 2m boundary strand-endpoints."""
+    """Region of m >= 3 strands: the box between the sides validation found."""
     m = region.strand_count
-    mates, index = diagram.dart_mates, diagram.index
-    inside = frozenset(index[c] for c in region.crossing_ids)  # positions
-    boundary = [d for c in sorted(region.crossing_ids)
-                for d in range(4 * index[c], 4 * index[c] + 4) if mates[d] >> 2 not in inside]
-    if len(boundary) != 2 * m:
-        raise ExportError(
-            f"region {region.id}: {len(boundary)} boundary strand-endpoints, expected {2 * m}"
-        )
-    cycle = _region_boundary(mates, inside, boundary[0])
-    if sorted(cycle) != sorted(boundary):
-        raise ExportError(f"region {region.id}: boundary is not a single cycle")
-    through = _splice(mates, inside)  # outside dart -> outside dart across the box
-    pairing = {d: mates[through[mates[d]]] for d in cycle}
-    flows_in = {d: _ENTERS[diagram.crossings[d >> 2].sign][d & 3] for d in cycle}
-    t_side, u_side = _split_boundary(cycle, pairing, m, eps, flows_in)
-
-    # Capture the outside port and direction of every lane, then delete the region.
-    west = [(graph.mates[d], flows_in[d]) for d in t_side]
-    east = [(graph.mates[d], flows_in[d]) for d in u_side]
-    for d in cycle:
+    top, far = _box_sides(diagram, region)
+    forward = _ENTERS[region.sign][top[0] & 3]  # all strands run west to east, or all east to west
+    # Capture the outside port of every lane, then delete the region.
+    frontier = [graph.mates[d] for d in top]  # lane i starts at top[i]
+    east = [graph.mates[d] for d in far]
+    for d in top + far:
         graph.disconnect(d)
-    for i in inside:
-        graph.live[i] = 0
+    for c in region.crossing_ids:
+        graph.live[diagram.index[c]] = 0
 
-    # Lane frontier, indexed by bundle position (position i starts at t_side[i]).
-    frontier = list(west)
     over = []
     for pos in range(m):
-        port, fwd = frontier[pos]
-        stub = graph.add(*_OVER[fwd])
-        graph.connect(port, 4 * stub + _W)
-        frontier[pos] = (4 * stub + _E, fwd)
+        stub = graph.add(*_OVER[forward])
+        graph.connect(frontier[pos], 4 * stub + _W)
+        frontier[pos] = 4 * stub + _E
         over.append(stub)
 
     if eps:
-        directions = {fwd for _, fwd in frontier}
-        if len(directions) != 1:
-            raise ExportError(
-                f"region {region.id}: strands are not parallel; cannot synthesize "
-                "the residual half-twist"
-            )
-        fwd = frontier[0][1]
         word = [j for k in range(m - 1, 0, -1) for j in range(1, k + 1)]
         for j in word:
-            stub = graph.add(*_LETTER[region.sign, fwd])
-            hi, lo = frontier[j - 1], frontier[j]
-            graph.connect(hi[0], 4 * stub + _NW)
-            graph.connect(lo[0], 4 * stub + _SW)
-            frontier[j - 1] = (4 * stub + _NE, hi[1])
-            frontier[j] = (4 * stub + _SE, lo[1])
+            stub = graph.add(*_LETTER[region.sign, forward])
+            graph.connect(frontier[j - 1], 4 * stub + _NW)
+            graph.connect(frontier[j], 4 * stub + _SW)
+            frontier[j - 1], frontier[j] = 4 * stub + _NE, 4 * stub + _SE
 
     under = []
     for pos in range(m):
-        port, fwd = frontier[pos]
-        stub = graph.add(*_UNDER[fwd])
-        graph.connect(port, 4 * stub + _W)
-        frontier[pos] = (4 * stub + _E, fwd)
+        stub = graph.add(*_UNDER[forward])
+        graph.connect(frontier[pos], 4 * stub + _W)
+        frontier[pos] = 4 * stub + _E
         under.append(stub)
 
     for pos in range(m):
-        graph.connect(frontier[pos][0], east[m - 1 - pos][0])
-
+        graph.connect(frontier[pos], east[m - 1 - pos])
     _wire_circle(graph, over, under)
 
 
@@ -373,8 +299,8 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     the original count plus one circle per region; each region contributes
     2m crossings where the circle crosses the strands, plus m(m-1)/2
     residual crossings when a half-twist remains (drawing as in the module
-    docstring).  Raises :class:`ExportError` when a region cannot be drawn,
-    or when the drawing is not planar or has another component count.
+    docstring).  Raises :class:`ExportError` when the drawing is not planar
+    or has another component count.
     """
     selection = augmented.source
     diagram = selection.diagram

@@ -4,8 +4,10 @@ A 2-strand twist region is a maximal chain of bigon faces arranged end to
 end; a lone crossing adjacent to no bigon is a twist region of one crossing.
 Generalized regions (m >= 3 strands twisting together) cannot be recovered
 reliably from a PD code, so they arrive as annotations and are validated
-here: a half-twist of m strands contains m(m-1)/2 crossings, and exactly 2m
-strand-endpoints must leave the region.
+here: a half-twist of m strands contains m(m-1)/2 crossings, exactly 2m
+strand-endpoints must leave the region, and for m >= 3 they must make one
+boundary cycle whose sides pair the strands as a twist box does.  The
+export draws the box between the sides that check finds.
 
 A selection partitions every crossing of the diagram into regions.  Regions
 must be alternating (uniform crossing sign); a detected chain with mixed
@@ -20,7 +22,9 @@ in that order.
 import heapq
 from typing import NamedTuple
 
-from .diagram import Crossing, Diagram, RegionAnnotation, _DisjointSets, _next_slot, _splice
+from .diagram import (
+    _ENTERS, Crossing, Diagram, RegionAnnotation, _DisjointSets, _next_slot, _splice,
+)
 from .errors import NonAlternatingRegionError, RegionError
 
 
@@ -31,8 +35,7 @@ class TwistRegion(NamedTuple):
     annotated, lists its crossings in chain order (ends first/last); an
     annotated region of m >= 3 strands sorts them by id.  ``sign`` is the
     common crossing sign, or 0 for a detected chain with mixed signs (which
-    must be reduced before selection) and for a region whose crossings all
-    cancelled away.
+    must be reduced before selection).
     """
 
     id: int
@@ -226,15 +229,57 @@ def boundary_arc_count(diagram: Diagram, crossing_ids: frozenset[int]) -> int:
     return sum(mates[d] >> 2 not in inside for i in inside for d in range(4 * i, 4 * i + 4))
 
 
+def _box_sides(diagram: Diagram, region: TwistRegion) -> tuple[list[int], list[int]]:
+    """The two m-dart sides (top, far) of an m >= 3 region's boundary.
+
+    The darts whose arcs leave the region, walked around it in planar order
+    from the smallest, must make one cycle of 2m.  Every two strands of a
+    one-sign box of m >= 3 strands cross, and an antiparallel pair would
+    cross with the other sign, so all its strands run one way: the top is
+    the first m consecutive darts of the cycle whose strands all enter, or
+    all leave, and the far side is the other m.  The far side lists the
+    strands in reverse, and an odd twist count reverses them again, so the
+    strand at top[i] must cross to far[m-1-i] (even c) or far[i] (odd c).
+    Raises :class:`RegionError` naming the check that fails.
+    """
+    m, mates = region.strand_count, diagram.dart_mates
+    inside = frozenset(map(diagram.index.__getitem__, region.crossing_ids))  # positions
+    start = min(d for p in inside for d in range(4 * p, 4 * p + 4) if mates[d] >> 2 not in inside)
+    cycle = [start]
+    while True:
+        dart = _next_slot(cycle[-1])
+        while mates[dart] >> 2 in inside:
+            dart = _next_slot(mates[dart])
+        if dart == start:
+            break
+        cycle.append(dart)
+    if len(cycle) != 2 * m:
+        raise RegionError(f"region {region.id}: boundary is not a single cycle")
+    enters, ring = _ENTERS[region.sign], cycle * 2
+    r = next((r for r in range(2 * m) if len({enters[d & 3] for d in ring[r:r + m]}) == 1), None)
+    if r is not None:
+        top, far = ring[r:r + m], ring[r + m:r + 2 * m]
+        through = _splice(mates, inside)  # outside dart -> outside dart across the box
+        ends = far if region.half_twists % 2 else far[::-1]
+        if all(mates[through[mates[d]]] == end for d, end in zip(top, ends)):
+            return top, far
+    raise RegionError(
+        f"region {region.id}: strands do not pair across the boundary like a twist box"
+    )
+
+
 def validate_generalized_region(
     diagram: Diagram, annotation: RegionAnnotation, *, region_id: int = 1
 ) -> TwistRegion:
     """Check an annotated m-strand region and return it as a TwistRegion.
 
     Checks: the crossing count equals half_twists * m(m-1)/2, all crossings
-    carry one sign, exactly 2m strand-endpoints leave the crossing set, and
-    the crossings of a 2-strand region form one bigon chain, which then
-    gives the order of ``crossing_ids``.
+    carry one sign, and exactly 2m strand-endpoints leave the crossing set.
+    The crossings of a 2-strand region must form one bigon chain, which
+    then gives the order of ``crossing_ids``; the boundary of a region of
+    m >= 3 strands must be one cycle whose sides pair its strands like a
+    twist box (see :func:`_box_sides`).  Which braid the box holds is not
+    checked.
     """
     m, c = annotation.strand_count, annotation.half_twists
     ids = annotation.crossing_ids
@@ -269,7 +314,10 @@ def validate_generalized_region(
         if len(chains) != 1:
             raise RegionError(f"region {region_id}: crossings do not form one twist chain")
         order = tuple(map(diagram.crossing_ids.__getitem__, chains[0]))
-    return TwistRegion(region_id, order, m, c, signs.pop())
+    region = TwistRegion(region_id, order, m, c, signs.pop())
+    if m >= 3:
+        _box_sides(diagram, region)
+    return region
 
 
 # ============================================================================

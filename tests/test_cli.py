@@ -281,6 +281,21 @@ def test_export_with_the_wrong_component_count_is_refused(tmp_path):
     assert not (out_dir / "window.augmented.json").exists()
 
 
+@pytest.mark.parametrize("export", [False, True])
+def test_box_that_pairs_no_strands_is_refused_with_or_without_export(tmp_path, export):
+    # The closure of s1 s1 s2 s1 s2 with s1 s1 s2 annotated as a half-twist
+    # of 3 strands: the box's sides do not pair its strands as one does.
+    pd, signs = braid_closure([1, 1, 2, 1, 2], 3)
+    regions = [{"crossings": [0, 1, 2], "strands": 3, "half_twists": 1}]
+    path = _write(tmp_path, "box.json", {"pd": pd, "signs": signs, "regions": regions})
+    out_dir = tmp_path / "exports"
+    status, entries = _run_json(path, export_dir=str(out_dir) if export else None)
+    assert status == 2
+    assert entries == [{"error": "region 1: strands do not pair across the boundary "
+                                 "like a twist box", "file": path, "ok": False}]
+    assert not out_dir.exists()
+
+
 _augment_module = importlib.import_module("auglink.augment")
 
 

@@ -1,17 +1,19 @@
 """PD export of augmented links, checked by the independent oracle.
 
 Random braid closures (2-5 strands, homogeneous and mixed signs, some
-starting with an annotated full twist of 3 or 4 strands) go through
-reduction, augmentation and export.  Every exported code is then read
-only through ``tests/oracle.py``: it must be planar, oriented by its
+starting with one to three annotated half-twists of 3 or 4 strands) go
+through reduction, augmentation and export.  Every exported code is then
+read only through ``tests/oracle.py``: it must be planar, oriented by its
 signs, carry one new component per twist region, have the crossing count
 the drawing promises, and draw each circle as a component that never
 crosses itself and passes once over and once under each strand of its
-region.
+region.  Seeded window annotations check that validation, not the
+export, refuses a box of the wrong shape.
 """
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 
 from hypothesis import assume, example, given, settings
@@ -22,7 +24,7 @@ from auglink.diagram import Diagram, _mate_darts
 from auglink.errors import AugmentError, ExportError, InvalidDiagramError, RegionError
 from auglink.twist import RegionAnnotation, resolve_selection
 
-from braid import braid_closure, full_twist_word
+from braid import braid_closure, half_twist_word
 from oracle import (
     oracle_component_crossings,
     oracle_euler,
@@ -49,10 +51,11 @@ def closures(draw):
     annotation = None
     if strands >= 3 and draw(st.integers(min_value=0, max_value=2)) == 0:
         m = draw(st.sampled_from([k for k in (3, 4) if k <= strands]))
+        c = draw(st.integers(min_value=1, max_value=3))
         sign = draw(signs)
-        twist = [sign * j for j in full_twist_word(m)]
+        twist = [sign * j for j in half_twist_word(m) * c]
         word = twist + word
-        annotation = (list(range(len(twist))), m, 2)
+        annotation = (list(range(len(twist))), m, c)
     return word, strands, annotation
 
 
@@ -126,3 +129,64 @@ def test_export_is_a_planar_augmentation(case):
                     if own == 0)
     assert not Counter((r.strand_count, r.strand_count) for r in regions) - plain
 
+
+def _windows(count: int, seed: int):
+    """Seeded (word, strands, annotation, genuine) with an m = 3 or 4 window annotated.
+
+    The window is the word's letters after a short prefix: c half-twists
+    of m adjacent strands when ``genuine``, else c*m(m-1)/2 random letters
+    of one sign.  A genuine window sits in a word with one sign per
+    generator, so no reduction runs; around a random window the signs are
+    per generator or per letter, at random.
+    """
+    rng = random.Random(seed)
+    for _ in range(count):
+        strands = rng.choice((3, 4, 5))
+        m = rng.choice([k for k in (3, 4) if k <= strands])
+        c, sign, genuine = rng.randint(1, 3), rng.choice((1, -1)), rng.random() < 0.5
+        if genuine:
+            shift = rng.randrange(strands - m + 1)
+            window = [j + shift for j in half_twist_word(m) * c]
+        else:
+            window = [rng.randrange(1, strands) for _ in range(c * m * (m - 1) // 2)]
+        before = [rng.randrange(1, strands) for _ in range(rng.randrange(6))]
+        after = [rng.randrange(1, strands) for _ in range(rng.randrange(10))]
+        after += [j for j in range(1, strands) if j not in before + window + after]
+        signs = {j: sign if j in window else rng.choice((1, -1)) for j in range(1, strands)}
+        if genuine or rng.random() < 0.5:
+            word = [signs[j] * j for j in before + window + after]
+        else:  # signs per letter: reduction may run around the window
+            word = ([rng.choice((1, -1)) * j for j in before] + [sign * j for j in window]
+                    + [rng.choice((1, -1)) * j for j in after])
+        yield word, strands, (range(len(before), len(before) + len(window)), m, c), genuine
+
+
+def test_windows_are_refused_by_validation_or_exported():
+    """A window that validates is drawn; only the component-count guard refuses one.
+
+    Validation refuses every box whose boundary is not one cycle or whose
+    sides do not pair its strands like a twist box, so the export meets no
+    region it cannot draw.  The guard refuses some boxes of the right shape
+    that hold another braid than c half-twists.  A genuine window fails
+    only where fewer than 2m strand-endpoints leave it (its closure joins a
+    strand to itself).
+    """
+    outcomes = Counter()
+    for word, strands, (ids, m, c), genuine in _windows(10_000, seed=17):
+        pd, signs = braid_closure(word, strands)
+        annotation = RegionAnnotation(frozenset(ids), m, c)
+        try:
+            reduced, selection = resolve_selection(Diagram.from_pd(pd, signs), (annotation,))
+            augmented = augment(reduced, selection)
+        except (AugmentError, InvalidDiagramError, RegionError) as exc:
+            assert not genuine or "strand-endpoints leave the region" in str(exc), (word, exc)
+            outcomes["refused"] += 1
+            continue
+        try:
+            export_augmented_diagram(augmented)
+        except ExportError as exc:
+            assert not genuine and "link components, expected" in str(exc), (word, exc)
+            outcomes["guard"] += 1
+            continue
+        outcomes["genuine" if genuine else "random"] += 1
+    assert min(outcomes[k] for k in ("refused", "guard", "genuine", "random")) > 0, outcomes

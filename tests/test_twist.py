@@ -177,6 +177,28 @@ def test_validate_five_strand_block():
     assert (region.strand_count, region.half_twists, region.sign) == (5, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "word, strands, message",
+    [
+        # s1 s1 on the left and s3 on the right: two boxes, not one.
+        ([1, 1, 3, 1, 2], 4, "region 1: boundary is not a single cycle"),
+        # s1 s1 s2 keeps the left strand on the left, where the half-twist
+        # s1 s2 s1 reverses all three.
+        ([1, 1, 2, 1, 2], 3,
+         "region 1: strands do not pair across the boundary like a twist box"),
+    ],
+    ids=["two-cycles", "unpaired"],
+)
+def test_validate_rejects_a_box_of_the_wrong_shape(word, strands, message):
+    pd, signs = braid_closure(word, strands)
+    diagram = Diagram.from_pd(pd, signs)
+    annotation = RegionAnnotation(crossing_ids=frozenset({0, 1, 2}), strand_count=3, half_twists=1)
+    assert boundary_arc_count(diagram, annotation.crossing_ids) == 6
+    with pytest.raises(RegionError) as excinfo:
+        validate_generalized_region(diagram, annotation)
+    assert type(excinfo.value) is RegionError and str(excinfo.value) == message
+
+
 # ----------------------------------------------------------------------------
 # Selection building
 # ----------------------------------------------------------------------------
