@@ -20,7 +20,7 @@ half-twist staircase.
 
 from typing import NamedTuple
 
-from .diagram import _ENTERS, Crossing, Diagram, _next_slot, _splice
+from .diagram import _ENTERS, Diagram, _next_slot, _rebuild, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
 from .twist import TwistRegion, TwistSelection, _bigon_bonds, _box_sides
 
@@ -112,8 +112,8 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # sign and the rotation position of its slot 0 (0 for the originals); a
 # port's strand enters the stub exactly when ``_ENTERS[sign][slot]`` says
 # so, the table the parser checks the input's orientation with.  At the
-# end every live stub becomes a crossing read from its slot 0, and every
-# wire an arc.
+# end :func:`~auglink.diagram._rebuild` builds the result: every live stub
+# becomes a crossing read from its slot 0, and every wire an arc.
 
 # Rotation positions of synthesized stubs.
 _E, _N, _W, _S = 0, 1, 2, 3  # circle crossings
@@ -136,9 +136,9 @@ class _PortGraph:
 
     ``mates`` is indexed by port; ``mates[p]`` is the port at the other end
     of p's wire, -1 while p is unwired.  ``signs``, ``starts`` and ``live``
-    are indexed by stub; ``live`` flags the stubs not spliced out.
-    :meth:`to_diagram` hands the mates of the live ports to the diagram it
-    builds, which checks only Euler's formula.
+    are indexed by stub; ``live`` flags the stubs not spliced out.  The
+    export hands the live stubs to :func:`~auglink.diagram._rebuild`, which
+    builds the result and checks only Euler's formula.
     """
 
     def __init__(self, diagram: Diagram):
@@ -166,35 +166,6 @@ class _PortGraph:
         mate = self.mates[port]
         if mate >= 0:
             self.mates[port] = self.mates[mate] = -1
-
-    def to_diagram(self, name: str | None) -> Diagram:
-        """The live stubs as a diagram, ports renumbered into its darts.
-
-        Arcs are labelled in the order of their first dart.  Raises
-        :class:`ExportError` on a port that is unwired or wired to a
-        spliced-out stub, and on a drawing that fails Euler's formula.
-        """
-        mates, ports = self.mates, []  # ports in dart order
-        stubs = [s for s, alive in enumerate(self.live) if alive]
-        for stub in stubs:
-            p = 4 * stub + self.starts[stub]
-            q = _next_slot(p)
-            ports += (p, q, p ^ 2, q ^ 2)
-        dart = {port: d for d, port in enumerate(ports)}
-        dangling = [p for p in ports if mates[p] not in dart]
-        if dangling:
-            raise ExportError(f"unwired ports remain: {dangling[:4]}")
-        dart_mates = tuple(dart[mates[port]] for port in ports)
-        label = [0] * len(ports)
-        firsts = (d for d, e in enumerate(dart_mates) if d < e)  # one dart per arc, in order
-        for arc, d in enumerate(firsts, start=1):
-            label[d] = label[dart_mates[d]] = arc
-        crossings = tuple(Crossing(k, tuple(label[4 * k:4 * k + 4]), self.signs[stub])
-                          for k, stub in enumerate(stubs))
-        try:
-            return Diagram(crossings, dart_mates, name)
-        except InvalidDiagramError as exc:
-            raise ExportError(f"drawing is not planar: {exc}") from exc
 
 
 # ============================================================================
@@ -312,8 +283,17 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
         else:
             _export_box_region(graph, diagram, region, circle.epsilon)
 
+    mates, live = graph.mates, graph.live
+    kept = [stub for stub, alive in enumerate(live) if alive]
+    dangling = [p for stub in kept for p in range(4 * stub, 4 * stub + 4)
+                if mates[p] < 0 or not live[mates[p] >> 2]]
+    if dangling:
+        raise ExportError(f"unwired ports remain: {dangling[:4]}")
     name = f"{diagram.name}-augmented" if diagram.name else "augmented"
-    exported = graph.to_diagram(name)
+    try:
+        exported = _rebuild(kept, range(len(kept)), graph.signs, graph.starts, mates, name)
+    except InvalidDiagramError as exc:
+        raise ExportError(f"drawing is not planar: {exc}") from exc
     expected = diagram.link_component_count + augmented.circle_count
     if exported.link_component_count != expected:
         raise ExportError(

@@ -15,8 +15,10 @@ the crossing, then cross the arc), two per link component, one each way.
 Every diagram is built by ``Diagram(crossings, mates, name)``, which checks
 Euler's formula, from the dart mates its caller already knows: ``from_pd``
 pairs them while checking the labels, shapes and signs of its input, and
-the R-II reduction and the export relink them with :func:`_splice`.  The
-records themselves are plain named tuples and check nothing.
+keeps its labels; the R-II reduction and the export relink them (with
+:func:`_splice`) and hand the result to :func:`_rebuild`, which labels
+arcs in the order of their first dart.  The records themselves are plain
+named tuples and check nothing.
 
 Slot conventions (slot = index within the quadruple):
 
@@ -361,24 +363,6 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-class _DisjointSets:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-
 def _mate_darts(quads) -> tuple[int, ...]:
     """Check the arc labels and pair their darts, in one pass.
 
@@ -423,6 +407,33 @@ def _splice(mates, removed) -> dict[int, int]:
                     out = mates[out ^ 2]
                 relinked[end] = out
     return relinked
+
+
+def _rebuild(kept, ids, signs, starts, mates, name: str | None) -> Diagram:
+    """The crossings at positions ``kept`` of a relinked dart array, as a diagram.
+
+    ``signs`` and ``starts`` are indexed by position and ``mates`` by dart
+    ``4 * position + k``, k the rotation counterclockwise from where
+    ``starts[position]`` puts slot 0; ``ids`` lists the result's crossing
+    ids, one per kept position.  Darts are renumbered in the order of
+    ``kept``, slot by slot, and arcs labelled 1, 2, ... in the order of
+    their first dart.  Every mate of a kept dart must be kept; the
+    constructor checks Euler's formula.
+    """
+    darts = []
+    for p in kept:
+        d = 4 * p + starts[p]
+        e = _next_slot(d)
+        darts += (d, e, d ^ 2, e ^ 2)
+    at = {d: k for k, d in enumerate(darts)}
+    new_mates = tuple(at[mates[d]] for d in darts)
+    label = [0] * len(darts)
+    firsts = (d for d, e in enumerate(new_mates) if d < e)  # one dart per arc, in order
+    for arc, d in enumerate(firsts, start=1):
+        label[d] = label[new_mates[d]] = arc
+    crossings = tuple(Crossing(i, tuple(label[4 * k:4 * k + 4]), signs[p])
+                      for k, (i, p) in enumerate(zip(ids, kept)))
+    return Diagram(crossings, new_mates, name)
 
 
 def _orbits(step) -> tuple[list[int], int]:

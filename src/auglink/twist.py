@@ -15,16 +15,13 @@ signs gets ``sign == 0``.  :func:`resolve_selection` cancels the adjacent
 opposite-sign pairs of every such chain (Reidemeister II) until it is
 uniform, in a fixed order: the mixed chain with the smallest crossing id
 first, then the smallest of what is left, and so on.  Surviving crossings
-keep their ids, and arc labels are as if each chain were spliced out alone
-in that order.
+keep their ids.
 """
 
 import heapq
 from typing import NamedTuple
 
-from .diagram import (
-    _ENTERS, Crossing, Diagram, RegionAnnotation, _DisjointSets, _next_slot, _splice,
-)
+from .diagram import _ENTERS, Diagram, RegionAnnotation, _next_slot, _rebuild, _splice
 from .errors import NonAlternatingRegionError, RegionError
 
 
@@ -380,12 +377,12 @@ def resolve_selection(
     The result equals that of the plain loop "detect the chains of the
     diagram, cancel the adjacent opposite-sign pairs of the mixed chain with
     the smallest crossing id (Reidemeister II), repeat, then
-    :func:`build_selection`": survivors keep their ids, and arc labels are
-    as if each chain were spliced out alone, in that order.  Chains are
-    detected once; after each splice only the faces through relinked darts
-    are walked again, and only the chains whose bigon bonds changed are
-    grown again.  The final chains and bonds go to the selection as they
-    are, not detected a second time.
+    :func:`build_selection`": survivors keep their ids.  A reduced diagram
+    is built by :func:`~auglink.diagram._rebuild`, so it labels its arcs in
+    the order of their first dart.  Chains are detected once; after each
+    splice only the faces through relinked darts are walked again, and only
+    the chains whose bigon bonds changed are grown again.  The final chains
+    and bonds go to the selection as they are, not detected a second time.
     """
     scope = _scope(diagram, annotations)
     bonds, chains = _detect(diagram, scope)
@@ -393,28 +390,18 @@ def resolve_selection(
     chain_of = {p: chain for chain in chains for p in chain[2]}
     mixed = [chain for chain in chains if chain[1] == 0]  # sorted: a heap by smallest id
     reduced = bool(mixed)
-    if reduced:  # only a reduction edits the mates and labels
+    if reduced:  # only a reduction edits the mates
         mates = list(diagram.dart_mates)
-        arcs = [list(x.arcs) for x in crossings]  # by position; None once spliced out
+        spliced: set[int] = set()  # positions
     while mixed:
         chain = heapq.heappop(mixed)
         if chain_of.get(chain[2][0]) is not chain:
             continue  # stale: the chain was regrown or spliced since
         removed = _cancel_pairs(crossings, chain[2])
-
-        # Arc labels: each removed crossing joins its opposite arcs, in order.
-        order = sorted(removed)
-        labels = _DisjointSets(a for p in order for a in arcs[p])
-        for p in order:
-            quad = arcs[p]
-            labels.union(quad[0], quad[2])
-            labels.union(quad[1], quad[3])
-
+        spliced |= removed
         relinked = _splice(mates, removed)
         for end, other in relinked.items():
             mates[end] = other
-            quad = arcs[end >> 2]
-            quad[end & 3] = labels.find(quad[end & 3])
         touched = set(chain[2])
         for p in removed:
             for dart in range(4 * p, 4 * p + 4):
@@ -422,7 +409,6 @@ def resolve_selection(
                 if partner is not None:
                     bonds.pop(partner, None)
                     touched.add(partner >> 2)
-            arcs[p] = None
 
         # Only a face through a relinked dart changed; a bond is a bigon,
         # so two corners tell whether the face closes back on its start.
@@ -447,12 +433,8 @@ def resolve_selection(
                 heapq.heappush(mixed, regrown)
 
     if reduced:
-        kept = [p for p, quad in enumerate(arcs) if quad is not None]
-        at = {p: k for k, p in enumerate(kept)}  # position -> position after
-        diagram = Diagram(
-            tuple(Crossing(crossings[p].id, tuple(arcs[p]), crossings[p].sign) for p in kept),
-            tuple(4 * at[d >> 2] + (d & 3) for p in kept for d in mates[4 * p:4 * p + 4]),
-            diagram.name,
-        )
+        kept = [p for p in range(len(crossings)) if p not in spliced]
+        diagram = _rebuild(kept, [ids[p] for p in kept], [x.sign for x in crossings],
+                           bytes(len(crossings)), mates, diagram.name)
         chains = [chain for p, chain in chain_of.items() if chain[2][0] == p]
     return diagram, _assemble(diagram, annotations, ids, bonds, chains)

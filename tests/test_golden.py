@@ -11,8 +11,9 @@ change to the drawing of exports alone leaves it as it is.
 
 ``REDUCTION_SHA256`` pins R-II reduction at a larger size: the reduced PD
 code (ids, arcs, signs) and the region crossing ids of a few long mixed
-closures, where the order in which chains are cancelled shows in the
-surviving crossings and labels.
+closures.  The order in which chains are cancelled shows in the surviving
+crossing ids; a reduced diagram labels its arcs in the order of their
+first dart, so its labels pin how the survivors are joined.
 
 ``EXPORT_SHA256`` pins the bytes of every exported PD code (or the error
 that stopped it) on a corpus that reaches each drawing: 2-strand chains
@@ -54,7 +55,7 @@ REDUCTION_WORDS = 3
 REDUCTION_STRANDS = 6
 REDUCTION_LETTERS = 300
 
-REDUCTION_SHA256 = "0d3d0667e90b5e95041b618d49bd7b0a593cd1bb9730a8109c1df20484dfe03a"
+REDUCTION_SHA256 = "214620bc996c00b2c7d575ddae182860136f75659fd3090c3e90b4d9e8508fbd"
 
 EXPORT_SEED = 20073
 EXPORT_HOMOGENEOUS = 160

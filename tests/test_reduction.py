@@ -5,8 +5,11 @@ The reference below re-detects every chain after each splice and always
 reduces the mixed chain with the smallest crossing id, through the public
 :func:`detect_bigon_chains` and the :func:`reduce_twist_region` defined
 here (which checks Euler's formula after every splice).  ``resolve_selection`` must return the
-same crossings, arc labels, regions and errors, and the selection it hands
-over must equal the one :func:`build_selection` detects from scratch.
+same crossings, regions and errors, and the selection it hands over must
+equal the one :func:`build_selection` detects from scratch.  Its arc
+labels are the reference's relabelled in the order of their first dart
+when a chain was reduced, and the parsed labels when none was; every
+reduced code must also pass the independent checks of ``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from auglink.diagram import Crossing, Diagram, _DisjointSets, _mate_darts
+from auglink.diagram import Crossing, Diagram, _mate_darts
 from auglink.errors import RegionError
 from auglink.twist import (
     RegionAnnotation,
@@ -31,7 +34,25 @@ from auglink.twist import (
 
 from braid import braid_closure, full_twist_word
 from corpus import TREFOIL
-from oracle import oracle_euler, oracle_link_components
+from oracle import oracle_euler, oracle_incoherent_arcs, oracle_link_components
+
+
+class _DisjointSets:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
 
 
 def reduce_twist_region(diagram: Diagram, region: TwistRegion) -> Diagram:
@@ -84,6 +105,28 @@ def reference_resolve(diagram, annotations=()):
     return diagram, build_selection(diagram, annotations)
 
 
+def _first_dart_arcs(diagram: Diagram) -> list[tuple[int, ...]]:
+    """Each crossing's arc labels once arcs are numbered 1, 2, ... by first dart."""
+    mates = diagram.dart_mates
+    label = [0] * len(mates)
+    for arc, d in enumerate((d for d, e in enumerate(mates) if d < e), start=1):
+        label[d] = label[mates[d]] = arc
+    return [tuple(label[4 * k:4 * k + 4]) for k in range(diagram.crossing_count)]
+
+
+def _check_with_oracle(diagram: Diagram) -> None:
+    """Euler's formula per graph component, link components and orientation."""
+    pd = [x.arcs for x in diagram.crossings]
+    blocks = _DisjointSets(a for quad in pd for a in quad)
+    for quad in pd:
+        for a in quad[1:]:
+            blocks.union(quad[0], a)
+    v, e, f = oracle_euler(pd)
+    assert v - e + f == 2 * max(1, len({blocks.find(a) for a in blocks.parent}))
+    assert oracle_link_components(pd) == diagram.link_component_count
+    assert oracle_incoherent_arcs(pd, [x.sign for x in diagram.crossings]) == []
+
+
 def _outcome(resolve, diagram, annotations):
     try:
         reduced, selection = resolve(diagram, annotations)
@@ -93,8 +136,14 @@ def _outcome(resolve, diagram, annotations):
     # and the relinked mates are the ones the surviving labels pair.
     assert selection == build_selection(reduced, annotations)
     assert reduced.dart_mates == _mate_darts([x.arcs for x in reduced.crossings])
+    _check_with_oracle(reduced)
+    arcs = [x.arcs for x in reduced.crossings]
+    if resolve is reference_resolve and reduced.crossing_count < diagram.crossing_count:
+        # The reference joins labels as it splices; a reduced diagram
+        # labels its arcs in the order of their first dart.
+        arcs = _first_dart_arcs(reduced)
     return (
-        [(x.id, x.arcs, x.sign) for x in reduced.crossings],
+        [(x.id, quad, x.sign) for x, quad in zip(reduced.crossings, arcs)],
         reduced.name,
         [(r.id, r.crossing_ids, r.strand_count, r.half_twists, r.sign)
          for r in selection.regions],
@@ -142,11 +191,12 @@ def test_resolve_selection_matches_the_splice_loop(case):
 
 
 def test_smallest_mixed_chain_is_cancelled_first():
-    # Cancelling every mixed chain of one detection pass at once would keep
-    # crossing (2, 2, 5, 5) instead.
+    # Two mixed chains, 4-0-1 and 2-3.  Cancelling the one with the smallest
+    # id first leaves crossing 1; cancelling 2-3 first would leave crossing
+    # 0.  The survivor is a kink, its arcs labelled by first dart.
     pd, signs = braid_closure([1, 1, -2, 2, -1], 3)
     reduced, selection = resolve_selection(Diagram.from_pd(pd, signs))
-    assert [(x.id, x.arcs) for x in reduced.crossings] == [(1, (2, 2, 9, 9))]
+    assert [(x.id, x.arcs) for x in reduced.crossings] == [(1, (1, 1, 2, 2))]
     assert selection.region_count == 1
 
 
@@ -165,6 +215,7 @@ def test_long_mixed_closure_resolves_quickly():
     v, e, f = oracle_euler(reduced_pd)
     assert reduced.is_connected and v - e + f == 2
     assert oracle_link_components(reduced_pd) == reduced.link_component_count
+    assert oracle_incoherent_arcs(reduced_pd, [x.sign for x in reduced.crossings]) == []
 
 
 # ----------------------------------------------------------------------------
