@@ -8,14 +8,15 @@ these numbers, so :func:`augment` returns them without building a new
 diagram.
 
 :func:`export_augmented_diagram` additionally renders the augmented link as
-a PD code for interchange.  Each crossing circle passes over all m strands
-of its region on one side and under them on the other.  For a 2-strand
-region it rings the two arcs that leave the chain's first crossing x0 away
-from x1, and x(epsilon) ... x(c-1) are spliced out, so a residual half-twist
-is x0 itself, with its handedness and strand orientations.  A region of
-m >= 3 strands is redrawn, between the two sides its validation found, as
-a box holding the circle's passes and, when epsilon = 1, a synthesized
-half-twist staircase.
+a PD code for interchange, drawing every region the same way: a crossing
+circle rings the m arcs on one side of it, under each next to the region
+and over it beyond, and the crossings the region drops are spliced out.  A
+2-strand region is ringed at the two arcs that leave the chain's first
+crossing x0 away from x1 and drops x(epsilon) ... x(c-1), so a residual
+half-twist is x0 itself, with its handedness and strand orientations.  A
+region of m >= 3 strands is ringed on the top side its validation found
+and drops all its crossings; a residual half-twist is a synthesized
+staircase between the ring and the box.
 """
 
 from typing import NamedTuple
@@ -111,9 +112,10 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # integer dart the diagram's own mates use.  Each stub records only its
 # sign and the rotation position of its slot 0 (0 for the originals); a
 # port's strand enters the stub exactly when ``_ENTERS[sign][slot]`` says
-# so, the table the parser checks the input's orientation with.  At the
-# end :func:`~auglink.diagram._rebuild` builds the result: every live stub
-# becomes a crossing read from its slot 0, and every wire an arc.
+# so, the table the parser checks the input's orientation with.  Once the
+# circles are wired in and the dropped crossings spliced out and marked dead
+# in ``live``, :func:`~auglink.diagram._rebuild` builds the result: every
+# live stub becomes a crossing read from its slot 0, and every wire an arc.
 
 # Rotation positions of synthesized stubs.
 _E, _N, _W, _S = 0, 1, 2, 3  # circle crossings
@@ -176,91 +178,69 @@ class _PortGraph:
 # are also the ports of the original stubs.  Slot s + 2 mod 4 is dart ^ 2.
 
 
-def _export_box_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
-                       eps: int) -> None:
-    """Region of m >= 3 strands: the box between the sides validation found."""
-    m = region.strand_count
-    top, far = _box_sides(diagram, region)
-    forward = _ENTERS[region.sign][top[0] & 3]  # all strands run west to east, or all east to west
-    # Capture the outside port of every lane, then delete the region.
-    frontier = [graph.mates[d] for d in top]  # lane i starts at top[i]
-    east = [graph.mates[d] for d in far]
-    for d in top + far:
-        graph.disconnect(d)
-    for c in region.crossing_ids:
-        graph.live[diagram.index[c]] = 0
+def _ring(graph: _PortGraph, ports: list[int]) -> list[int]:
+    """Ring the arcs at ``ports``, m consecutive counterclockwise boundary darts.
 
-    over = []
-    for pos in range(m):
-        stub = graph.add(*_OVER[forward])
-        graph.connect(frontier[pos], 4 * stub + _W)
-        frontier[pos] = 4 * stub + _E
-        over.append(stub)
-
-    if eps:
-        word = [j for k in range(m - 1, 0, -1) for j in range(1, k + 1)]
-        for j in word:
-            stub = graph.add(*_LETTER[region.sign, forward])
-            graph.connect(frontier[j - 1], 4 * stub + _NW)
-            graph.connect(frontier[j], 4 * stub + _SW)
-            frontier[j - 1], frontier[j] = 4 * stub + _NE, 4 * stub + _SE
-
-    under = []
-    for pos in range(m):
-        stub = graph.add(*_UNDER[forward])
-        graph.connect(frontier[pos], 4 * stub + _W)
-        frontier[pos] = 4 * stub + _E
-        under.append(stub)
-
-    for pos in range(m):
-        graph.connect(frontier[pos], east[m - 1 - pos])
-    _wire_circle(graph, over, under)
-
-
-def _wire_circle(graph: _PortGraph, over: list[int], under: list[int]) -> None:
-    """Close the crossing circle: down through the over-passes, up the unders."""
-    m = len(over)
-    for pos in range(m - 1):
-        graph.connect(4 * over[pos] + _S, 4 * over[pos + 1] + _N)
-    graph.connect(4 * over[m - 1] + _S, 4 * under[m - 1] + _S)
-    for pos in range(m - 1, 0, -1):
-        graph.connect(4 * under[pos] + _N, 4 * under[pos - 1] + _S)
-    graph.connect(4 * under[0] + _N, 4 * over[0] + _N)
-
-
-def _export_chain_region(graph: _PortGraph, diagram: Diagram, region: TwistRegion,
-                         eps: int) -> None:
-    """2-strand region: ring the two arcs that leave x0 away from x1.
-
-    x0 ... x(c-1) is the chain order of ``region.crossing_ids``.  The spliced
-    crossings x(eps) ... x(c-1) are even in number and consecutive, so the
-    strands come out parallel and planar on one side of the circle, for
-    open, closed and returning chains alike; every strand passes the circle.
+    Each port is a dart of the diagram (slot 0 at position 0).  On its arc
+    the circle passes under next to the port and over beyond it, and it
+    closes down the over-passes and back up the unders.  Returns the lanes'
+    ports that face the region, each wired to its port.
     """
-    index = diagram.index
-    x0 = index[region.crossing_ids[0]]
-    if region.crossing_count == 1:
-        back = 4 * x0  # any corner of a lone crossing
-    else:
-        # The corner of x0 opposite its smallest corner bonded to x1.
-        x1 = index[region.crossing_ids[1]]
-        bonds = _bigon_bonds(diagram, (x0, x1))
-        back = 2 ^ next(d for d in range(4 * x0, 4 * x0 + 4) if bonds.get(d, -1) >> 2 == x1)
     over, under = [], []
-    for port in (back, _next_slot(back)):
-        outside, forward = graph.mates[port], _ENTERS[diagram.crossings[x0].sign][port & 3]
+    for port in ports:
+        outside, forward = graph.mates[port], _ENTERS[graph.signs[port >> 2]][port & 3]
         graph.disconnect(port)
         under.append(graph.add(*_UNDER[forward]))
         over.append(graph.add(*_OVER[forward]))
         graph.connect(port, 4 * under[-1] + _E)
         graph.connect(4 * under[-1] + _W, 4 * over[-1] + _E)
         graph.connect(4 * over[-1] + _W, outside)
-    _wire_circle(graph, over, under)
-    removed = {index[c] for c in region.crossing_ids[eps:]}
-    for port, mate in _splice(graph.mates, removed).items():
-        graph.mates[port] = mate
-    for stub in removed:
-        graph.live[stub] = 0
+    for above, below in zip(over, over[1:]):
+        graph.connect(4 * above + _S, 4 * below + _N)
+    graph.connect(4 * over[-1] + _S, 4 * under[-1] + _S)
+    for above, below in zip(under, under[1:]):
+        graph.connect(4 * below + _N, 4 * above + _S)
+    graph.connect(4 * under[0] + _N, 4 * over[0] + _N)
+    return [4 * stub + _E for stub in under]
+
+
+def _back_darts(diagram: Diagram, region: TwistRegion) -> list[int]:
+    """2-strand region: the two darts whose arcs leave x0 away from x1.
+
+    x0 ... x(c-1) is the chain order of ``region.crossing_ids``.  The dropped
+    x(eps) ... x(c-1) are even in number and consecutive, so the strands come
+    out parallel on one side of the circle, for open, closed and returning
+    chains alike.
+    """
+    x0 = diagram.index[region.crossing_ids[0]]
+    if region.crossing_count == 1:
+        back = 4 * x0  # any corner of a lone crossing
+    else:
+        # The corner of x0 opposite its smallest corner bonded to x1.
+        x1 = diagram.index[region.crossing_ids[1]]
+        bonds = _bigon_bonds(diagram, (x0, x1))
+        back = 2 ^ next(d for d in range(4 * x0, 4 * x0 + 4) if bonds.get(d, -1) >> 2 == x1)
+    return [back, _next_slot(back)]
+
+
+def _staircase(graph: _PortGraph, lanes: list[int], top: list[int], sign: int) -> None:
+    """One half-twist of a box's m strands, between its ring and its top side.
+
+    Position k after the half-twist is wired to ``top[m-1-k]``: the lane
+    ringed at ``top[i]`` comes back to it, and the odd box, spliced out,
+    takes it to the far-side dart straight across from ``top[m-1-i]``.
+    """
+    forward = _ENTERS[sign][top[0] & 3]  # all strands run west to east, or all east to west
+    for port in lanes:
+        graph.disconnect(port)
+    m = len(lanes)
+    for j in (j for k in range(m - 1, 0, -1) for j in range(1, k + 1)):
+        stub = graph.add(*_LETTER[sign, forward])
+        graph.connect(lanes[j - 1], 4 * stub + _NW)
+        graph.connect(lanes[j], 4 * stub + _SW)
+        lanes[j - 1], lanes[j] = 4 * stub + _NE, 4 * stub + _SE
+    for port, dart in zip(lanes, reversed(top)):
+        graph.connect(port, dart)
 
 
 def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
@@ -270,20 +250,32 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     the original count plus one circle per region; each region contributes
     2m crossings where the circle crosses the strands, plus m(m-1)/2
     residual crossings when a half-twist remains (drawing as in the module
-    docstring).  Raises :class:`ExportError` when the drawing is not planar
-    or has another component count.
+    docstring; one splice drops every region's crossings).  Raises
+    :class:`ExportError` when a port is left unwired, or when the drawing
+    is not planar or has another component count.
     """
     selection = augmented.source
     diagram = selection.diagram
 
     graph = _PortGraph(diagram)
+    dropped: set[int] = set()  # positions
     for circle, region in zip(augmented.circles, selection.regions):
         if region.strand_count == 2:
-            _export_chain_region(graph, diagram, region, circle.epsilon)
+            _ring(graph, _back_darts(diagram, region))
+            drop = region.crossing_ids[circle.epsilon:]
         else:
-            _export_box_region(graph, diagram, region, circle.epsilon)
-
+            top = _box_sides(diagram, region)
+            lanes = _ring(graph, top)
+            if circle.epsilon:
+                _staircase(graph, lanes, top, region.sign)
+            drop = region.crossing_ids
+        dropped.update(map(diagram.index.__getitem__, drop))
     mates, live = graph.mates, graph.live
+    for port, mate in _splice(mates, dropped).items():
+        mates[port] = mate
+    for stub in dropped:
+        live[stub] = 0
+
     kept = [stub for stub, alive in enumerate(live) if alive]
     dangling = [p for stub in kept for p in range(4 * stub, 4 * stub + 4)
                 if mates[p] < 0 or not live[mates[p] >> 2]]

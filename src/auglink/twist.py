@@ -7,7 +7,7 @@ reliably from a PD code, so they arrive as annotations and are validated
 here: a half-twist of m strands contains m(m-1)/2 crossings, exactly 2m
 strand-endpoints must leave the region, and for m >= 3 they must make one
 boundary cycle whose sides pair the strands as a twist box does.  The
-export draws the box between the sides that check finds.
+export rings the top side that check finds.
 
 A selection partitions every crossing of the diagram into regions.  Regions
 must be alternating (uniform crossing sign); a detected chain with mixed
@@ -226,8 +226,8 @@ def boundary_arc_count(diagram: Diagram, crossing_ids: frozenset[int]) -> int:
     return sum(mates[d] >> 2 not in inside for i in inside for d in range(4 * i, 4 * i + 4))
 
 
-def _box_sides(diagram: Diagram, region: TwistRegion) -> tuple[list[int], list[int]]:
-    """The two m-dart sides (top, far) of an m >= 3 region's boundary.
+def _box_sides(diagram: Diagram, region: TwistRegion) -> list[int]:
+    """The top of the two m-dart sides of an m >= 3 region's boundary.
 
     The darts whose arcs leave the region, walked around it in planar order
     from the smallest, must make one cycle of 2m.  Every two strands of a
@@ -237,7 +237,8 @@ def _box_sides(diagram: Diagram, region: TwistRegion) -> tuple[list[int], list[i
     all leave, and the far side is the other m.  The far side lists the
     strands in reverse, and an odd twist count reverses them again, so the
     strand at top[i] must cross to far[m-1-i] (even c) or far[i] (odd c).
-    Raises :class:`RegionError` naming the check that fails.
+    Validation checks both sides; the export rings the top alone.  Raises
+    :class:`RegionError` naming the check that fails.
     """
     m, mates = region.strand_count, diagram.dart_mates
     inside = frozenset(map(diagram.index.__getitem__, region.crossing_ids))  # positions
@@ -259,7 +260,7 @@ def _box_sides(diagram: Diagram, region: TwistRegion) -> tuple[list[int], list[i
         through = _splice(mates, inside)  # outside dart -> outside dart across the box
         ends = far if region.half_twists % 2 else far[::-1]
         if all(mates[through[mates[d]]] == end for d, end in zip(top, ends)):
-            return top, far
+            return top
     raise RegionError(
         f"region {region.id}: strands do not pair across the boundary like a twist box"
     )
@@ -322,20 +323,6 @@ def validate_generalized_region(
 # ============================================================================
 
 
-def build_selection(
-    diagram: Diagram, annotations: tuple[RegionAnnotation, ...] | list[RegionAnnotation] = ()
-) -> TwistSelection:
-    """Partition all crossings: annotated regions first, then detected chains.
-
-    Annotations keep their input order (region ids 1..k); the rest of the
-    diagram is covered by :func:`detect_bigon_chains` restricted to the
-    complement.  A detected chain with mixed signs is rejected — reduce it
-    first (see :func:`resolve_selection`).
-    """
-    bonds, chains = _detect(diagram, _scope(diagram, annotations))
-    return _assemble(diagram, annotations, diagram.crossing_ids, bonds, chains)
-
-
 def _assemble(diagram: Diagram, annotations, ids, bonds, chains) -> TwistSelection:
     """The selection of ``annotations`` plus the chains detected around them.
 
@@ -352,14 +339,7 @@ def _assemble(diagram: Diagram, annotations, ids, bonds, chains) -> TwistSelecti
         validate_generalized_region(diagram, a, region_id=idx + 1)
         for idx, a in enumerate(annotations)
     ]
-    detected = _chain_regions(bonds, chains, ids, len(regions) + 1)
-    for r in detected:
-        if r.sign == 0:
-            raise NonAlternatingRegionError(
-                f"detected twist region with mixed signs at crossings "
-                f"{sorted(r.crossing_ids)}; reduce it before building a selection"
-            )
-    regions.extend(detected)
+    regions.extend(_chain_regions(bonds, chains, ids, len(regions) + 1))
 
     covered = [c for r in regions for c in r.crossing_ids]
     assert sorted(covered) == sorted(diagram.crossing_ids), "selection is not a partition"
@@ -376,8 +356,8 @@ def resolve_selection(
 
     The result equals that of the plain loop "detect the chains of the
     diagram, cancel the adjacent opposite-sign pairs of the mixed chain with
-    the smallest crossing id (Reidemeister II), repeat, then
-    :func:`build_selection`": survivors keep their ids.  A reduced diagram
+    the smallest crossing id (Reidemeister II), repeat, then add the
+    annotated regions": survivors keep their ids.  A reduced diagram
     is built by :func:`~auglink.diagram._rebuild`, so it labels its arcs in
     the order of their first dart.  Chains are detected once; after each
     splice only the faces through relinked darts are walked again, and only

@@ -15,7 +15,6 @@ from auglink.errors import AugmentError, InvalidDiagramError, RegionError
 from auglink.twist import (
     RegionAnnotation,
     TwistSelection,
-    build_selection,
     detect_bigon_chains,
     resolve_selection,
 )
@@ -123,7 +122,7 @@ def test_odd_generalized_block_keeps_lowest_ids_as_residual():
 def test_augment_rejects_foreign_selection():
     trefoil = Diagram.from_pd(TREFOIL)
     figure8 = Diagram.from_pd(FIGURE8)
-    selection = build_selection(figure8)
+    _, selection = resolve_selection(figure8)
     with pytest.raises(AugmentError):
         augment(trefoil, selection)
 

@@ -307,30 +307,40 @@ def _strand_out_port(graph, stub):
 
 
 @pytest.mark.parametrize(
-    "pd, other_port, error",
+    "pd, other_port, swap, error",
     [
         # The circle's wire crossed with a strand's: no longer planar.
-        (TREFOIL, lambda graph, under: _strand_out_port(graph, under[0]),
+        (TREFOIL, lambda graph, under: _strand_out_port(graph, under[0]), True,
          "drawing is not planar: Euler formula violated"),
-        # The circle wired into crossing 0, which the figure-8's even chain splices out.
-        (FIGURE8, lambda graph, under: 2, "unwired ports remain: "),
+        # The circle wired into crossing 0, which the figure-8's even chain
+        # splices out, and both far ends left unwired: the splice runs the
+        # circle through the chain to an unwired port.
+        (FIGURE8, lambda graph, under: 2, False, "unwired ports remain: "),
     ],
     ids=["not-planar", "wired-to-a-spliced-crossing"],
 )
-def test_miswired_export_is_an_export_failure(tmp_path, monkeypatch, pd, other_port, error):
-    wire_circle = _augment_module._wire_circle
+def test_miswired_export_is_an_export_failure(tmp_path, monkeypatch, pd, other_port, swap,
+                                              error):
+    ring = _augment_module._ring
 
-    def crossed(graph, over, under):
-        # Draw the circle, then swap the far ends of two out-ports' wires.
-        wire_circle(graph, over, under)
-        a, b = 4 * over[0] + _augment_module._S, other_port(graph, under)
+    def crossed(graph, ports):
+        # Draw the ring, then rewire one of the circle's out-ports and another
+        # port.  The under stubs hold the returned lanes; each over stub is
+        # made right after its under stub.
+        lanes = ring(graph, ports)
+        under = [lane >> 2 for lane in lanes]
+        a, b = 4 * (under[0] + 1) + _augment_module._S, other_port(graph, under)
         far_a, far_b = graph.mates[a], graph.mates[b]
         graph.disconnect(a)
         graph.disconnect(b)
-        graph.connect(a, far_b)
-        graph.connect(b, far_a)
+        if swap:  # swap the far ends of the two wires
+            graph.connect(a, far_b)
+            graph.connect(b, far_a)
+        else:
+            graph.connect(a, b)
+        return lanes
 
-    monkeypatch.setattr(_augment_module, "_wire_circle", crossed)
+    monkeypatch.setattr(_augment_module, "_ring", crossed)
     path = _write(tmp_path, "knot.json", {"pd": pd})
     reduced, selection = resolve_selection(Diagram.from_pd(pd))
     with pytest.raises(ExportError, match=f"^{error}"):

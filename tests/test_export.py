@@ -1,14 +1,15 @@
 """PD export of augmented links, checked by the independent oracle.
 
 Random braid closures (2-5 strands, homogeneous and mixed signs, some
-starting with one to three annotated half-twists of 3 or 4 strands) go
-through reduction, augmentation and export.  Every exported code is then
-read only through ``tests/oracle.py``: it must be planar, oriented by its
-signs, carry one new component per twist region, have the crossing count
-the drawing promises, and draw each circle as a component that never
-crosses itself and passes once over and once under each strand of its
-region.  Seeded window annotations check that validation, not the
-export, refuses a box of the wrong shape.
+holding one to three annotated half-twists of 3 or 4 strands after zero
+to four other letters) go through reduction, augmentation and export.
+Every exported code is then read only through ``tests/oracle.py``: it
+must be planar, oriented by its signs, carry one new component per twist
+region, have the crossing count the drawing promises, and draw each
+circle as a component that never crosses itself and passes once over
+and once under each strand of its region.  Seeded window annotations
+check that validation, not the export, refuses a box of the wrong shape,
+and the same oracles read the export of every genuine window.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ def closures(draw):
     """(word, strands, annotation): annotation is (crossing ids, m, c) or None.
 
     Every generator occurs, so that no strand position is left uncrossed.
+    An annotated box follows the word's first zero to four letters, so that
+    its top side and boundary walk need not start at the word's start.
     """
     strands = draw(st.integers(min_value=2, max_value=5))
     letters = draw(st.lists(st.integers(1, strands - 1), min_size=1, max_size=14))
@@ -54,8 +57,9 @@ def closures(draw):
         c = draw(st.integers(min_value=1, max_value=3))
         sign = draw(signs)
         twist = [sign * j for j in half_twist_word(m) * c]
-        word = twist + word
-        annotation = (list(range(len(twist))), m, c)
+        before = draw(st.integers(min_value=0, max_value=min(4, len(word))))
+        word = word[:before] + twist + word[before:]
+        annotation = (list(range(before, before + len(twist))), m, c)
     return word, strands, annotation
 
 
@@ -98,6 +102,20 @@ def _with_examples(test):
     return test
 
 
+def _check_with_oracle(reduced, augmented, exported) -> list[list[int]]:
+    """Euler's formula, orientation by the signs and one new component per circle.
+
+    Returns the exported PD code.
+    """
+    pd = [list(x.arcs) for x in exported.crossings]
+    v, e, f = oracle_euler(pd)
+    assert v - e + f == 2
+    assert oracle_incoherent_arcs(pd, [x.sign for x in exported.crossings]) == []
+    original = oracle_link_components([list(x.arcs) for x in reduced.crossings])
+    assert oracle_link_components(pd) == original + augmented.circle_count
+    return pd
+
+
 @given(closures())
 @_with_examples
 @settings(max_examples=150, deadline=None)
@@ -110,15 +128,9 @@ def test_export_is_a_planar_augmentation(case):
         exported = export_augmented_diagram(augmented)
     except ExportError as exc:
         raise AssertionError(f"export failed on {case}: {exc}") from exc
-    pd = [list(x.arcs) for x in exported.crossings]
     # The mates the port graph hands over are the ones its labels pair.
     assert exported.dart_mates == _mate_darts([x.arcs for x in exported.crossings])
-
-    v, e, f = oracle_euler(pd)
-    assert v - e + f == 2
-    assert oracle_incoherent_arcs(pd, [x.sign for x in exported.crossings]) == []
-    original = oracle_link_components([list(x.arcs) for x in reduced.crossings])
-    assert oracle_link_components(pd) == original + len(regions)
+    pd = _check_with_oracle(reduced, augmented, exported)
     assert len(pd) == sum(
         2 * r.strand_count + (r.half_twists % 2) * r.strand_count * (r.strand_count - 1) // 2
         for r in regions
@@ -169,11 +181,16 @@ def test_windows_are_refused_by_validation_or_exported():
     region it cannot draw.  The guard refuses some boxes of the right shape
     that hold another braid than c half-twists.  A genuine window fails
     only where fewer than 2m strand-endpoints leave it (its closure joins a
-    strand to itself).
+    strand to itself), and the oracles accept each genuine window's export.
+    Every other closure is read with its strands reversed, so that boxes of
+    either sign are ringed and twisted on sides whose strands enter and on
+    sides whose strands leave.
     """
     outcomes = Counter()
-    for word, strands, (ids, m, c), genuine in _windows(10_000, seed=17):
+    for k, (word, strands, (ids, m, c), genuine) in enumerate(_windows(10_000, seed=17)):
         pd, signs = braid_closure(word, strands)
+        if k % 2:  # every strand reversed, signs kept: the lanes run the other way
+            pd = [quad[2:] + quad[:2] for quad in pd]
         annotation = RegionAnnotation(frozenset(ids), m, c)
         try:
             reduced, selection = resolve_selection(Diagram.from_pd(pd, signs), (annotation,))
@@ -183,10 +200,12 @@ def test_windows_are_refused_by_validation_or_exported():
             outcomes["refused"] += 1
             continue
         try:
-            export_augmented_diagram(augmented)
+            exported = export_augmented_diagram(augmented)
         except ExportError as exc:
             assert not genuine and "link components, expected" in str(exc), (word, exc)
             outcomes["guard"] += 1
             continue
+        if genuine:
+            _check_with_oracle(reduced, augmented, exported)
         outcomes["genuine" if genuine else "random"] += 1
     assert min(outcomes[k] for k in ("refused", "guard", "genuine", "random")) > 0, outcomes

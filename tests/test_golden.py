@@ -16,12 +16,14 @@ crossing ids; a reduced diagram labels its arcs in the order of their
 first dart, so its labels pin how the survivors are joined.
 
 ``EXPORT_SHA256`` pins the bytes of every exported PD code (or the error
-that stopped it) on a corpus that reaches each drawing: 2-strand chains
-that are open, closed or return to themselves, one-crossing kinks, mixed
-words after reduction, and annotated full and half twists of 3, 4 and 5
-strands with 1, 2 or 3 half-twists (the m >= 3 staircase).  Each of
-those exports must also be oriented by its signs, as ``tests/oracle.py``
-reads them.
+that stopped it) on a corpus that reaches each case of the one drawing,
+a circle ringed around one side of each region with the dropped
+crossings spliced out: 2-strand chains that are open, closed or return
+to themselves, one-crossing kinks, mixed words after reduction, and
+annotated full and half twists of 3, 4 and 5 strands with 1, 2 or 3
+half-twists (an odd count draws the half-twist staircase between the
+ring and the box).  Each of those exports must also be oriented by its
+signs, as ``tests/oracle.py`` reads them.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ ANNOTATED = 8
 MIXED = 6
 MIXED_LETTERS = 60
 
-GOLDEN_SHA256 = "f6aa2b90cb9cef2dad53034e40c4d03a262d90be78577709b1e5438f9e563793"
+GOLDEN_SHA256 = "9308701a3e40dc1469e7b6100e4b11c84df167add75f64c7fce07ee9cd4b4b05"
 REPORT_SHA256 = "741df63e4d3f8dc106b93ebe31a9f4300f0855b1563822b431008df4d484b669"
 
 REDUCTION_SEED = 20072
@@ -76,7 +78,7 @@ EXPORT_WORDS = [  # (word, strands) that name a drawing on their own
     ([1, -1, 1, 2, 2], 3),
 ]
 
-EXPORT_SHA256 = "4561563f07676ce6c0fd640b3d7ce4c261aca4e5117a5516cc851a012cba94bb"
+EXPORT_SHA256 = "bd0cbdd45364d5c092e4030087dc26da3bf55ddea5ccbb1c8604f2e59f660042"
 
 
 def _homogeneous(rng: random.Random, strands: int, max_letters: int, prefix=()):

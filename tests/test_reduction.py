@@ -4,9 +4,10 @@ against the plain detect-and-splice loop, plus its scale.
 The reference below re-detects every chain after each splice and always
 reduces the mixed chain with the smallest crossing id, through the public
 :func:`detect_bigon_chains` and the :func:`reduce_twist_region` defined
-here (which checks Euler's formula after every splice).  ``resolve_selection`` must return the
-same crossings, regions and errors, and the selection it hands over must
-equal the one :func:`build_selection` detects from scratch.  Its arc
+here (which checks Euler's formula after every splice).
+``resolve_selection`` must return the same crossings, regions and errors,
+and the selection it hands over must equal the one it detects from
+scratch on the reduced diagram, which it returns unreduced.  Its arc
 labels are the reference's relabelled in the order of their first dart
 when a chain was reduced, and the parsed labels when none was; every
 reduced code must also pass the independent checks of ``tests/oracle.py``.
@@ -26,7 +27,6 @@ from auglink.errors import RegionError
 from auglink.twist import (
     RegionAnnotation,
     TwistRegion,
-    build_selection,
     detect_bigon_chains,
     resolve_selection,
     validate_generalized_region,
@@ -102,7 +102,14 @@ def reference_resolve(diagram, annotations=()):
         if not mixed:
             break
         diagram = reduce_twist_region(diagram, mixed[0])
-    return diagram, build_selection(diagram, annotations)
+    return diagram, _detected(diagram, annotations)
+
+
+def _detected(diagram, annotations):
+    """The selection of a diagram with no mixed chain left: plain detection."""
+    same, selection = resolve_selection(diagram, annotations)
+    assert same is diagram  # nothing was reduced
+    return selection
 
 
 def _first_dart_arcs(diagram: Diagram) -> list[tuple[int, ...]]:
@@ -134,7 +141,7 @@ def _outcome(resolve, diagram, annotations):
         return type(exc), str(exc)
     # The selection handed over from the reduction equals a fresh detection,
     # and the relinked mates are the ones the surviving labels pair.
-    assert selection == build_selection(reduced, annotations)
+    assert selection == _detected(reduced, annotations)
     assert reduced.dart_mates == _mate_darts([x.arcs for x in reduced.crossings])
     _check_with_oracle(reduced)
     arcs = [x.arcs for x in reduced.crossings]

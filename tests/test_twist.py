@@ -13,7 +13,6 @@ from auglink.twist import (
     TwistRegion,
     TwistSelection,
     boundary_arc_count,
-    build_selection,
     detect_bigon_chains,
     resolve_selection,
     validate_generalized_region,
@@ -204,28 +203,28 @@ def test_validate_rejects_a_box_of_the_wrong_shape(word, strands, message):
 # ----------------------------------------------------------------------------
 
 
-def test_build_selection_covers_all_crossings():
+def test_resolve_selection_covers_all_crossings():
     diagram = Diagram.from_pd(FIGURE8)
-    selection = build_selection(diagram)
+    _, selection = resolve_selection(diagram)
     assert selection.region_count == 2
     covered = sorted(i for r in selection.regions for i in r.crossing_ids)
     assert covered == sorted(diagram.crossing_ids)
     assert selection.regions[0].id == 1
 
 
-def test_build_selection_respects_annotations():
+def test_resolve_selection_respects_annotations():
     pd, signs = braid_closure(full_twist_word(5) + [1, 2, 3, 4], 5)
     diagram = Diagram.from_pd(pd, signs)
     annotation = RegionAnnotation(
         crossing_ids=frozenset(range(20)), strand_count=5, half_twists=2
     )
-    selection = build_selection(diagram, (annotation,))
+    _, selection = resolve_selection(diagram, (annotation,))
     assert selection.region_count == 5
     assert selection.regions[0].strand_count == 5
     assert all(selection.regions[i - 1].crossing_count == 1 for i in range(2, 6))
 
 
-def test_build_selection_rejects_overlapping_annotations():
+def test_resolve_selection_rejects_overlapping_annotations():
     diagram = Diagram.from_pd(FIGURE8)
     regions = detect_bigon_chains(diagram)
     ids = set(regions[0].crossing_ids) | {regions[1].crossing_ids[0]}
@@ -234,14 +233,7 @@ def test_build_selection_rejects_overlapping_annotations():
     )
     second = RegionAnnotation(crossing_ids=frozenset(ids), strand_count=2, half_twists=3)
     with pytest.raises(RegionError):
-        build_selection(diagram, (first, second))
-
-
-def test_build_selection_refuses_mixed_chains():
-    pd, signs = braid_closure([1, -1, 1], 2)
-    diagram = Diagram.from_pd(pd, signs)
-    with pytest.raises(NonAlternatingRegionError):
-        build_selection(diagram)
+        resolve_selection(diagram, (first, second))
 
 
 def test_resolve_selection_reduces_mixed_chains():
@@ -294,7 +286,7 @@ def test_resolve_selection_revalidates_annotations_after_reduction():
 
 def test_selection_is_a_twist_selection_over_its_diagram():
     diagram = Diagram.from_pd(HOPF)
-    selection = build_selection(diagram)
+    _, selection = resolve_selection(diagram)
     assert isinstance(selection, TwistSelection)
     assert selection.diagram == diagram
     assert selection.region_count == 1
