@@ -8,22 +8,22 @@ these numbers, so :func:`augment` returns them without building a new
 diagram.
 
 :func:`export_augmented_diagram` additionally renders the augmented link as
-a PD code for interchange, drawing every region the same way: a crossing
-circle rings the m arcs on one side of it, under each next to the region
-and over it beyond, and the crossings the region drops are spliced out.  A
-2-strand region is ringed at the two arcs that leave the chain's first
-crossing x0 away from x1 and drops x(epsilon) ... x(c-1), so a residual
-half-twist is x0 itself, with its handedness and strand orientations.  A
-region of m >= 3 strands is ringed on the top side its validation found
-and drops all its crossings; a residual half-twist is a synthesized
-staircase between the ring and the box.
+a PD code for interchange, as a local rewrite of the diagram's dart mates in
+flat lists.  Every region is drawn the same way: a crossing circle rings the
+m arcs on one side of it, under each next to the region and over it beyond,
+and the crossings the region drops are spliced out.  A 2-strand region is
+ringed at the two arcs that leave the chain's first crossing x0 away from x1
+and drops x(epsilon) ... x(c-1), so a residual half-twist is x0 itself, with
+its handedness and strand orientations.  A region of m >= 3 strands is
+ringed on the top side its validation found and drops all its crossings; a
+residual half-twist is a synthesized staircase between the ring and the box.
 """
 
 from typing import NamedTuple
 
 from .diagram import _ENTERS, Diagram, _next_slot, _rebuild, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
-from .twist import TwistRegion, TwistSelection, _bigon_bonds, _box_sides
+from .twist import TwistRegion, TwistSelection, _box_sides
 
 
 # ============================================================================
@@ -102,72 +102,40 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 
 
 # ============================================================================
-# PD-code export: port graph
+# PD-code export: flat arrays
 # ============================================================================
 #
-# Every crossing of the drawing is a "stub" with four ports, numbered
-# 4 * stub + k for rotation position k = 0..3 (counterclockwise).  The
-# graph starts as the diagram itself, its crossings the first stubs in
-# diagram order, so that port 4 * i + s is slot s of crossings[i], the
-# integer dart the diagram's own mates use.  Each stub records only its
-# sign and the rotation position of its slot 0 (0 for the originals); a
-# port's strand enters the stub exactly when ``_ENTERS[sign][slot]`` says
-# so, the table the parser checks the input's orientation with.  Once the
-# circles are wired in and the dropped crossings spliced out and marked dead
-# in ``live``, :func:`~auglink.diagram._rebuild` builds the result: every
-# live stub becomes a crossing read from its slot 0, and every wire an arc.
+# The drawing is three flat lists.  Every crossing of it is a "stub" with
+# four ports, numbered 4 * stub + k for rotation position k = 0..3
+# (counterclockwise): ``mates[p]`` is the port at the other end of p's wire,
+# and ``signs[stub]`` and ``starts[stub]`` are the stub's sign and the
+# rotation position of its slot 0.  The lists start as the diagram itself,
+# its crossings the first stubs in diagram order (slot 0 at position 0), so
+# that port 4 * i + s is the integer dart the diagram's own mates use.  A
+# port's strand enters its stub exactly when ``_ENTERS[sign][slot]`` says
+# so, the table the parser checks the input's orientation with.  Each
+# drawing appends its stubs and writes both ends of every wire it lays;
+# the dropped crossings are then spliced out, the kept ports must pair up
+# (``mates[mates[p]] == p``), and :func:`~auglink.diagram._rebuild` builds
+# the result: every kept stub becomes a crossing read from its slot 0, and
+# every wire an arc.
 
 # Rotation positions of synthesized stubs.
 _E, _N, _W, _S = 0, 1, 2, 3  # circle crossings
 _NE, _NW, _SW, _SE = 0, 1, 2, 3  # staircase crossings
 
-# (sign, slot-0 position) of a circle crossing, by whether the west-east
-# strand runs forward (west to east).  The circle runs north to south over
-# the strands and south to north under them, entering the under-pass at _S.
-_OVER = {True: (1, _W), False: (-1, _E)}
-_UNDER = {True: (1, _S), False: (-1, _S)}
+# Signs and slot-0 positions of a strand's (under, over) circle crossings,
+# by whether the west-east strand runs forward (west to east).  The circle
+# runs north to south over the strands and south to north under them,
+# entering the under-pass at _S.
+_CIRCLE = {True: ((1, 1), (_S, _W)), False: ((-1, -1), (_S, _E))}
 # (sign, slot-0 position) of one staircase crossing between two adjacent
 # lanes, by (handedness, lanes forward): strand A runs NW-SE, strand B runs
 # SW-NE, and positive handedness puts A on top.
 _LETTER = {(1, True): (1, _SW), (1, False): (1, _NE),
            (-1, True): (-1, _NW), (-1, False): (-1, _SE)}
-
-
-class _PortGraph:
-    """Wiring between stub ports, in the encoding of ``Diagram.dart_mates``.
-
-    ``mates`` is indexed by port; ``mates[p]`` is the port at the other end
-    of p's wire, -1 while p is unwired.  ``signs``, ``starts`` and ``live``
-    are indexed by stub; ``live`` flags the stubs not spliced out.  The
-    export hands the live stubs to :func:`~auglink.diagram._rebuild`, which
-    builds the result and checks only Euler's formula.
-    """
-
-    def __init__(self, diagram: Diagram):
-        self.mates = list(diagram.dart_mates)
-        self.signs = [x.sign for x in diagram.crossings]
-        self.starts = [0] * len(self.signs)
-        self.live = bytearray(b"\1" * len(self.signs))
-
-    def add(self, sign: int, start: int) -> int:
-        """Add a stub with this sign and slot-0 position; returns the stub number."""
-        self.signs.append(sign)
-        self.starts.append(start)
-        self.mates.extend((-1, -1, -1, -1))
-        self.live.append(1)
-        return len(self.live) - 1
-
-    def connect(self, a: int, b: int) -> None:
-        """Wire two unwired ports."""
-        if self.mates[a] >= 0 or self.mates[b] >= 0:
-            raise ExportError(f"port already wired: {a} or {b}")
-        self.mates[a] = b
-        self.mates[b] = a
-
-    def disconnect(self, port: int) -> None:
-        mate = self.mates[port]
-        if mate >= 0:
-            self.mates[port] = self.mates[mate] = -1
+# The rotation positions of slots 0, 1, 2 and 3, by the slot-0 position.
+_TURNS = tuple(tuple((start + k) & 3 for k in range(4)) for start in range(4))
 
 
 # ============================================================================
@@ -178,30 +146,35 @@ class _PortGraph:
 # are also the ports of the original stubs.  Slot s + 2 mod 4 is dart ^ 2.
 
 
-def _ring(graph: _PortGraph, ports: list[int]) -> list[int]:
+def _ring(mates: list[int], signs: list[int], starts: list[int], ports: list[int]) -> list[int]:
     """Ring the arcs at ``ports``, m consecutive counterclockwise boundary darts.
 
     Each port is a dart of the diagram (slot 0 at position 0).  On its arc
     the circle passes under next to the port and over beyond it, and it
-    closes down the over-passes and back up the unders.  Returns the lanes'
-    ports that face the region, each wired to its port.
+    closes down the over-passes and back up the unders.  Port k's strand
+    gets under stub 2k and over stub 2k + 1 of the appended ones.  Returns
+    the lanes' ports that face the region, each wired to its port.
     """
-    over, under = [], []
+    first = 4 * len(signs)  # port _E of the first under stub
+    last = first + 8 * (len(ports) - 1)  # and of the last
     for port in ports:
-        outside, forward = graph.mates[port], _ENTERS[graph.signs[port >> 2]][port & 3]
-        graph.disconnect(port)
-        under.append(graph.add(*_UNDER[forward]))
-        over.append(graph.add(*_OVER[forward]))
-        graph.connect(port, 4 * under[-1] + _E)
-        graph.connect(4 * under[-1] + _W, 4 * over[-1] + _E)
-        graph.connect(4 * over[-1] + _W, outside)
-    for above, below in zip(over, over[1:]):
-        graph.connect(4 * above + _S, 4 * below + _N)
-    graph.connect(4 * over[-1] + _S, 4 * under[-1] + _S)
-    for above, below in zip(under, under[1:]):
-        graph.connect(4 * below + _N, 4 * above + _S)
-    graph.connect(4 * under[0] + _N, 4 * over[0] + _N)
-    return [4 * stub + _E for stub in under]
+        u = len(mates)
+        o = u + 4
+        outside = mates[port]
+        circle_signs, circle_starts = _CIRCLE[_ENTERS[signs[port >> 2]][port & 3]]
+        signs += circle_signs
+        starts += circle_starts
+        # Ports u + _E ... u + _S of the under stub, then o + _E ... o + _S of
+        # the over: the strand runs port, u, o, outside; each under's _N meets
+        # the one before's _S (the first meets the first over's _N), and each
+        # over's _S the next over's _N (the last meets the last under's _S).
+        mates += (port, u - 8 + _S if u > first else first + 4 + _N, o + _E,
+                  u + 8 + _N if u < last else last + 4 + _S,
+                  u + _W, o - 8 + _S if u > first else first + _N, outside,
+                  o + 8 + _N if u < last else last + _S)
+        mates[port] = u + _E
+        mates[outside] = o + _W
+    return list(range(first, last + 1, 8))
 
 
 def _back_darts(diagram: Diagram, region: TwistRegion) -> list[int]:
@@ -213,17 +186,22 @@ def _back_darts(diagram: Diagram, region: TwistRegion) -> list[int]:
     chains alike.
     """
     x0 = diagram.index[region.crossing_ids[0]]
-    if region.crossing_count == 1:
-        back = 4 * x0  # any corner of a lone crossing
-    else:
-        # The corner of x0 opposite its smallest corner bonded to x1.
+    back = 4 * x0  # any corner of a lone crossing
+    if region.crossing_count > 1:
+        # The corner of x0 opposite its smallest corner bonded to x1: corner
+        # d, between d and its next slot f, faces a bigon on x1 when f's arc
+        # ends on x1 and f's face closes after two steps.
         x1 = diagram.index[region.crossing_ids[1]]
-        bonds = _bigon_bonds(diagram, (x0, x1))
-        back = 2 ^ next(d for d in range(4 * x0, 4 * x0 + 4) if bonds.get(d, -1) >> 2 == x1)
+        mates, step = diagram.dart_mates, diagram.face_next
+        for d, f in zip(range(back, back + 4), (back + 1, back + 2, back + 3, back)):
+            if mates[f] >> 2 == x1 and step[step[f]] == f:
+                back = d ^ 2
+                break
     return [back, _next_slot(back)]
 
 
-def _staircase(graph: _PortGraph, lanes: list[int], top: list[int], sign: int) -> None:
+def _staircase(mates: list[int], signs: list[int], starts: list[int], lanes: list[int],
+               top: list[int], sign: int) -> None:
     """One half-twist of a box's m strands, between its ring and its top side.
 
     Position k after the half-twist is wired to ``top[m-1-k]``: the lane
@@ -231,16 +209,20 @@ def _staircase(graph: _PortGraph, lanes: list[int], top: list[int], sign: int) -
     takes it to the far-side dart straight across from ``top[m-1-i]``.
     """
     forward = _ENTERS[sign][top[0] & 3]  # all strands run west to east, or all east to west
-    for port in lanes:
-        graph.disconnect(port)
-    m = len(lanes)
-    for j in (j for k in range(m - 1, 0, -1) for j in range(1, k + 1)):
-        stub = graph.add(*_LETTER[sign, forward])
-        graph.connect(lanes[j - 1], 4 * stub + _NW)
-        graph.connect(lanes[j], 4 * stub + _SW)
-        lanes[j - 1], lanes[j] = 4 * stub + _NE, 4 * stub + _SE
+    letter_sign, letter_start = _LETTER[sign, forward]
+    for j in (j for k in range(len(lanes) - 1, 0, -1) for j in range(1, k + 1)):
+        p = len(mates)
+        signs.append(letter_sign)
+        starts.append(letter_start)
+        # Ports _NE, _NW, _SW, _SE: the lanes come in at _NW and _SW and go
+        # on from _NE and _SE, wired by the next letter or to the top side.
+        mates += (-1, lanes[j - 1], lanes[j], -1)
+        mates[lanes[j - 1]] = p + _NW
+        mates[lanes[j]] = p + _SW
+        lanes[j - 1], lanes[j] = p + _NE, p + _SE
     for port, dart in zip(lanes, reversed(top)):
-        graph.connect(port, dart)
+        mates[port] = dart
+        mates[dart] = port
 
 
 def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
@@ -251,39 +233,39 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     2m crossings where the circle crosses the strands, plus m(m-1)/2
     residual crossings when a half-twist remains (drawing as in the module
     docstring; one splice drops every region's crossings).  Raises
-    :class:`ExportError` when a port is left unwired, or when the drawing
-    is not planar or has another component count.
+    :class:`ExportError` when a kept port is unwired or wired one way, or
+    when the drawing is not planar or has another component count.
     """
     selection = augmented.source
     diagram = selection.diagram
 
-    graph = _PortGraph(diagram)
+    mates = list(diagram.dart_mates)
+    signs = [x.sign for x in diagram.crossings]
+    starts = [0] * len(signs)
     dropped: set[int] = set()  # positions
     for circle, region in zip(augmented.circles, selection.regions):
         if region.strand_count == 2:
-            _ring(graph, _back_darts(diagram, region))
+            _ring(mates, signs, starts, _back_darts(diagram, region))
             drop = region.crossing_ids[circle.epsilon:]
         else:
             top = _box_sides(diagram, region)
-            lanes = _ring(graph, top)
+            lanes = _ring(mates, signs, starts, top)
             if circle.epsilon:
-                _staircase(graph, lanes, top, region.sign)
+                _staircase(mates, signs, starts, lanes, top, region.sign)
             drop = region.crossing_ids
         dropped.update(map(diagram.index.__getitem__, drop))
-    mates, live = graph.mates, graph.live
     for port, mate in _splice(mates, dropped).items():
         mates[port] = mate
-    for stub in dropped:
-        live[stub] = 0
 
-    kept = [stub for stub, alive in enumerate(live) if alive]
-    dangling = [p for stub in kept for p in range(4 * stub, 4 * stub + 4)
-                if mates[p] < 0 or not live[mates[p] >> 2]]
-    if dangling:
-        raise ExportError(f"unwired ports remain: {dangling[:4]}")
+    kept = [stub for stub in range(len(signs)) if stub not in dropped]
+    darts = [4 * stub + k for stub in kept for k in _TURNS[starts[stub]]]
+    mates.append(-1)  # what mates[-1] reads, for an unwired port
+    if list(map(mates.__getitem__, map(mates.__getitem__, darts))) != darts:
+        one_way = sorted(p for p in darts if mates[mates[p]] != p)
+        raise ExportError(f"unwired ports remain: {one_way[:4]}")
     name = f"{diagram.name}-augmented" if diagram.name else "augmented"
     try:
-        exported = _rebuild(kept, range(len(kept)), graph.signs, graph.starts, mates, name)
+        exported = _rebuild(darts, range(len(kept)), [signs[p] for p in kept], mates, name)
     except InvalidDiagramError as exc:
         raise ExportError(f"drawing is not planar: {exc}") from exc
     expected = diagram.link_component_count + augmented.circle_count

@@ -45,7 +45,9 @@ lists 0-based crossing ids.
 import json
 from collections import Counter
 from functools import cached_property
-from operator import itemgetter
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _str
+from operator import attrgetter, itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -146,7 +148,7 @@ class Diagram:
         dart d lies on a face with two corners exactly when
         ``face_next[d] != d`` and ``face_next[face_next[d]] == d``.
         """
-        return tuple(map(_next_slot, self.dart_mates))
+        return tuple([m - 3 if m & 3 == 3 else m + 1 for m in self.dart_mates])
 
     @cached_property
     def _component_of(self) -> tuple[int, ...]:
@@ -163,9 +165,8 @@ class Diagram:
             component[i] = count
             stack = [i]
             while stack:
-                j = stack.pop()
-                for dart in range(4 * j, 4 * j + 4):
-                    k = mates[dart] >> 2
+                d = 4 * stack.pop()
+                for k in (mates[d] >> 2, mates[d + 1] >> 2, mates[d + 2] >> 2, mates[d + 3] >> 2):
                     if component[k] < 0:
                         component[k] = count
                         stack.append(k)
@@ -176,12 +177,24 @@ class Diagram:
     def link_component_count(self) -> int:
         """Number of link components; the crossing-free unknot counts as one.
 
-        Each component is two strand orbits, one per direction.
+        Each component is two strand orbits of ``d -> dart_mates[d ^ 2]``,
+        one per direction, and one holds d exactly when the other holds
+        ``d ^ 2``; one walk marks both.
         """
         if not self.crossings:
             return 1
         mates = self.dart_mates
-        return _orbits([mates[d ^ 2] for d in range(len(mates))])[1] // 2
+        seen = bytearray(len(mates))
+        count = start = 0
+        while start >= 0:
+            count += 1
+            d = start
+            while not seen[d]:
+                e = d ^ 2
+                seen[d] = seen[e] = 1
+                d = mates[e]
+            start = seen.find(0, start)
+        return count
 
     @property
     def is_connected(self) -> bool:
@@ -342,15 +355,16 @@ def serialize_diagram(diagram: Diagram) -> str:
     """Serialize to the object form, always with explicit signs.
 
     Deterministic: the same diagram always yields the same bytes, and
-    parse(serialize(parse(s))) == parse(s).
+    parse(serialize(parse(s))) == parse(s).  Written at a fixed shape, as
+    ``json.dumps(doc, sort_keys=True)`` lays out ``{"name": ..., "pd": ...,
+    "signs": ...}``, without "name" when it is None.
     """
-    doc: dict = {
-        "pd": [list(x.arcs) for x in diagram.crossings],
-        "signs": [x.sign for x in diagram.crossings],
-    }
-    if diagram.name is not None:
-        doc["name"] = diagram.name
-    return json.dumps(doc, sort_keys=True)
+    crossings = diagram.crossings
+    name = "" if diagram.name is None else f'"name": {_str(diagram.name)}, '
+    labels = tuple(chain.from_iterable(map(attrgetter("arcs"), crossings)))
+    pd = ", ".join(["[%d, %d, %d, %d]"] * len(crossings)) % labels
+    signs = ", ".join(["%d"] * len(crossings)) % tuple(map(attrgetter("sign"), crossings))
+    return f'{{{name}"pd": [{pd}], "signs": [{signs}]}}'
 
 
 # ============================================================================
@@ -401,7 +415,7 @@ def _splice(mates, removed) -> dict[int, int]:
     for p in sorted(removed):
         for dart in range(4 * p, 4 * p + 4):
             end = mates[dart]
-            if end >> 2 not in removed:
+            if end >= 0 and end >> 2 not in removed:  # an unwired end stays unwired
                 out = dart
                 while out >> 2 in removed:
                     out = mates[out ^ 2]
@@ -409,31 +423,27 @@ def _splice(mates, removed) -> dict[int, int]:
     return relinked
 
 
-def _rebuild(kept, ids, signs, starts, mates, name: str | None) -> Diagram:
-    """The crossings at positions ``kept`` of a relinked dart array, as a diagram.
+def _rebuild(darts, ids, signs, mates, name: str | None) -> Diagram:
+    """The crossings with slots 0, 1, 2, 3 at ``darts[4k:4k + 4]``, as a diagram.
 
-    ``signs`` and ``starts`` are indexed by position and ``mates`` by dart
-    ``4 * position + k``, k the rotation counterclockwise from where
-    ``starts[position]`` puts slot 0; ``ids`` lists the result's crossing
-    ids, one per kept position.  Darts are renumbered in the order of
-    ``kept``, slot by slot, and arcs labelled 1, 2, ... in the order of
-    their first dart.  Every mate of a kept dart must be kept; the
-    constructor checks Euler's formula.
+    ``darts`` index the relinked dart array ``mates``; crossing k gets id
+    ``ids[k]`` and sign ``signs[k]``.  Darts are renumbered by their place
+    in ``darts``, and arcs labelled 1, 2, ... in the order of their first
+    dart.  Every mate of a listed dart must be listed; the constructor
+    checks Euler's formula.
     """
-    darts = []
-    for p in kept:
-        d = 4 * p + starts[p]
-        e = _next_slot(d)
-        darts += (d, e, d ^ 2, e ^ 2)
-    at = {d: k for k, d in enumerate(darts)}
-    new_mates = tuple(at[mates[d]] for d in darts)
+    at = [-1] * len(mates)  # old dart -> new dart
+    for k, d in enumerate(darts):
+        at[d] = k
+    new_mates = tuple(map(at.__getitem__, map(mates.__getitem__, darts)))
     label = [0] * len(darts)
-    firsts = (d for d, e in enumerate(new_mates) if d < e)  # one dart per arc, in order
-    for arc, d in enumerate(firsts, start=1):
-        label[d] = label[new_mates[d]] = arc
-    crossings = tuple(Crossing(i, tuple(label[4 * k:4 * k + 4]), signs[p])
-                      for k, (i, p) in enumerate(zip(ids, kept)))
-    return Diagram(crossings, new_mates, name)
+    arc = 0
+    for d, e in enumerate(new_mates):
+        if d < e:  # the arc's first dart
+            arc += 1
+            label[d] = label[e] = arc
+    quads = zip(*[iter(label)] * 4)  # four labels per crossing
+    return Diagram(tuple(map(Crossing._make, zip(ids, quads, signs))), new_mates, name)
 
 
 def _orbits(step) -> tuple[list[int], int]:
@@ -461,9 +471,16 @@ def _check_euler(diagram: Diagram) -> None:
     f = [0] * len(v)
     for k in component:
         v[k] += 1
-    faces = _orbits(diagram.face_next)[0]
-    for dart in {face: dart for dart, face in enumerate(faces)}.values():  # one dart per face
-        f[component[dart >> 2]] += 1
+    step = diagram.face_next
+    seen = bytearray(len(step))
+    start = 0
+    while start >= 0:  # one walk per face
+        f[component[start >> 2]] += 1
+        dart = start
+        while not seen[dart]:
+            seen[dart] = 1
+            dart = step[dart]
+        start = seen.find(0, start)
     for k in range(len(v)):
         e = 2 * v[k]  # four slot endpoints per crossing, two per arc
         if v[k] - e + f[k] != 2:

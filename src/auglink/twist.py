@@ -414,7 +414,8 @@ def resolve_selection(
 
     if reduced:
         kept = [p for p in range(len(crossings)) if p not in spliced]
-        diagram = _rebuild(kept, [ids[p] for p in kept], [x.sign for x in crossings],
-                           bytes(len(crossings)), mates, diagram.name)
+        diagram = _rebuild([d for p in kept for d in range(4 * p, 4 * p + 4)],
+                           [ids[p] for p in kept], [crossings[p].sign for p in kept],
+                           mates, diagram.name)
         chains = [chain for p, chain in chain_of.items() if chain[2][0] == p]
     return diagram, _assemble(diagram, annotations, ids, bonds, chains)

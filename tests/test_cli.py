@@ -299,52 +299,72 @@ def test_box_that_pairs_no_strands_is_refused_with_or_without_export(tmp_path, e
 _augment_module = importlib.import_module("auglink.augment")
 
 
-def _strand_out_port(graph, stub):
+def _strand_out_port(signs, starts, stub):
     # Of the circle crossing's strand ports (E and W), the one its strand
     # leaves by, read from the stub's sign and slot-0 position.
-    enters = _ENTERS[graph.signs[stub]]
-    return next(p for p in (4 * stub, 4 * stub + 2) if not enters[(p - graph.starts[stub]) & 3])
+    enters = _ENTERS[signs[stub]]
+    return next(p for p in (4 * stub, 4 * stub + 2) if not enters[(p - starts[stub]) & 3])
+
+
+def _swap_far_ends(mates, a, b):
+    far_a, far_b = mates[a], mates[b]
+    mates[a], mates[far_b] = far_b, a
+    mates[b], mates[far_a] = far_a, b
+    return []
+
+
+def _wire_and_unwire_far_ends(mates, a, b):
+    mates[mates[a]] = mates[mates[b]] = -1
+    mates[a], mates[b] = b, a
+    return []
+
+
+def _overwrite_one_way(mates, a, b):
+    # a's wire now ends at b, but b and a's old mate still name their old
+    # mates: the two one-way ports.
+    far_a, mates[a] = mates[a], b
+    return sorted((a, far_a))
 
 
 @pytest.mark.parametrize(
-    "pd, other_port, swap, error",
+    "pd, other_port, rewire, error",
     [
         # The circle's wire crossed with a strand's: no longer planar.
-        (TREFOIL, lambda graph, under: _strand_out_port(graph, under[0]), True,
-         "drawing is not planar: Euler formula violated"),
+        (TREFOIL, lambda signs, starts, under: _strand_out_port(signs, starts, under[0]),
+         _swap_far_ends, "drawing is not planar: Euler formula violated"),
         # The circle wired into crossing 0, which the figure-8's even chain
         # splices out, and both far ends left unwired: the splice runs the
         # circle through the chain to an unwired port.
-        (FIGURE8, lambda graph, under: 2, False, "unwired ports remain: "),
+        (FIGURE8, lambda signs, starts, under: 2, _wire_and_unwire_far_ends,
+         "unwired ports remain: "),
+        # The circle's wire overwritten at one end only.
+        (TREFOIL, lambda signs, starts, under: _strand_out_port(signs, starts, under[0]),
+         _overwrite_one_way, "unwired ports remain: "),
     ],
-    ids=["not-planar", "wired-to-a-spliced-crossing"],
+    ids=["not-planar", "wired-to-a-spliced-crossing", "one-way"],
 )
-def test_miswired_export_is_an_export_failure(tmp_path, monkeypatch, pd, other_port, swap,
+def test_miswired_export_is_an_export_failure(tmp_path, monkeypatch, pd, other_port, rewire,
                                               error):
     ring = _augment_module._ring
+    named = []  # the ports the error must name, when the case knows them
 
-    def crossed(graph, ports):
+    def crossed(mates, signs, starts, ports):
         # Draw the ring, then rewire one of the circle's out-ports and another
         # port.  The under stubs hold the returned lanes; each over stub is
         # made right after its under stub.
-        lanes = ring(graph, ports)
+        lanes = ring(mates, signs, starts, ports)
         under = [lane >> 2 for lane in lanes]
-        a, b = 4 * (under[0] + 1) + _augment_module._S, other_port(graph, under)
-        far_a, far_b = graph.mates[a], graph.mates[b]
-        graph.disconnect(a)
-        graph.disconnect(b)
-        if swap:  # swap the far ends of the two wires
-            graph.connect(a, far_b)
-            graph.connect(b, far_a)
-        else:
-            graph.connect(a, b)
+        a, b = 4 * (under[0] + 1) + _augment_module._S, other_port(signs, starts, under)
+        named[:] = rewire(mates, a, b)
         return lanes
 
     monkeypatch.setattr(_augment_module, "_ring", crossed)
     path = _write(tmp_path, "knot.json", {"pd": pd})
     reduced, selection = resolve_selection(Diagram.from_pd(pd))
-    with pytest.raises(ExportError, match=f"^{error}"):
+    with pytest.raises(ExportError, match=f"^{error}") as excinfo:
         _augment_module.export_augmented_diagram(_augment_module.augment(reduced, selection))
+    if named:
+        assert str(excinfo.value) == f"{error}{named}"
     result = cli.analyze_file(path, RunConfig(inputs=(path,), export_dir=str(tmp_path / "out")))
     assert result.ok and result.report is not None and result.export_path is None
     (warning,) = result.warnings

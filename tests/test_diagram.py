@@ -3,18 +3,23 @@
 from __future__ import annotations
 
 import json
+import random
 from collections import Counter
 
 import pytest
 
+from auglink.augment import augment, export_augmented_diagram
 from auglink.diagram import (
     Diagram,
     _orbits,
+    _splice,
     parse_document,
     serialize_diagram,
 )
 from auglink.errors import DiagramSyntaxError, InvalidDiagramError
+from auglink.twist import resolve_selection
 
+from braid import braid_closure
 from corpus import FIGURE8, GOLDEN, HOPF, KINK, TREFOIL, UNKNOT0
 from oracle import (
     oracle_euler,
@@ -144,6 +149,41 @@ def test_serialize_parse_round_trip():
         assert data["signs"] == [c.sign for c in diagram.crossings]
 
 
+# Names that json escapes: quotes, backslashes, control characters, non-ASCII
+# (one outside the BMP, one lone surrogate), and no name at all.
+_NAMES = [None, "", "b0001", 'say "knot"', "back\\slash\\", "tab\tline\nnul\x00\x1f\x7f",
+          "nœud", "結び目", "\U0001f517", "\ud800", "</script>"]
+
+
+def _json_dumps_serialization(diagram: Diagram) -> str:
+    doc: dict = {"pd": [list(x.arcs) for x in diagram.crossings],
+                 "signs": [x.sign for x in diagram.crossings]}
+    if diagram.name is not None:
+        doc["name"] = diagram.name
+    return json.dumps(doc, sort_keys=True)
+
+
+def test_serialize_matches_json_dumps():
+    # The fixed-shape writer against json.dumps on 2,000 seeded closures and
+    # the export of each, under every name above, and on no crossings.
+    rng = random.Random(20)
+    diagrams = [Diagram.from_pd(UNKNOT0, name=name) for name in _NAMES]
+    for i in range(2000):
+        strands = rng.randrange(2, 6)
+        word = list(range(1, strands))
+        word += [rng.randrange(1, strands) for _ in range(rng.randrange(12))]
+        word = [g * rng.choice((1, -1)) for g in word]
+        pd, signs = braid_closure(word, strands)
+        diagram = Diagram.from_pd(pd, signs, _NAMES[i % len(_NAMES)])
+        diagrams.append(diagram)
+        reduced, selection = resolve_selection(diagram)
+        if reduced.crossings and reduced.is_connected:
+            diagrams.append(export_augmented_diagram(augment(reduced, selection)))
+    assert len(diagrams) > 3000
+    for diagram in diagrams:
+        assert serialize_diagram(diagram) == _json_dumps_serialization(diagram)
+
+
 def test_document_with_region_annotation():
     doc = parse_document(
         json.dumps(
@@ -258,6 +298,17 @@ def test_parse_rejects_malformed_input(text):
     with pytest.raises(InvalidDiagramError) as excinfo:
         parse_document(text)
     assert str(excinfo.value) == MALFORMED[text]
+
+
+def test_splice_leaves_an_unwired_end_unwired():
+    # Dart 4 of the figure-8's crossing 1 is left unwired, as a miswired
+    # drawing may leave it.  Splicing crossing 1 out must not read -1 as a
+    # dart: the strand that runs into dart 4 ends unwired, and no key -1
+    # would write mates[-1].
+    mates = list(Diagram.from_pd(FIGURE8).dart_mates)
+    assert mates[4:8] == [15, 8, 3, 2]
+    mates[4] = mates[15] = -1
+    assert _splice(mates, {1}) == {8: 2, 3: -1, 2: 8}
 
 
 def test_euler_violation_message_names_the_component():

@@ -128,7 +128,7 @@ def test_export_is_a_planar_augmentation(case):
         exported = export_augmented_diagram(augmented)
     except ExportError as exc:
         raise AssertionError(f"export failed on {case}: {exc}") from exc
-    # The mates the port graph hands over are the ones its labels pair.
+    # The mates the export's flat arrays hand over are the ones its labels pair.
     assert exported.dart_mates == _mate_darts([x.arcs for x in exported.crossings])
     pd = _check_with_oracle(reduced, augmented, exported)
     assert len(pd) == sum(
