@@ -240,7 +240,7 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     diagram = selection.diagram
 
     mates = list(diagram.dart_mates)
-    signs = [x.sign for x in diagram.crossings]
+    signs = list(diagram.signs)
     starts = [0] * len(signs)
     dropped: set[int] = set()  # positions
     for circle, region in zip(augmented.circles, selection.regions):

@@ -1,24 +1,28 @@
 """Planar diagram codes: parsing, validation, faces, strand components.
 
-A diagram is a list of crossings; each crossing carries a quadruple of arc
+A PD code is a list of crossings; each crossing carries a quadruple of arc
 labels read counterclockwise starting at the incoming under-strand, plus a
 sign (+1/-1).  Arc labels are positive integers and every label appears
 exactly twice in the whole code.  The implicit cyclic order of each quadruple
 is the rotation system of the underlying 4-valent plane graph.
 
-Faces and strands come from two permutations of the integer darts (dart
-``4 * i + s`` is slot s of the i-th crossing): the faces are the orbits of
-``face_next`` (cross the arc, turn one slot counterclockwise), and the
-strands are the orbits of ``d -> dart_mates[d ^ 2]`` (pass straight through
-the crossing, then cross the arc), two per link component, one each way.
+A :class:`Diagram` holds that code as flat tuples: crossing ids and signs by
+position, and the mates of the integer darts (dart ``4 * i + s`` is slot s
+of the i-th crossing).  Faces and strands are two permutations of the
+darts: the faces are the orbits of ``face_next`` (cross the arc, turn one
+slot counterclockwise), and the strands are the orbits of
+``d -> dart_mates[d ^ 2]`` (pass straight through the crossing, then cross
+the arc), two per link component, one each way.
 
-Every diagram is built by ``Diagram(crossings, mates, name)``, which checks
-Euler's formula, from the dart mates its caller already knows: ``from_pd``
-pairs them while checking the labels, shapes and signs of its input, and
-keeps its labels; the R-II reduction and the export relink them (with
-:func:`_splice`) and hand the result to :func:`_rebuild`, which labels
-arcs in the order of their first dart.  The records themselves are plain
-named tuples and check nothing.
+Every diagram is built by ``Diagram(crossing_ids, signs, mates, name,
+labels)``, which checks Euler's formula, from the dart mates its caller
+already knows: ``from_pd`` pairs them while checking the labels, shapes and
+signs of its input, and keeps its labels; the R-II reduction and the export
+relink them (with :func:`_splice`) and renumber their darts with
+:func:`_rebuild`, and such a derived diagram labels its arcs in the order of
+their first dart, when its labels are first read.  :class:`Crossing`
+records are built from the flat fields only for library callers
+(:attr:`Diagram.crossings`); the pipeline reads none.
 
 Slot conventions (slot = index within the quadruple):
 
@@ -47,7 +51,7 @@ from collections import Counter
 from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
@@ -68,7 +72,7 @@ def _next_slot(dart: int) -> int:
 
 
 class Crossing(NamedTuple):
-    """One 4-valent vertex of the diagram.
+    """One 4-valent vertex of the diagram, as :attr:`Diagram.crossings` lists it.
 
     ``arcs`` lists the incident arc labels counterclockwise from the incoming
     under-strand.  ``id`` is stable across operations that drop other
@@ -81,28 +85,33 @@ class Crossing(NamedTuple):
 
 
 class Diagram:
-    """An immutable planar diagram code.
+    """An immutable planar diagram code, held as flat tuples.
 
-    ``Diagram(crossings, mates, name)`` keeps the dart mates its caller
-    paired as :attr:`dart_mates` (``mates[d]`` is the other end of dart d's
-    arc) and raises :class:`InvalidDiagramError` when Euler's formula fails;
-    :meth:`from_pd` validates and builds one from a PD code.
+    ``Diagram(crossing_ids, signs, mates, name=None, labels=None)`` keeps the
+    i-th crossing's id and sign at ``crossing_ids[i]`` and ``signs[i]``, the
+    dart mates its caller paired as :attr:`dart_mates` (``mates[d]`` is the
+    other end of dart d's arc) and, when given, ``labels[d]``, the arc label
+    at dart d.  It raises :class:`InvalidDiagramError` when Euler's formula
+    fails, and sets :attr:`face_next` and :attr:`is_connected` from the same
+    pass; :meth:`from_pd` validates and builds one from a PD code.
 
-    The rest of the topology (crossing ids and index, the face permutation,
-    graph components, the link component count) is worked out once per
-    diagram, on first use, and shared read-only by every caller; copy a
-    value before mutating it.  Equality and hashing see only the crossings
-    and the name.
+    The index, the labels of a diagram built without them (arcs 1, 2, ... in
+    the order of their first dart) and the link component count are worked
+    out once, on first use, and shared read-only by every caller.  Equality
+    and hashing see the ids, signs, labels and name.
 
-    A dart is one integer: dart ``4 * i + s`` is slot s of ``crossings[i]``,
-    the i-th crossing by position (not by id), and every topology value here
-    is indexed by it.  Faces are the orbits of :attr:`face_next` and strands
-    the orbits of ``d -> dart_mates[d ^ 2]``.
+    A dart is one integer: dart ``4 * i + s`` is slot s of the i-th crossing
+    by position (not by id), and every topology value here is indexed by
+    it.  Faces are the orbits of :attr:`face_next` and strands the orbits of
+    ``d -> dart_mates[d ^ 2]``.
     """
 
-    def __init__(self, crossings: tuple[Crossing, ...], mates: tuple[int, ...],
-                 name: str | None = None):
-        vars(self).update(crossings=crossings, dart_mates=mates, name=name)
+    def __init__(self, crossing_ids: tuple[int, ...], signs: tuple[int, ...],
+                 mates: tuple[int, ...], name: str | None = None,
+                 labels: tuple[int, ...] | None = None):
+        vars(self).update(crossing_ids=crossing_ids, signs=signs, dart_mates=mates, name=name)
+        if labels is not None:
+            vars(self)["labels"] = labels
         _check_euler(self)
 
     def __setattr__(self, name, *value):  # also __delattr__
@@ -111,67 +120,44 @@ class Diagram:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
+        if other is self:
+            return True
         if type(other) is not type(self):
             return NotImplemented
-        return (self.crossings, self.name) == (other.crossings, other.name)
+        return ((self.crossing_ids, self.signs, self.labels, self.name)
+                == (other.crossing_ids, other.signs, other.labels, other.name))
 
     def __hash__(self):
-        return hash((self.crossings, self.name))
+        return hash((self.crossing_ids, self.signs, self.labels, self.name))
 
     def __repr__(self):
         return f"Diagram(crossings={self.crossings!r}, name={self.name!r})"
 
     @property
     def crossing_count(self) -> int:
-        return len(self.crossings)
+        return len(self.crossing_ids)
 
-    @cached_property
-    def crossing_ids(self) -> tuple[int, ...]:
-        return tuple(x.id for x in self.crossings)
+    @property
+    def crossings(self) -> tuple[Crossing, ...]:
+        """The crossings as records, built afresh for library callers."""
+        quads = zip(*[iter(self.labels)] * 4)  # four labels per crossing
+        return tuple(map(Crossing._make, zip(self.crossing_ids, quads, self.signs)))
 
     @cached_property
     def index(self) -> Mapping[int, int]:
-        """Crossing id -> position in :attr:`crossings`."""
-        return MappingProxyType({x.id: i for i, x in enumerate(self.crossings)})
-
-    def crossing(self, crossing_id: int) -> Crossing:
-        try:
-            return self.crossings[self.index[crossing_id]]
-        except KeyError:
-            raise KeyError(f"no crossing with id {crossing_id}") from None
+        """Crossing id -> position."""
+        return MappingProxyType({c: i for i, c in enumerate(self.crossing_ids)})
 
     @cached_property
-    def face_next(self) -> tuple[int, ...]:
-        """Each integer dart -> the next dart of its face walk.
-
-        The walk crosses the arc, then rotates one slot counterclockwise.  A
-        dart d lies on a face with two corners exactly when
-        ``face_next[d] != d`` and ``face_next[face_next[d]] == d``.
-        """
-        return tuple([m - 3 if m & 3 == 3 else m + 1 for m in self.dart_mates])
-
-    @cached_property
-    def _component_of(self) -> tuple[int, ...]:
-        """Graph component index of each crossing, by position.
-
-        Components are numbered in the order of their first crossing.
-        """
-        mates = self.dart_mates
-        component = [-1] * len(self.crossings)
-        count = 0
-        for i in range(len(component)):
-            if component[i] >= 0:
-                continue
-            component[i] = count
-            stack = [i]
-            while stack:
-                d = 4 * stack.pop()
-                for k in (mates[d] >> 2, mates[d + 1] >> 2, mates[d + 2] >> 2, mates[d + 3] >> 2):
-                    if component[k] < 0:
-                        component[k] = count
-                        stack.append(k)
-            count += 1
-        return tuple(component)
+    def labels(self) -> tuple[int, ...]:
+        """The arc label at each dart; arcs 1, 2, ... by first dart unless given."""
+        label = [0] * len(self.dart_mates)
+        arc = 0
+        for d, e in enumerate(self.dart_mates):
+            if d < e:  # the arc's first dart
+                arc += 1
+                label[d] = label[e] = arc
+        return tuple(label)
 
     @cached_property
     def link_component_count(self) -> int:
@@ -181,7 +167,7 @@ class Diagram:
         one per direction, and one holds d exactly when the other holds
         ``d ^ 2``; one walk marks both.
         """
-        if not self.crossings:
+        if not self.crossing_ids:
             return 1
         mates = self.dart_mates
         seen = bytearray(len(mates))
@@ -195,11 +181,6 @@ class Diagram:
                 d = mates[e]
             start = seen.find(0, start)
         return count
-
-    @property
-    def is_connected(self) -> bool:
-        """Connectivity of the underlying 4-valent graph (split link test)."""
-        return not any(self._component_of)
 
     @classmethod
     def from_pd(
@@ -218,34 +199,33 @@ class Diagram:
         is not a positive integer, then multiplicity, the signs' count and
         values, their coherence (see module docstring), and Euler.
         """
-        quads = []
         for i, quad in enumerate(pd):
             if not isinstance(quad, (list, tuple)) or len(quad) != 4:
                 got = len(quad) if isinstance(quad, (list, tuple)) else type(quad).__name__
                 raise InvalidDiagramError(f"crossing {i}: expected 4 arc labels, got {got}")
-            quads.append(tuple(quad))
 
-        mates = _mate_darts(quads)
+        mates = _mate_darts(pd)
 
         if signs is None:
-            signs = _infer_signs(quads, mates) if quads else []
+            signs = _infer_signs(pd, mates) if pd else []
         else:
             signs = list(signs)
-            if len(signs) != len(quads):
+            if len(signs) != len(pd):
                 raise InvalidDiagramError(
-                    f"signs list has {len(signs)} entries for {len(quads)} crossings"
+                    f"signs list has {len(signs)} entries for {len(pd)} crossings"
                 )
             for i, sign in enumerate(signs):
                 if (type(sign) is not int and not _is_int(sign)) or sign not in (1, -1):
                     raise InvalidDiagramError(f"crossing {i}: sign must be +1 or -1, got {sign!r}")
-            bad = _incoherent_dart(signs, mates) if quads else None
+            bad = _incoherent_dart(signs, mates) if pd else None
             if bad is not None:
                 raise InvalidDiagramError(
-                    f"signs orient no link (arc {quads[bad >> 2][bad & 3]} has no coherent "
+                    f"signs orient no link (arc {pd[bad >> 2][bad & 3]} has no coherent "
                     "direction)"
                 )
 
-        return cls(tuple(map(Crossing, range(len(quads)), quads, signs)), mates, name)
+        return cls(tuple(range(len(pd))), tuple(signs), mates, name,
+                   tuple(chain.from_iterable(pd)))
 
 
 class RegionAnnotation(NamedTuple):
@@ -359,11 +339,10 @@ def serialize_diagram(diagram: Diagram) -> str:
     ``json.dumps(doc, sort_keys=True)`` lays out ``{"name": ..., "pd": ...,
     "signs": ...}``, without "name" when it is None.
     """
-    crossings = diagram.crossings
+    n = diagram.crossing_count
     name = "" if diagram.name is None else f'"name": {_str(diagram.name)}, '
-    labels = tuple(chain.from_iterable(map(attrgetter("arcs"), crossings)))
-    pd = ", ".join(["[%d, %d, %d, %d]"] * len(crossings)) % labels
-    signs = ", ".join(["%d"] * len(crossings)) % tuple(map(attrgetter("sign"), crossings))
+    pd = ", ".join(["[%d, %d, %d, %d]"] * n) % diagram.labels
+    signs = ", ".join(["%d"] * n) % diagram.signs
     return f'{{{name}"pd": [{pd}], "signs": [{signs}]}}'
 
 
@@ -427,23 +406,16 @@ def _rebuild(darts, ids, signs, mates, name: str | None) -> Diagram:
     """The crossings with slots 0, 1, 2, 3 at ``darts[4k:4k + 4]``, as a diagram.
 
     ``darts`` index the relinked dart array ``mates``; crossing k gets id
-    ``ids[k]`` and sign ``signs[k]``.  Darts are renumbered by their place
-    in ``darts``, and arcs labelled 1, 2, ... in the order of their first
-    dart.  Every mate of a listed dart must be listed; the constructor
-    checks Euler's formula.
+    ``ids[k]`` and sign ``signs[k]``, and darts are renumbered by their
+    place in ``darts``.  Every mate of a listed dart must be listed; the
+    constructor checks Euler's formula.  No labels are passed, so the
+    diagram labels its arcs in the order of their first dart.
     """
     at = [-1] * len(mates)  # old dart -> new dart
     for k, d in enumerate(darts):
         at[d] = k
     new_mates = tuple(map(at.__getitem__, map(mates.__getitem__, darts)))
-    label = [0] * len(darts)
-    arc = 0
-    for d, e in enumerate(new_mates):
-        if d < e:  # the arc's first dart
-            arc += 1
-            label[d] = label[e] = arc
-    quads = zip(*[iter(label)] * 4)  # four labels per crossing
-    return Diagram(tuple(map(Crossing._make, zip(ids, quads, signs))), new_mates, name)
+    return Diagram(tuple(ids), tuple(signs), new_mates, name)
 
 
 def _orbits(step) -> tuple[list[int], int]:
@@ -464,16 +436,37 @@ def _orbits(step) -> tuple[list[int], int]:
 
 
 def _check_euler(diagram: Diagram) -> None:
-    if not diagram.crossings:
-        return
-    component = diagram._component_of
-    v = [0] * (max(component) + 1)
-    f = [0] * len(v)
+    """Set a new diagram's ``face_next`` and ``is_connected``, checking Euler.
+
+    ``face_next`` maps each integer dart to the next dart of its face walk,
+    which crosses the arc, then rotates one slot counterclockwise.  A dart d
+    lies on a face with two corners exactly when ``face_next[d] != d`` and
+    ``face_next[face_next[d]] == d``.  V - E + F = 2 must hold on every
+    component of the underlying graph.
+    """
+    mates = diagram.dart_mates
+    step = tuple([m - 3 if m & 3 == 3 else m + 1 for m in mates])
+    component = [-1] * len(diagram.crossing_ids)  # graph component by position
+    count = 0
+    for i in range(len(component)):
+        if component[i] >= 0:
+            continue
+        component[i] = count
+        stack = [i]
+        while stack:
+            d = 4 * stack.pop()
+            for k in (mates[d] >> 2, mates[d + 1] >> 2, mates[d + 2] >> 2, mates[d + 3] >> 2):
+                if component[k] < 0:
+                    component[k] = count
+                    stack.append(k)
+        count += 1
+    vars(diagram).update(face_next=step, is_connected=count <= 1)
+    v = [0] * count
+    f = [0] * count
     for k in component:
         v[k] += 1
-    step = diagram.face_next
     seen = bytearray(len(step))
-    start = 0
+    start = seen.find(0)
     while start >= 0:  # one walk per face
         f[component[start >> 2]] += 1
         dart = start
@@ -481,10 +474,10 @@ def _check_euler(diagram: Diagram) -> None:
             seen[dart] = 1
             dart = step[dart]
         start = seen.find(0, start)
-    for k in range(len(v)):
+    for k in range(count):
         e = 2 * v[k]  # four slot endpoints per crossing, two per arc
         if v[k] - e + f[k] != 2:
-            crossings = sorted(x.id for x, j in zip(diagram.crossings, component) if j == k)
+            crossings = sorted(c for c, j in zip(diagram.crossing_ids, component) if j == k)
             raise InvalidDiagramError(
                 "Euler formula violated (non-planar or corrupted code): "
                 f"component with crossings {crossings} has V={v[k]} E={e} F={f[k]}"

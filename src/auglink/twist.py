@@ -63,8 +63,8 @@ class TwistSelection(NamedTuple):
 # ============================================================================
 #
 # Darts here are the diagram's integer darts, 4 * position + slot; the
-# opposite corner of a crossing is dart ^ 2.  Chains hold positions in
-# ``diagram.crossings`` and become crossing ids only where a TwistRegion is
+# opposite corner of a crossing is dart ^ 2.  Chains hold positions in the
+# diagram's flat fields and become crossing ids only where a TwistRegion is
 # built.  Ids ascend with position in every diagram that ``from_pd`` or a
 # reduction builds, so sorted positions are also sorted ids, and a chain's
 # smallest position holds its smallest id.
@@ -73,7 +73,7 @@ class TwistSelection(NamedTuple):
 def _scope(diagram: Diagram, annotations) -> range | frozenset[int]:
     """Positions of the crossings that no annotation claims."""
     if not annotations:
-        return range(len(diagram.crossings))
+        return range(diagram.crossing_count)
     annotated = {c for a in annotations for c in a.crossing_ids}
     return frozenset(p for p, c in enumerate(diagram.crossing_ids) if c not in annotated)
 
@@ -148,13 +148,13 @@ def _detect(diagram: Diagram, scope):
     common crossing sign, or 0 for a chain with mixed signs.
     """
     bonds = _bigon_bonds(diagram, scope)
-    crossings, ids = diagram.crossings, diagram.crossing_ids
-    return bonds, [_chain(crossings, ids, chain) for chain in _grow_chains(bonds, sorted(scope))]
+    signs, ids = diagram.signs, diagram.crossing_ids
+    return bonds, [_chain(signs, ids, chain) for chain in _grow_chains(bonds, sorted(scope))]
 
 
-def _chain(crossings, ids, chain: list[int]) -> tuple[int, int, list[int]]:
-    signs = {crossings[p].sign for p in chain}
-    return ids[min(chain)], signs.pop() if len(signs) == 1 else 0, chain
+def _chain(signs, ids, chain: list[int]) -> tuple[int, int, list[int]]:
+    common = {signs[p] for p in chain}
+    return ids[min(chain)], common.pop() if len(common) == 1 else 0, chain
 
 
 def _chain_regions(bonds, chains, ids, start: int = 1) -> list[TwistRegion]:
@@ -189,7 +189,7 @@ def detect_bigon_chains(
     bigon become single-crossing regions.  Regions are returned ordered by
     their smallest crossing id and numbered from 1.
     """
-    scope = (range(len(diagram.crossings)) if within is None
+    scope = (range(diagram.crossing_count) if within is None
              else frozenset(map(diagram.index.__getitem__, within)))
     return _chain_regions(*_detect(diagram, scope), diagram.crossing_ids)
 
@@ -199,7 +199,7 @@ def detect_bigon_chains(
 # ============================================================================
 
 
-def _cancel_pairs(crossings, chain: list[int]) -> set[int]:
+def _cancel_pairs(signs, chain: list[int]) -> set[int]:
     """Positions removed by cancelling adjacent opposite-sign pairs.
 
     Stack cancellation over the chain order: every adjacent opposite-sign
@@ -207,7 +207,7 @@ def _cancel_pairs(crossings, chain: list[int]) -> set[int]:
     """
     stack: list[int] = []  # positions
     for p in chain:
-        if stack and crossings[stack[-1]].sign == -crossings[p].sign:
+        if stack and signs[stack[-1]] == -signs[p]:
             stack.pop()
         else:
             stack.append(p)
@@ -294,7 +294,7 @@ def validate_generalized_region(
             f"region {region_id}: {len(ids)} crossings cannot make {c} "
             f"half-twists of {m} strands (needs {expected} = c*m(m-1)/2)"
         )
-    signs = {diagram.crossing(i).sign for i in ids}
+    signs = {diagram.signs[diagram.index[i]] for i in ids}
     if len(signs) != 1:
         raise NonAlternatingRegionError(
             f"region {region_id}: crossings have mixed signs {sorted(signs)}"
@@ -366,7 +366,7 @@ def resolve_selection(
     """
     scope = _scope(diagram, annotations)
     bonds, chains = _detect(diagram, scope)
-    crossings, ids = diagram.crossings, diagram.crossing_ids
+    signs, ids = diagram.signs, diagram.crossing_ids
     chain_of = {p: chain for chain in chains for p in chain[2]}
     mixed = [chain for chain in chains if chain[1] == 0]  # sorted: a heap by smallest id
     reduced = bool(mixed)
@@ -377,7 +377,7 @@ def resolve_selection(
         chain = heapq.heappop(mixed)
         if chain_of.get(chain[2][0]) is not chain:
             continue  # stale: the chain was regrown or spliced since
-        removed = _cancel_pairs(crossings, chain[2])
+        removed = _cancel_pairs(signs, chain[2])
         spliced |= removed
         relinked = _splice(mates, removed)
         for end, other in relinked.items():
@@ -406,16 +406,16 @@ def resolve_selection(
         for p in removed:
             del chain_of[p]
         for positions in _grow_chains(bonds, sorted(dirty)):
-            regrown = _chain(crossings, ids, positions)
+            regrown = _chain(signs, ids, positions)
             for p in positions:
                 chain_of[p] = regrown
             if regrown[1] == 0:
                 heapq.heappush(mixed, regrown)
 
     if reduced:
-        kept = [p for p in range(len(crossings)) if p not in spliced]
+        kept = [p for p in range(len(ids)) if p not in spliced]
         diagram = _rebuild([d for p in kept for d in range(4 * p, 4 * p + 4)],
-                           [ids[p] for p in kept], [crossings[p].sign for p in kept],
+                           [ids[p] for p in kept], [signs[p] for p in kept],
                            mates, diagram.name)
         chains = [chain for p, chain in chain_of.items() if chain[2][0] == p]
     return diagram, _assemble(diagram, annotations, ids, bonds, chains)

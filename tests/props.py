@@ -128,7 +128,7 @@ def check_selection_partition(n, seed=1005):
             ids = set(region.crossing_ids)
             assert not ids & seen
             seen |= ids
-            region_signs = {reduced.crossing(i).sign for i in ids}
+            region_signs = {reduced.signs[reduced.index[i]] for i in ids}
             assert region_signs == {region.sign}
         assert seen == set(reduced.crossing_ids)
         assert selection.region_count == len(selection.regions)

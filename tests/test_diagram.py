@@ -76,24 +76,69 @@ def test_cached_topology_is_shared_and_read_only():
     fresh = Diagram.from_pd(FIGURE8)
     assert fresh == diagram and hash(fresh) == hash(diagram)
     with pytest.raises(KeyError):
-        diagram.crossing(99)
-    # Equality and hashing see the crossings and the name, never the cache.
+        diagram.index[99]
+    # Equality and hashing see the ids, signs, labels and name, never the cache.
     assert diagram.link_component_count == 1
-    bare = Diagram(diagram.crossings, diagram.dart_mates)
+    fields = (diagram.crossing_ids, diagram.signs, diagram.dart_mates)
+    bare = Diagram(*fields, labels=diagram.labels)
     assert "link_component_count" in vars(diagram) and "link_component_count" not in vars(bare)
-    assert bare == diagram == Diagram(crossings=diagram.crossings, mates=diagram.dart_mates)
+    assert bare == diagram == Diagram(crossing_ids=diagram.crossing_ids, signs=diagram.signs,
+                                      mates=diagram.dart_mates, labels=diagram.labels)
     assert hash(bare) == hash(diagram)
-    assert Diagram(diagram.crossings, diagram.dart_mates, "figure-8") != diagram
+    assert Diagram(*fields, "figure-8", diagram.labels) != diagram
     reversed_code = [x.arcs for x in reversed(diagram.crossings)]
-    assert Diagram.from_pd(reversed_code, [x.sign for x in reversed(diagram.crossings)]) != diagram
+    assert Diagram.from_pd(reversed_code, diagram.signs[::-1]) != diagram
     assert diagram != (diagram.crossings, None)
-    for attribute in ("crossings", "name", "dart_mates", "face_next", "other"):
+    for attribute in ("crossings", "crossing_ids", "signs", "labels", "name", "dart_mates",
+                      "face_next", "is_connected", "other"):
         with pytest.raises(AttributeError):
             setattr(diagram, attribute, None)
-    for attribute in ("crossings", "dart_mates"):
+    for attribute in ("crossings", "crossing_ids", "signs", "labels", "dart_mates"):
         with pytest.raises(AttributeError):
             delattr(diagram, attribute)
     assert diagram.dart_mates == fresh.dart_mates
+
+
+def _in_first_dart_order(labels) -> bool:
+    """Whether each label is new exactly when it is one more than every label before it."""
+    order: list[int] = []
+    for label in labels:
+        if label not in order:
+            order.append(label)
+    return order == list(range(1, len(order) + 1))
+
+
+def test_equality_sees_ids_signs_labels_and_name():
+    # Relabelling a code keeps its darts' pairing but makes another code.
+    diagram = Diagram.from_pd(FIGURE8, name="figure-8")
+    relabelled = Diagram.from_pd([[9 - a for a in quad] for quad in FIGURE8],
+                                 diagram.signs, "figure-8")
+    assert relabelled.dart_mates == diagram.dart_mates
+    assert relabelled != diagram and diagram != relabelled
+
+    # A reduced diagram and its export each equal their serialization,
+    # parsed.  Parsing numbers crossings from 0, and the closure of
+    # s1 s1 s2 s2 s1 s2 s2^-1 cancels its last two crossings, so the reduced
+    # diagram's ids are 0, 1, ... too.
+    pd, signs = braid_closure([1, 1, 2, 2, 1, 2, -2], 3)
+    reduced, selection = resolve_selection(Diagram.from_pd(pd, signs, "mixed"))
+    assert reduced.crossing_ids == (0, 1, 2, 3, 4)
+    exported = export_augmented_diagram(augment(reduced, selection))
+    for derived in (reduced, exported):
+        again = parse_document(serialize_diagram(derived)).diagram
+        assert again == derived and derived == again and hash(again) == hash(derived)
+
+    # A diagram built without labels labels its arcs by first dart, so it
+    # equals a parsed one exactly when the parsed labels are in that order.
+    seen = set()
+    for name, pd in GOLDEN.items():
+        parsed = Diagram.from_pd(pd, name=name)
+        bare = Diagram(parsed.crossing_ids, parsed.signs, parsed.dart_mates, name)
+        assert _in_first_dart_order(bare.labels)
+        seen.add(_in_first_dart_order(parsed.labels))
+        assert (bare == parsed) is (parsed == bare) is _in_first_dart_order(parsed.labels)
+        assert (hash(bare) == hash(parsed)) is (bare == parsed)
+    assert seen == {True, False}
 
 
 def test_zero_crossing_unknot():
@@ -321,7 +366,7 @@ def test_euler_violation_message_names_the_component():
     assert mates[0] == 11 and mates[1] == 12
     mates[0], mates[1], mates[11], mates[12] = 12, 11, 1, 0
     with pytest.raises(InvalidDiagramError) as excinfo:
-        Diagram(diagram.crossings, tuple(mates))
+        Diagram(diagram.crossing_ids, diagram.signs, tuple(mates))
     assert str(excinfo.value) == (
         "Euler formula violated (non-planar or corrupted code): "
         "component with crossings [0, 1, 2, 3] has V=4 E=8 F=4"

@@ -34,10 +34,13 @@ import json
 import random
 from contextlib import redirect_stdout
 
+import pytest
+
 from auglink.augment import augment, export_augmented_diagram
 from auglink.cli import main
-from auglink.diagram import Diagram, serialize_diagram
+from auglink.diagram import Crossing, Diagram, serialize_diagram
 from auglink.errors import AuglinkError
+from auglink.geometry import build_report
 from auglink.twist import RegionAnnotation, resolve_selection
 
 from braid import braid_closure, full_twist_word, half_twist_word
@@ -134,14 +137,40 @@ def _analyze_corpus(tmp_path, *flags) -> str:
     return out.getvalue().replace(str(tmp_path), "<tmp>")
 
 
-def test_analyze_output_matches_golden_digest(tmp_path):
+def _golden_digest(tmp_path) -> str:
     exports = tmp_path / "out"
     stdout = _analyze_corpus(tmp_path, "--export-augmented", str(exports))
     digest = hashlib.sha256()
     digest.update(stdout.encode("utf-8"))
     for path in sorted(exports.iterdir()):
         digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
-    assert digest.hexdigest() == GOLDEN_SHA256
+    return digest.hexdigest()
+
+
+def test_analyze_output_matches_golden_digest(tmp_path):
+    assert _golden_digest(tmp_path) == GOLDEN_SHA256
+
+
+def _no_records(*args, **kwargs):
+    raise AssertionError("the pipeline built a Crossing record")
+
+
+def test_pipeline_builds_no_crossing_records(tmp_path, monkeypatch):
+    # Parse, reduction, augmentation, reports, export and serialization
+    # read the flat fields; Crossing records are for library callers only.
+    monkeypatch.setattr(Crossing, "_make", _no_records)
+    monkeypatch.setattr(Crossing, "__new__", _no_records)
+    with pytest.raises(AssertionError, match="Crossing record"):
+        Diagram.from_pd([[1, 1, 2, 2]]).crossings
+    assert _golden_digest(tmp_path) == GOLDEN_SHA256
+
+    # Nor does the pipeline label the arcs of a reduced diagram: its labels
+    # are worked out only when it is serialized.
+    pd, signs = braid_closure([1, 1, -1, 2, 2, -1, 1, 1, 2], 3)
+    reduced, selection = resolve_selection(Diagram.from_pd(pd, signs))
+    assert reduced.crossing_count < len(pd)
+    build_report(augment(reduced, selection), True)
+    assert "labels" not in vars(reduced)
 
 
 def test_report_matches_golden_digest(tmp_path):

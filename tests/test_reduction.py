@@ -66,11 +66,12 @@ def reduce_twist_region(diagram: Diagram, region: TwistRegion) -> Diagram:
     """
     if region.strand_count != 2:
         raise RegionError("reduction is defined for 2-strand twist regions only")
-    if len({diagram.crossing(c).sign for c in region.crossing_ids}) <= 1:
+    signs = {c: diagram.signs[diagram.index[c]] for c in region.crossing_ids}
+    if len(set(signs.values())) <= 1:
         raise RegionError(f"region {region.id} is already alternating; nothing to reduce")
     stack: list[int] = []  # crossing ids; adjacent opposite signs annihilate
     for c in region.crossing_ids:
-        if stack and diagram.crossing(stack[-1]).sign == -diagram.crossing(c).sign:
+        if stack and signs[stack[-1]] == -signs[c]:
             stack.pop()
         else:
             stack.append(c)
@@ -91,7 +92,9 @@ def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
             arcs = tuple(labels.find(a) for a in x.arcs)
             survivors.append(Crossing(x.id, arcs, x.sign))
     # The mates worked out again from the labels; the constructor checks Euler.
-    return Diagram(tuple(survivors), _mate_darts([x.arcs for x in survivors]), diagram.name)
+    return Diagram(tuple(x.id for x in survivors), tuple(x.sign for x in survivors),
+                   _mate_darts([x.arcs for x in survivors]), diagram.name,
+                   tuple(a for x in survivors for a in x.arcs))
 
 
 def reference_resolve(diagram, annotations=()):

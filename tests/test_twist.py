@@ -47,7 +47,7 @@ def test_detected_regions_carry_the_common_sign():
     diagram = Diagram.from_pd(FIGURE8)
     regions = detect_bigon_chains(diagram)
     for region in regions:
-        signs = {diagram.crossing(i).sign for i in region.crossing_ids}
+        signs = {diagram.signs[diagram.index[i]] for i in region.crossing_ids}
         assert signs == {region.sign}
     assert sorted(r.sign for r in regions) == [-1, 1]
 
