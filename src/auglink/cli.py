@@ -11,6 +11,13 @@ parse or validate.  Failures are reported per file and processing
 continues with the remaining inputs.  Files are split over forked
 processes, one per usable CPU; reports still come in input order, as each
 chunk finishes.  A failed export keeps the report and adds a warning.
+
+Each input is read as bytes and decoded as UTF-8, with ``\\r\\n`` and a lone
+``\\r`` read as ``\\n``, as text mode reads them.  Most circles in a batch
+repeat an earlier one, so a circle's JSON text is memoized by its seven
+fields, in a memo of 256 entries.  Only int counts and positive floats take
+it, as each of those prints one way: ``5 == 5.0`` and ``0.0 == -0.0`` print
+differently, and a NaN equals no key.
 """
 
 import argparse
@@ -65,7 +72,10 @@ def analyze_file(
     out from ``path`` alone.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(os.fspath(path), "rb", buffering=0) as file:  # never an int fd
+            text = file.read().decode("utf-8")
+        if "\r" in text:  # newlines as text mode reads them
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
         document = parse_document(text, allow_unknown_keys=not config.strict)
         diagram = document.diagram
         if not diagram.is_connected:
@@ -198,11 +208,22 @@ def _hypotheses(hypotheses: tuple[str, ...]) -> str:
 
 
 def _circle(circle, estimate) -> str:
-    return (f'{{\n          "c": {estimate.c},\n          "epsilon": {circle.epsilon},\n'
-            f'          "id": {circle.id},\n          "m": {circle.strand_count},\n'
-            f'          "n": {circle.filling_n},\n'
-            f'          "normalized_length_lb": {_float(estimate.normalized_lb)},\n'
-            f'          "slope_length_lb": {_float(estimate.length_lb)}\n        }}')
+    # Keys that compare equal must print the same text (see the module docstring).
+    circle_id, epsilon, m, n = circle
+    c, length_lb, normalized_lb = estimate
+    text = (_circle_text
+            if int is type(c) is type(circle_id) is type(epsilon) is type(m) is type(n)
+            and float is type(length_lb) is type(normalized_lb)
+            and 0.0 < length_lb and 0.0 < normalized_lb else _circle_text.__wrapped__)
+    return text(circle_id, epsilon, m, n, c, length_lb, normalized_lb)
+
+
+@functools.lru_cache(maxsize=256)
+def _circle_text(circle_id, epsilon, m, n, c, length_lb, normalized_lb) -> str:
+    return (f'{{\n          "c": {c},\n          "epsilon": {epsilon},\n'
+            f'          "id": {circle_id},\n          "m": {m},\n          "n": {n},\n'
+            f'          "normalized_length_lb": {_float(normalized_lb)},\n'
+            f'          "slope_length_lb": {_float(length_lb)}\n        }}')
 
 
 def _report(report: CertificateReport) -> str:

@@ -11,8 +11,17 @@ Certificate comparisons are exact.  The 6-half-twist gate and the 2*pi slope
 gate reduce to integer comparisons on c, and the geodesic criterion
 sum(1/c_i) < 1/7.5832^2 is evaluated in rational arithmetic, so no
 certificate can flip on floating-point rounding.
+
+A region's estimate and its six-theorem reason depend only on its half-twist
+count c (and the circle's position i), and most circles in a batch repeat an
+earlier one.  So ``SlopeEstimate.for_half_twists`` is memoized by c, and the
+reason text by (i, c), in memos of 256 entries.  Only an int c takes them,
+as an int prints one way: ``5 == 5.0``, ``0.0 == -0.0`` and
+``Decimal("5.0") == Decimal("5.00")``, but each pair prints differently, so
+a count of any other type is worked out afresh.
 """
 
+import functools
 import math
 from fractions import Fraction
 from typing import NamedTuple
@@ -145,11 +154,15 @@ def six_theorem_certificate(cs, attested_hyperbolic: bool) -> Certificate:
         reasons.append(_MISSING_ATTESTATION)
     for i, c in enumerate(cs, start=1):
         if c < 6:
-            reasons.append(
-                f"circle {i}: slope length lower bound {slope_length_lower_bound(c):.6g}"
-                f" <= 6 (c = {c} < 6)"
-            )
+            reason = _six_theorem_reason if type(c) is int else _six_theorem_reason.__wrapped__
+            reasons.append(reason(i, c))
     return Certificate(certified=not reasons, reasons=tuple(reasons))
+
+
+@functools.lru_cache(maxsize=256)
+def _six_theorem_reason(i: int, c: int) -> str:
+    return (f"circle {i}: slope length lower bound {slope_length_lower_bound(c):.6g}"
+            f" <= 6 (c = {c} < 6)")
 
 
 def geodesic_certificate(cs, attested_hyperbolic: bool) -> GeodesicCertificate:
@@ -193,11 +206,13 @@ class SlopeEstimate(NamedTuple):
 
     @classmethod
     def for_half_twists(cls, c: int) -> "SlopeEstimate":
-        return cls(
-            c=c,
-            length_lb=slope_length_lower_bound(c),
-            normalized_lb=normalized_length_lower_bound(c),
-        )
+        return (_estimate if type(c) is int else _estimate.__wrapped__)(cls, c)
+
+
+@functools.lru_cache(maxsize=256)
+def _estimate(cls, c: int) -> SlopeEstimate:
+    return cls(c=c, length_lb=slope_length_lower_bound(c),
+               normalized_lb=normalized_length_lower_bound(c))
 
 
 class CertificateReport(NamedTuple):

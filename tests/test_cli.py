@@ -21,7 +21,7 @@ from auglink import cli
 from auglink.augment import CrossingCircle
 from auglink.cli import FileResult, RunConfig, analyze, build_parser, main, result_to_entry
 from auglink.diagram import _ENTERS, Diagram, parse_document
-from auglink.errors import ExportError
+from auglink.errors import AuglinkError, ExportError
 from auglink.geometry import (
     CONSTANTS,
     GEODESIC_THRESHOLD,
@@ -133,6 +133,60 @@ def test_undecodable_json_is_reported_per_file(tmp_path):
     assert [e["ok"] for e in entries] == [False, False, True]
     assert all("not valid JSON" in e["error"] for e in entries[:2])
     assert entries[2]["report"]["tw"] == 1
+
+
+def _read_as_text_mode_does(path: str) -> str | None:
+    """The reference: the error ``Path.read_text`` and ``parse_document`` give, if any."""
+    try:
+        parse_document(pathlib.Path(path).read_text(encoding="utf-8"), allow_unknown_keys=True)
+    except (AuglinkError, OSError, UnicodeDecodeError) as exc:
+        return str(exc)
+    return None
+
+
+_TREFOIL_TEXT = json.dumps({"name": "trefoil", "pd": TREFOIL}, indent=1)
+
+
+@pytest.mark.parametrize("data", [
+    pytest.param(_TREFOIL_TEXT.replace("\n", "\r\n").encode(), id="valid-crlf"),
+    pytest.param(_TREFOIL_TEXT.replace("\n", "\r").encode(), id="valid-cr"),
+    pytest.param(b'{\r\n "pd": [[1, 2, 3, 4],\r\n\r\n  [3, 4 1, 2]]\r\n}', id="malformed-crlf"),
+    pytest.param(b'{\r "pd": [[1, 2, 3, 4],\r\r  [3, 4 1, 2]]\r}', id="malformed-cr"),
+    pytest.param(b'{\r\r\n\n\r "pd": [[1, 2, 3, 4], [3, 4 1, 2]]}', id="malformed-mixed"),
+    pytest.param(b'{"pd": [[1, 1, 2, 2]], "name": "a\r\nb"}', id="crlf-in-a-string"),
+    pytest.param(b'{"pd": [[1, 1, 2, 2]], "name": "a\rb"}', id="cr-in-a-string"),
+    pytest.param(b'{"pd": [[1, 1, 2, 2]], "name": "\xff"}', id="invalid-utf8"),
+    pytest.param(b'\n\n{"pd": [[1, 1, 2, 2]], "name": "\xe2\x82"}', id="utf8-cut-short"),
+    pytest.param(b"\xef\xbb\xbf" + _TREFOIL_TEXT.encode(), id="utf8-bom"),
+    pytest.param(_TREFOIL_TEXT.encode("utf-16"), id="utf16"),
+    pytest.param(_TREFOIL_TEXT.encode("utf-16-le"), id="utf16-without-bom"),
+    pytest.param(b"", id="empty"),
+])
+def test_reading_bytes_keeps_every_error_text(tmp_path, data):
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    result = cli.analyze_file(str(path), RunConfig(inputs=()))
+    assert result.error == _read_as_text_mode_does(str(path))
+    if result.ok:  # as read from the same text with LF line endings
+        lf = _write(tmp_path, "in.json", json.loads(data.decode().replace("\r", "\n")))
+        reference = cli.analyze_file(lf, RunConfig(inputs=()))
+        assert result_to_entry(result) == result_to_entry(reference)
+
+
+def test_reading_bytes_keeps_the_errors_of_paths_that_cannot_be_read(tmp_path):
+    for path in (tmp_path, tmp_path / "missing.json", tmp_path / "missing" / "a.json"):
+        result = cli.analyze_file(str(path), RunConfig(inputs=()))
+        assert not result.ok
+        assert result.error == _read_as_text_mode_does(str(path))
+    # A path is never taken for a file descriptor, which ``open`` would read and close.
+    read_end, write_end = os.pipe()
+    try:
+        with pytest.raises(TypeError):
+            cli.analyze_file(read_end, RunConfig(inputs=()))
+        os.fstat(read_end)  # still open
+    finally:
+        os.close(read_end)
+        os.close(write_end)
 
 
 def test_split_diagram_is_an_input_error(tmp_path):
@@ -798,3 +852,53 @@ def test_writer_matches_json_dumps(results):
     )
     assert written + ("\n]" if results else "[]") == expected
 
+
+def _one_entry(circles) -> tuple[str, str]:
+    """One entry as the writer prints it, and as ``json.dumps`` does."""
+    report = CertificateReport(
+        hypotheses=(), tw=len(circles), circles=tuple(c for c, _ in circles),
+        estimates=tuple(e for _, e in circles), hyperbolic=Certificate(False),
+        geodesic_circles=GeodesicCertificate(False, 0),
+        vol_augmentation_lb=None, vol_filled_lb=None, euler_char_cut=None,
+    )
+    result = FileResult(file="f", ok=True, report=report)
+    expected = json.dumps([reference_entry(result)], indent=2, sort_keys=True)
+    return "[\n  " + result_to_entry(result) + "\n]", expected
+
+
+_NAN = float("nan")
+_CIRCLE = CrossingCircle(1, 1, 2, 3)
+_ESTIMATE = SlopeEstimate(3, 0.5, 1.0)
+
+
+@pytest.mark.parametrize("circles", [
+    [(_CIRCLE, SlopeEstimate(3, 0.5, 0.0)), (_CIRCLE, SlopeEstimate(3, 0.5, -0.0))],
+    [(_CIRCLE, SlopeEstimate(3, 0.0, 1.0)), (_CIRCLE, SlopeEstimate(3, -0.0, 1.0))],
+    [(_CIRCLE, SlopeEstimate(0.0, 0.5, 1.0)), (_CIRCLE, SlopeEstimate(-0.0, 0.5, 1.0))],
+    [(_CIRCLE, SlopeEstimate(5, 0.5, 1.0)), (_CIRCLE, SlopeEstimate(5.0, 0.5, 1.0))],
+    [(_CIRCLE, SlopeEstimate(3, _NAN, 1.0)), (_CIRCLE, SlopeEstimate(3, 0.5, _NAN)),
+     (_CIRCLE, _ESTIMATE)],
+    [(CrossingCircle(*c), _ESTIMATE) for c in [(0.0, 1, 2, 3), (-0.0, 1, 2, 3), (0, 1, 2, 3)]],
+    [(CrossingCircle(*c), _ESTIMATE) for c in [(1, 1, 2, -0.0), (1, 1, 2, 0.0), (1, 1, 2, 0)]],
+    [(CrossingCircle(*c), _ESTIMATE) for c in [(1, 1, 2, 3), (1, 1, 2.0, 3), (1, 1.0, 2, 3)]],
+])
+def test_circle_memo_never_changes_bytes(circles):
+    # Keys that compare equal must print equal text: 0.0 == -0.0 and 5 == 5.0.
+    for order in (circles, circles[::-1]):
+        cli._circle_text.cache_clear()
+        for circle in order * 2:
+            written, expected = _one_entry([circle])
+            assert written == expected
+
+
+def test_circle_memo_skips_zero_and_nan_floats():
+    cli._circle_text.cache_clear()
+    for estimate in (SlopeEstimate(0, 0.5, 0.0), SlopeEstimate(0, 0.5, -0.0),
+                     SlopeEstimate(1, _NAN, 1.0), SlopeEstimate(1, 1.0, _NAN)):
+        written, expected = _one_entry([(_CIRCLE, estimate)] * 2)
+        assert written == expected
+    assert cli._circle_text.cache_info().currsize == 0
+    _one_entry([(_CIRCLE, _ESTIMATE)] * 2)
+    assert cli._circle_text.cache_info()[:2] == (1, 1)  # hits, misses
+    assert 0 < cli._circle_text.cache_info().maxsize <= 256
+    assert 0 < cli._hypotheses.cache_info().maxsize <= 256

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from auglink import geometry
 from auglink.augment import augment
 from auglink.diagram import Diagram
 from auglink.errors import GeometryError
@@ -14,6 +16,7 @@ from auglink.geometry import (
     CONSTANTS,
     GEODESIC_THRESHOLD,
     HYPOTHESIS_HYPERBOLIC,
+    SlopeEstimate,
     augmentation_volume_lower_bound,
     build_report,
     euler_char_cut,
@@ -162,6 +165,50 @@ def test_certificates_never_flip_when_twisting_increases():
     assert six_theorem_certificate(more, True).certified
     richer = [600, 600, 580, 1200]
     assert geodesic_certificate(richer, True).certified
+
+
+def _six_theorem_reason(i, c):
+    """The reason text, worked out without the memo."""
+    return (f"circle {i}: slope length lower bound {slope_length_lower_bound(c):.6g}"
+            f" <= 6 (c = {c} < 6)")
+
+
+@pytest.mark.parametrize("counts", [
+    (5, 5.0), (5.0, 5), (1, True, 1.0), (True, 1), (0, 0.0, -0.0), (-0.0, 0.0, 0),
+    (Decimal("5.0"), Decimal("5.00"), 5),
+])
+def test_memos_never_change_what_a_count_prints(counts):
+    # These counts compare equal, but each prints differently.
+    geometry._six_theorem_reason.cache_clear()
+    geometry._estimate.cache_clear()
+    for c in counts * 2:  # a miss, then a hit
+        cert = six_theorem_certificate([c, 6], True)
+        assert cert.reasons == (_six_theorem_reason(1, c),)
+        estimate = SlopeEstimate.for_half_twists(c)
+        unmemoized = SlopeEstimate(c, slope_length_lower_bound(c),
+                                   normalized_length_lower_bound(c))
+        assert repr(estimate) == repr(unmemoized)
+
+
+def test_memos_are_bounded():
+    for memo in (geometry._six_theorem_reason, geometry._estimate):
+        assert 0 < memo.cache_info().maxsize <= 256
+    geometry._estimate.cache_clear()
+    for c in range(300):
+        SlopeEstimate.for_half_twists(c)
+    assert geometry._estimate.cache_info().currsize == 256
+
+
+def test_memoized_estimate_keeps_its_class():
+    class Estimate(SlopeEstimate):
+        pass
+
+    assert type(SlopeEstimate.for_half_twists(4)) is SlopeEstimate
+    assert type(Estimate.for_half_twists(4)) is Estimate
+    with pytest.raises(GeometryError):  # an error is raised again, not memoized
+        SlopeEstimate.for_half_twists(-1)
+    with pytest.raises(GeometryError):
+        SlopeEstimate.for_half_twists(-1)
 
 
 # ----------------------------------------------------------------------------

@@ -36,6 +36,7 @@ from contextlib import redirect_stdout
 
 import pytest
 
+from auglink import cli, geometry
 from auglink.augment import augment, export_augmented_diagram
 from auglink.cli import main
 from auglink.diagram import Crossing, Diagram, serialize_diagram
@@ -149,6 +150,17 @@ def _golden_digest(tmp_path) -> str:
 
 def test_analyze_output_matches_golden_digest(tmp_path):
     assert _golden_digest(tmp_path) == GOLDEN_SHA256
+
+
+def test_warm_memos_give_the_golden_bytes(tmp_path):
+    # The second run starts with every per-circle memo filled by the first,
+    # in this process and in the workers it forks.
+    for memo in (cli._circle_text, geometry._six_theorem_reason, geometry._estimate):
+        memo.cache_clear()
+    for run in ("cold", "warm"):
+        (tmp_path / run).mkdir()
+        assert _golden_digest(tmp_path / run) == GOLDEN_SHA256
+    assert cli._circle_text.cache_info().hits > 0
 
 
 def _no_records(*args, **kwargs):
