@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import importlib
 import io
@@ -21,7 +22,7 @@ from auglink import cli
 from auglink.augment import CrossingCircle
 from auglink.cli import FileResult, RunConfig, analyze, build_parser, main, result_to_entry
 from auglink.diagram import _ENTERS, Diagram, parse_document
-from auglink.errors import AuglinkError, ExportError
+from auglink.errors import AuglinkError, ExportError, InvalidDiagramError
 from auglink.geometry import (
     CONSTANTS,
     GEODESIC_THRESHOLD,
@@ -31,10 +32,11 @@ from auglink.geometry import (
     SlopeEstimate,
 )
 from auglink.report_schema import REPORT_SCHEMA
-from auglink.twist import resolve_selection
+from auglink.twist import detect_bigon_chains, resolve_selection
 
-from braid import braid_closure
+from braid import braid_closure, half_twist_word
 from corpus import FIGURE8, GOLDEN, GOLDEN_TWIST, TREFOIL, UNKNOT0
+from oracle import oracle_euler, oracle_incoherent_arcs, oracle_link_components
 
 
 def _write(tmp_path, name, payload):
@@ -84,8 +86,6 @@ def test_geodesic_certified_end_to_end(tmp_path):
 
 
 def test_annotated_region_through_the_cli(tmp_path):
-    from auglink.twist import detect_bigon_chains
-
     diagram = parse_document(json.dumps(FIGURE8)).diagram
     ids = sorted(detect_bigon_chains(diagram)[0].crossing_ids)
     path = _write(
@@ -620,31 +620,136 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
 # ----------------------------------------------------------------------------
 
 
-def _census(tmp_path) -> list[str]:
-    """98 inputs, so four chunks: braid closures, and among them, over three
-    chunks, golden diagrams, an annotated region, missing, malformed and
-    split files, and a second input with the export path of one in chunk 0."""
-    rng = random.Random(11)
-    paths = []
-    for i in range(88):
-        signs = (rng.choice((1, -1)), rng.choice((1, -1)))
-        word = [1, 2] + [rng.choice((1, 2)) for _ in range(rng.randrange(2, 10))]
-        pd, pd_signs = braid_closure([g * signs[g - 1] for g in word], 3)
-        doc = {"name": f"b{i}", "pd": pd, "signs": pd_signs}
-        paths.append(_write(tmp_path, f"b{i:03d}.json", doc))
-    (tmp_path / "sub").mkdir()
+def _closures(directory: pathlib.Path) -> list[str]:
+    """160 seeded closures of 3-5 strands, ``c000.json`` on, that analyze reports ok.
+
+    File i has mixed signs when i = 1 mod 3, so that R-II reduction runs.
+    When i = 9 mod 10 its word starts with c = 1, 2 or 3 annotated
+    half-twists of 3 strands of one sign: an m = 3 box, drawn with its
+    staircase when c is odd.  Otherwise, when i = 2 mod 3, its longest
+    detected chain is annotated as an m = 2 region.  When i = 3 mod 4 it
+    has no ``signs``, so that sign inference decides them.  A file that
+    analyze refuses (a split reduction, an annotation that is no region, or
+    signs that inference cannot decide) is drawn again; 163 draws make the
+    160 files, and a fault that makes analyze refuse more fails here.
+    """
+    rng = random.Random(7)
+    paths: list[str] = []
+    for _ in range(200):
+        i = len(paths)
+        strands = rng.choice((3, 4, 5))
+        signs = [rng.choice((1, -1)) for _ in range(strands - 1)]
+        word = list(range(1, strands))
+        word += [rng.randrange(1, strands) for _ in range(rng.randrange(4, 30))]
+        if i % 3 == 1:
+            word = [g * rng.choice((1, -1)) for g in word]
+        else:
+            word = [g * signs[g - 1] for g in word]
+        prefix = []
+        if i % 10 == 9:
+            c, sign = rng.choice((1, 2, 3)), rng.choice((1, -1))
+            prefix = [sign * j for j in half_twist_word(3) * c]
+        pd, pd_signs = braid_closure(prefix + word, strands)
+        doc = {"name": f"c{i}", "pd": pd, "signs": pd_signs}
+        if prefix:
+            doc["regions"] = [{"crossings": list(range(len(prefix))), "strands": 3,
+                               "half_twists": c}]
+        elif i % 3 == 2:
+            chain = max(detect_bigon_chains(Diagram.from_pd(pd, pd_signs)),
+                        key=lambda r: r.half_twists)
+            doc["regions"] = [{"crossings": sorted(chain.crossing_ids), "strands": 2,
+                               "half_twists": chain.half_twists}]
+        if i % 4 == 3:
+            del doc["signs"]
+        path = _write(directory, f"c{i:03d}.json", doc)
+        if cli.analyze_file(path, RunConfig(inputs=())).ok:
+            paths.append(path)
+            if len(paths) == 160:
+                return paths
+    raise AssertionError(f"analyze refused {200 - len(paths)} of 200 census draws")
+
+
+def _census(root: pathlib.Path) -> list[str]:
+    """170 inputs in ``root/in``, so six chunks, spelled from a sibling of ``in``.
+
+    The 160 files of ``_closures``, and among them, over five chunks, ten
+    special files: the four golden diagrams, an annotated trefoil, the
+    0-crossing unknot, a missing, a malformed and a split file, and
+    ``sub/c005.json``, whose export path is that of ``c005.json`` in chunk 0.
+    """
+    directory = root / "in"
+    (directory / "sub").mkdir(parents=True)
+    paths = _closures(directory)
     special = [
-        _write(tmp_path, "unknot.json", UNKNOT0),
-        str(tmp_path / "missing.json"),
-        _write(tmp_path, "malformed.json", {"pd": [[1, 2, 3]]}),
-        _write(tmp_path, "split.json", [[1, 1, 2, 2], [3, 3, 4, 4]]),
-        _write(tmp_path, "annotated.json", {
+        _write(directory, "unknot.json", UNKNOT0),
+        str(directory / "missing.json"),
+        _write(directory, "malformed.json", {"pd": [[1, 2, 3]]}),
+        _write(directory, "split.json", [[1, 1, 2, 2], [3, 3, 4, 4]]),
+        _write(directory, "annotated.json", {
             "pd": TREFOIL, "regions": [{"crossings": [0, 1, 2], "strands": 2, "half_twists": 3}]}),
-        _write(tmp_path / "sub", "b005.json", {"name": "clash", "pd": FIGURE8}),
-    ] + [_write(tmp_path, f"{name}.json", {"name": name, "pd": pd}) for name, pd in GOLDEN.items()]
+        _write(directory / "sub", "c005.json", {"name": "clash", "pd": FIGURE8}),
+    ] + [_write(directory, f"{name}.json", {"name": name, "pd": pd}) for name, pd in GOLDEN.items()]
     for k, path in enumerate(special):
-        paths.insert(9 * k + 5, path)
-    return paths
+        paths.insert(17 * k + 5, path)
+    return [os.path.relpath(path, root / "run") for path in paths]
+
+
+def _strip_signs(doc: dict, rng: random.Random) -> None:
+    doc.pop("signs", None)
+
+
+def _relabel(doc: dict, rng: random.Random) -> None:
+    """Give ``doc`` its signs explicitly, then permute its arc labels."""
+    doc["signs"] = list(Diagram.from_pd(doc["pd"], doc.get("signs")).signs)
+    labels = sorted({a for quad in doc["pd"] for a in quad})
+    relabel = dict(zip(labels, rng.sample(labels, len(labels))))
+    doc["pd"] = [[relabel[a] for a in quad] for quad in doc["pd"]]
+
+
+def _rewrite_census(census: pathlib.Path, root: pathlib.Path, rewrite) -> None:
+    """Copy ``census/in`` to ``root/in``, passing each input that parses through ``rewrite``."""
+    rng = random.Random(11)
+    for path in sorted((census / "in").rglob("*.json")):
+        doc = json.loads(path.read_bytes())
+        if isinstance(doc, dict):
+            with contextlib.suppress(InvalidDiagramError):  # the malformed file
+                rewrite(doc, rng)
+        target = root / "in" / path.relative_to(census / "in")
+        target.parent.mkdir(parents=True, exist_ok=True)
+        _write(target.parent, target.name, doc)
+
+
+def _census_run(monkeypatch, run_dir: pathlib.Path, inputs, json_output, export):
+    """Status, stdout and export bytes of a run from ``run_dir``, exporting to ``exports``."""
+    run_dir.mkdir(parents=True)
+    monkeypatch.chdir(run_dir)
+    status, text = _run(*inputs, json_output=json_output, export_dir="exports" if export else None)
+    files = {p.name: p.read_bytes() for p in (run_dir / "exports").iterdir()} if export else {}
+    return status, text, files
+
+
+def _check_census_exports(run_dir: pathlib.Path, text: str, files: dict) -> None:
+    """Hold every export of the run from ``run_dir`` to ``json``'s bytes and to the
+    oracles: oriented by its signs, planar and with one new link component per
+    twist region."""
+    entries = json.loads(text)
+    exported = [entry for entry in entries if "export" in entry]
+    assert len(exported) == len(files)
+    for entry in exported:
+        export_text = files[pathlib.PurePath(entry["export"]).name].decode()
+        doc = json.loads(export_text)
+        assert export_text == json.dumps(doc, sort_keys=True) + "\n", entry["export"]
+        assert oracle_incoherent_arcs(doc["pd"], doc["signs"]) == [], entry["export"]
+        v, e, f = oracle_euler(doc["pd"])
+        assert v - e + f == 2, entry["export"]
+        source = json.loads((run_dir / entry["file"]).read_bytes())
+        expected = oracle_link_components(source["pd"]) + entry["report"]["tw"]
+        assert oracle_link_components(doc["pd"]) == expected, entry["export"]
+    closures = [entry for entry in entries if entry["file"].startswith("../in/c")]
+    assert all(entry["ok"] for entry in closures)
+    boxes = sum(any(c["m"] >= 3 for c in entry["report"]["circles"])
+                for entry in closures if "export" in entry)
+    assert (len(closures), sum("export" in entry for entry in closures), boxes) == (160, 159, 16)
 
 
 def _log_worker_exits(monkeypatch, log: pathlib.Path) -> None:
@@ -662,30 +767,37 @@ def _log_worker_exits(monkeypatch, log: pathlib.Path) -> None:
 @pytest.mark.parametrize("json_output", [True, False])
 @pytest.mark.parametrize("export", [False, True])
 def test_workers_give_the_bytes_of_one_process(tmp_path, monkeypatch, json_output, export):
-    inputs = _census(tmp_path)
-    assert len(inputs) > 3 * cli._CHUNK
+    census = tmp_path / "signed"
+    inputs = _census(census)
+    assert len(inputs) > 5 * cli._CHUNK
     exits = tmp_path / "exits.log"
     _log_worker_exits(monkeypatch, exits)
     forks = []
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     runs = []
-    for cpus in ({0}, {0, 1}, {0, 1, 2}):  # with 2, the worker has two chunks
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):  # with 2, the worker has three chunks
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        out_dir = tmp_path / f"exports{len(cpus)}"
-        status, text = _run(*inputs, json_output=json_output,
-                            export_dir=str(out_dir) if export else None)
-        files = {p.name: p.read_bytes() for p in out_dir.iterdir()} if export else {}
-        runs.append((status, text.replace(str(out_dir), "DIR"), files))
+        runs.append(_census_run(monkeypatch, census / f"run{len(cpus)}", inputs,
+                                json_output, export))
     assert len(forks) == 1 + 2
-    # A worker may be killed once its last chunk is sent, before it logs its exit.
-    assert set(exits.read_text(encoding="utf-8").split()) <= {"0"}
     assert runs[0] == runs[1] == runs[2]
     status, text, files = runs[0]
     assert status == 2
     assert "clash" in text
-    assert ("b005.augmented.json is the export of" in text) == export
+    assert ("c005.augmented.json is the export of" in text) == export
     assert bool(files) == export
+    if export:
+        if json_output:
+            _check_census_exports(census / "run1", text, files)
+        # Sign inference finds the signs the census carries, and no output
+        # depends on the values of the arc labels.
+        for rewrite in (_strip_signs, _relabel):
+            root = tmp_path / rewrite.__name__
+            _rewrite_census(census, root, rewrite)
+            assert _census_run(monkeypatch, root / "run", inputs, json_output, export) == runs[0]
+    # A worker may be killed once its last chunk is sent, before it logs its exit.
+    assert set(exits.read_text(encoding="utf-8").split()) <= {"0"}
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 

@@ -1,13 +1,13 @@
 """PD export of augmented links, checked by the independent oracle.
 
 Random braid closures (2-5 strands, homogeneous and mixed signs, some
-holding one to three annotated half-twists of 3 or 4 strands after zero
-to four other letters) go through reduction, augmentation and export.
-Every exported code is then read only through ``tests/oracle.py``: it
-must be planar, oriented by its signs, carry one new component per twist
-region, have the crossing count the drawing promises, and draw each
-circle as a component that never crosses itself and passes once over
-and once under each strand of its region.  Seeded window annotations
+holding one to three annotated half-twists of 2, 3 or 4 adjacent strands
+after zero to four other letters) go through reduction, augmentation and
+export.  Every exported code is then read only through
+``tests/oracle.py``: it must be planar, oriented by its signs, carry one
+new component per twist region, have the crossing count the drawing
+promises, and draw each circle as a component that never crosses itself
+and passes once over and once under each strand of its region.  Seeded window annotations
 check that validation, not the export, refuses a box of the wrong shape,
 and the same oracles read the export of every genuine window.
 """
@@ -21,9 +21,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from auglink.augment import augment, export_augmented_diagram
-from auglink.diagram import Diagram, _mate_darts
+from auglink.diagram import Diagram, RegionAnnotation, _mate_darts
 from auglink.errors import AugmentError, ExportError, InvalidDiagramError, RegionError
-from auglink.twist import RegionAnnotation, resolve_selection
+from auglink.twist import resolve_selection
 
 from braid import braid_closure, half_twist_word
 from oracle import (
@@ -39,8 +39,10 @@ def closures(draw):
     """(word, strands, annotation): annotation is (crossing ids, m, c) or None.
 
     Every generator occurs, so that no strand position is left uncrossed.
-    An annotated box follows the word's first zero to four letters, so that
-    its top side and boundary walk need not start at the word's start.
+    An annotated region, c half-twists of m adjacent strands of one sign,
+    follows the word's first zero to four letters, so that its top side and
+    boundary walk need not start at the word's start.  With m = 2 it is a
+    one-sign run of c letters, an annotated chain.
     """
     strands = draw(st.integers(min_value=2, max_value=5))
     letters = draw(st.lists(st.integers(1, strands - 1), min_size=1, max_size=14))
@@ -52,11 +54,12 @@ def closures(draw):
     else:
         word = [draw(signs) * j for j in letters]
     annotation = None
-    if strands >= 3 and draw(st.integers(min_value=0, max_value=2)) == 0:
-        m = draw(st.sampled_from([k for k in (3, 4) if k <= strands]))
+    if draw(st.integers(min_value=0, max_value=2)) == 0:
+        m = draw(st.sampled_from([k for k in (2, 3, 4) if k <= strands]))
         c = draw(st.integers(min_value=1, max_value=3))
         sign = draw(signs)
-        twist = [sign * j for j in half_twist_word(m) * c]
+        shift = draw(st.integers(min_value=0, max_value=strands - m))
+        twist = [sign * (j + shift) for j in half_twist_word(m) * c]
         before = draw(st.integers(min_value=0, max_value=min(4, len(word))))
         word = word[:before] + twist + word[before:]
         annotation = (list(range(before, before + len(twist))), m, c)
