@@ -193,18 +193,12 @@ def _strings(items, indent: str) -> str:
     return f"[\n{indent}" + f",\n{indent}".join(map(_str, items)) + f"\n{indent[:-2]}]"
 
 
-# The blocks every entry repeats: the fixed ones rendered once, the
-# hypotheses cached by value.
+# The fixed blocks every entry repeats, rendered once.
 _THRESHOLD = _str(str(GEODESIC_THRESHOLD))
 _CONSTANTS = (f'{{\n        "hk": {_float(CONSTANTS.hk)},\n'
               f'        "six": {_float(CONSTANTS.six)},\n'
               f'        "two_pi": {_float(CONSTANTS.two_pi)},\n'
               f'        "v8": {_float(CONSTANTS.v8)}\n      }}')
-
-
-@functools.lru_cache(maxsize=8)
-def _hypotheses(hypotheses: tuple[str, ...]) -> str:
-    return _strings(hypotheses, " " * 8)
 
 
 def _circle(circle, estimate) -> str:
@@ -250,7 +244,7 @@ def _report(report: CertificateReport) -> str:
         f'          "reasons": {_strings(hyp.reasons, " " * 12)}\n        }}\n      }},\n'
         f'      "circles": {circles},\n'
         f'      "constants": {_CONSTANTS},\n'
-        f'      "hypotheses": {_hypotheses(report.hypotheses)},\n'
+        f'      "hypotheses": {_strings(report.hypotheses, " " * 8)},\n'
         f'      "tw": {report.tw},\n'
         f'      "volume": {volume}\n    }}'
     )

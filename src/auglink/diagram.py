@@ -164,23 +164,10 @@ class Diagram:
         """Number of link components; the crossing-free unknot counts as one.
 
         Each component is two strand orbits of ``d -> dart_mates[d ^ 2]``,
-        one per direction, and one holds d exactly when the other holds
-        ``d ^ 2``; one walk marks both.
+        one per direction.
         """
-        if not self.crossing_ids:
-            return 1
         mates = self.dart_mates
-        seen = bytearray(len(mates))
-        count = start = 0
-        while start >= 0:
-            count += 1
-            d = start
-            while not seen[d]:
-                e = d ^ 2
-                seen[d] = seen[e] = 1
-                d = mates[e]
-            start = seen.find(0, start)
-        return count
+        return max(1, _orbits([mates[d ^ 2] for d in range(len(mates))])[1] // 2)
 
     @classmethod
     def from_pd(
@@ -192,8 +179,11 @@ class Diagram:
         """Validate a PD code and build the diagram.
 
         Checks the quadruple shapes, the exactly-twice rule for arc labels,
-        and the Euler formula V - E + F = 2 on every connected component of
-        the underlying graph (which rejects non-planar or corrupted codes).
+        and the Euler formula once over the whole diagram: F - V = 2C for
+        its C graph components holds exactly when V - E + F = 2 on each, and
+        rejects non-planar or corrupted codes with the totals (``Euler
+        formula violated (non-planar or corrupted code): V=4 E=8 F=6 over 2
+        components``).
         When ``signs`` is omitted they are inferred; see module docstring.
         Errors come in that order: every shape, then the first label that
         is not a positive integer, then multiplicity, the signs' count and
@@ -424,15 +414,16 @@ def _orbits(step) -> tuple[list[int], int]:
     Orbits are numbered in the order of their smallest dart.
     """
     orbit = [-1] * len(step)
-    count = 0
-    for start in range(len(step)):
-        if orbit[start] < 0:
-            dart = start
+    count = start = 0
+    try:
+        while True:
+            dart = start = orbit.index(-1, start)
             while orbit[dart] < 0:
                 orbit[dart] = count
                 dart = step[dart]
             count += 1
-    return orbit, count
+    except ValueError:  # every dart is labelled
+        return orbit, count
 
 
 def _check_euler(diagram: Diagram) -> None:
@@ -441,47 +432,35 @@ def _check_euler(diagram: Diagram) -> None:
     ``face_next`` maps each integer dart to the next dart of its face walk,
     which crosses the arc, then rotates one slot counterclockwise.  A dart d
     lies on a face with two corners exactly when ``face_next[d] != d`` and
-    ``face_next[face_next[d]] == d``.  V - E + F = 2 must hold on every
-    component of the underlying graph.
+    ``face_next[face_next[d]] == d``.  Each of the C components of the
+    underlying graph has V - E + F = 2 - 2g <= 2, with E = 2V and genus g,
+    so the code is planar exactly when F - V = 2C over the whole diagram.
+    The error gives the totals: ``Euler formula violated (non-planar or
+    corrupted code): V=4 E=8 F=6 over 2 components``.
     """
     mates = diagram.dart_mates
     step = tuple([m - 3 if m & 3 == 3 else m + 1 for m in mates])
-    component = [-1] * len(diagram.crossing_ids)  # graph component by position
+    seen = bytearray(len(diagram.crossing_ids))  # by position
     count = 0
-    for i in range(len(component)):
-        if component[i] >= 0:
-            continue
-        component[i] = count
-        stack = [i]
+    start = seen.find(0)
+    while start >= 0:  # one pass per graph component
+        count += 1
+        seen[start] = 1
+        stack = [start]
         while stack:
             d = 4 * stack.pop()
             for k in (mates[d] >> 2, mates[d + 1] >> 2, mates[d + 2] >> 2, mates[d + 3] >> 2):
-                if component[k] < 0:
-                    component[k] = count
+                if not seen[k]:
+                    seen[k] = 1
                     stack.append(k)
-        count += 1
-    vars(diagram).update(face_next=step, is_connected=count <= 1)
-    v = [0] * count
-    f = [0] * count
-    for k in component:
-        v[k] += 1
-    seen = bytearray(len(step))
-    start = seen.find(0)
-    while start >= 0:  # one walk per face
-        f[component[start >> 2]] += 1
-        dart = start
-        while not seen[dart]:
-            seen[dart] = 1
-            dart = step[dart]
         start = seen.find(0, start)
-    for k in range(count):
-        e = 2 * v[k]  # four slot endpoints per crossing, two per arc
-        if v[k] - e + f[k] != 2:
-            crossings = sorted(c for c, j in zip(diagram.crossing_ids, component) if j == k)
-            raise InvalidDiagramError(
-                "Euler formula violated (non-planar or corrupted code): "
-                f"component with crossings {crossings} has V={v[k]} E={e} F={f[k]}"
-            )
+    vars(diagram).update(face_next=step, is_connected=count <= 1)
+    v, f = len(seen), _orbits(step)[1]
+    if f - v != 2 * count:
+        raise InvalidDiagramError(
+            "Euler formula violated (non-planar or corrupted code): "
+            f"V={v} E={2 * v} F={f} over {count} component{'s' * (count != 1)}"
+        )
 
 
 # ============================================================================

@@ -170,11 +170,14 @@ def geodesic_certificate(cs, attested_hyperbolic: bool) -> GeodesicCertificate:
 
     Requires sum(1/c_i) < 1/7.5832^2, compared in exact rational arithmetic,
     plus the hyperbolicity attestation.  A circle with c = 0 admits no such
-    certificate at all and is an error, not a failure.
+    certificate at all, and a negative c is no half-twist count: both are
+    errors, not failures.
     """
     cs = tuple(cs)
     if not cs:
         raise GeometryError("no twist regions: certificate needs at least one circle")
+    if min(cs) < 0:
+        raise GeometryError(f"half-twist count must be >= 0, got {min(cs)}")
     zero = [i for i, c in enumerate(cs, start=1) if c == 0]
     if zero:
         raise GeometryError(

@@ -1013,4 +1013,3 @@ def test_circle_memo_skips_zero_and_nan_floats():
     _one_entry([(_CIRCLE, _ESTIMATE)] * 2)
     assert cli._circle_text.cache_info()[:2] == (1, 1)  # hits, misses
     assert 0 < cli._circle_text.cache_info().maxsize <= 256
-    assert 0 < cli._hypotheses.cache_info().maxsize <= 256

@@ -11,6 +11,7 @@ import pytest
 from auglink.augment import augment, export_augmented_diagram
 from auglink.diagram import (
     Diagram,
+    _mate_darts,
     _orbits,
     _splice,
     parse_document,
@@ -311,10 +312,11 @@ MALFORMED = {
     '{"pd": ["abcd"]}': "crossing 0: expected 4 arc labels, got str",
     '{"pd": [{"a": 1}]}': "crossing 0: expected 4 arc labels, got dict",
     '{"pd": [null]}': "crossing 0: expected 4 arc labels, got NoneType",
-    # The Euler check runs per component of a split code.
+    # The Euler check covers a split code: the kink's F - V = 2 cannot make
+    # up for the other component's 0.
     _SPLIT_NONPLANAR: (
         "Euler formula violated (non-planar or corrupted code): "
-        "component with crossings [1, 2, 3] has V=3 E=6 F=3"
+        "V=4 E=8 F=6 over 2 components"
     ),
     # Several faults at once: every shape before any label, the first bad
     # label in code order before multiplicity, multiplicity before the
@@ -356,10 +358,14 @@ def test_splice_leaves_an_unwired_end_unwired():
     assert _splice(mates, {1}) == {8: 2, 3: -1, 2: 8}
 
 
-def test_euler_violation_message_names_the_component():
+def test_euler_violation_message_gives_the_totals():
     # Coherent signs on a non-planar code: crossing 0 alone fails Euler.
-    with pytest.raises(InvalidDiagramError, match="Euler"):
+    with pytest.raises(InvalidDiagramError) as excinfo:
         Diagram.from_pd([[2, 3, 2, 3], [1, 4, 4, 1]], signs=[1, -1])
+    assert str(excinfo.value) == (
+        "Euler formula violated (non-planar or corrupted code): "
+        "V=2 E=4 F=4 over 2 components"
+    )
     # The constructor checks the mates it is given: two figure-8 arcs cross-wired.
     diagram = Diagram.from_pd(FIGURE8)
     mates = list(diagram.dart_mates)
@@ -369,8 +375,75 @@ def test_euler_violation_message_names_the_component():
         Diagram(diagram.crossing_ids, diagram.signs, tuple(mates))
     assert str(excinfo.value) == (
         "Euler formula violated (non-planar or corrupted code): "
-        "component with crossings [0, 1, 2, 3] has V=4 E=8 F=4"
+        "V=4 E=8 F=4 over 1 component"
     )
+
+
+def _graph_components(pd):
+    """Crossing positions of each graph component, by union-find over shared labels."""
+    parent = list(range(len(pd)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    first = {}
+    for i, quad in enumerate(pd):
+        for arc in quad:
+            parent[find(first.setdefault(arc, i))] = find(i)
+    groups = {}
+    for i in range(len(pd)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
+
+
+def test_whole_diagram_euler_matches_every_component():
+    # Disjoint unions of 2-3 braid closures, some with one part corrupted by
+    # swapping two arc labels between its crossings: refused exactly when
+    # some graph component has V - E + F != 2.  Built from the mates, so
+    # only Euler can refuse them.
+    rng = random.Random(2404)
+    outcomes = Counter()
+    for _ in range(2400):
+        pd, signs = [], []
+        corrupt = rng.random() < 0.5
+        for part in range(rng.randint(2, 3)):
+            strands = rng.randint(2, 4)
+            while True:
+                word = [rng.choice([-1, 1]) * rng.randint(1, strands - 1)
+                        for _ in range(rng.randint(1, 7))]
+                try:
+                    quads, part_signs = braid_closure(word, strands)
+                    break
+                except ValueError:  # a strand never crossed
+                    continue
+            offset = max((a for quad in pd for a in quad), default=0)
+            quads = [[a + offset for a in quad] for quad in quads]
+            if corrupt and part == 0 and len(quads) > 1:
+                i, j = rng.sample(range(len(quads)), 2)
+                s, t = rng.randrange(4), rng.randrange(4)
+                quads[i][s], quads[j][t] = quads[j][t], quads[i][s]
+            pd += quads
+            signs += part_signs
+        planar = all(
+            v - e + f == 2
+            for v, e, f in (oracle_euler([pd[i] for i in group])
+                            for group in _graph_components(pd))
+        )
+        try:
+            diagram = Diagram(tuple(range(len(pd))), tuple(signs), _mate_darts(pd))
+        except InvalidDiagramError as e:
+            assert str(e).startswith("Euler formula violated (non-planar or corrupted code): ")
+            refused = True
+        else:
+            refused = False
+            assert not diagram.is_connected
+            assert diagram.link_component_count == oracle_link_components(pd)
+        assert refused == (not planar), pd
+        outcomes[refused] += 1
+    assert min(outcomes[True], outcomes[False]) >= 200, outcomes
 
 
 def test_unknown_keys_strict_versus_lenient():

@@ -151,6 +151,14 @@ def test_geodesic_certificate_rejects_zero_twists():
         geodesic_certificate([], True)
 
 
+def test_geodesic_certificate_rejects_negative_twists():
+    # -1/58 and 1 - 1 both lie below the threshold, but neither is a sum of
+    # half-twist counts.
+    for cs, c in (([-58], -58), ([-1, 1], -1)):
+        with pytest.raises(GeometryError, match=f"^half-twist count must be >= 0, got {c}$"):
+            geodesic_certificate(cs, True)
+
+
 def test_geodesic_certificate_requires_attestation():
     cert = geodesic_certificate([200, 200], False)
     assert not cert.certified
