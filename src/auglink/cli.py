@@ -8,9 +8,11 @@ one report per file, in input order, as text or JSON.
 Exit status is 0 when every file was analyzed (certificates may still be
 not-certified; that is data, not an error) and 2 when any file failed to
 parse or validate.  Failures are reported per file and processing
-continues with the remaining inputs.  Files are split over forked
-processes, one per usable CPU; reports still come in input order, as each
-chunk finishes.  A failed export keeps the report and adds a warning.
+continues with the remaining inputs.  A failed export keeps the report and
+adds a warning.  Inputs go in chunks of 32 to forked workers, one per usable
+CPU, and each worker takes the next chunk as soon as it has sent back its
+last.  The parent only hands out chunks and writes the reports in input
+order; a run of one chunk never forks.  The bytes are those of a one-CPU run.
 
 Each input is read as bytes and decoded as UTF-8, with ``\\r\\n`` and a lone
 ``\\r`` read as ``\\n``, as text mode reads them.  Most circles in a batch
@@ -152,9 +154,7 @@ def _write_export(out_path: str, augmented: AugmentedLink, owner: str | None) ->
     # once the file is open removes it, so that no partial export is left.
     try:
         try:
-            view = memoryview(data)
-            while view:  # a write may be short
-                view = view[os.write(fd, view):]
+            _write_all(fd, data)
             os.ftruncate(fd, len(data))
         finally:
             os.close(fd)
@@ -163,6 +163,12 @@ def _write_export(out_path: str, augmented: AugmentedLink, owner: str | None) ->
             os.unlink(out_path)
         raise
     return out_path
+
+
+def _write_all(fd: int, data: bytes) -> None:
+    view = memoryview(data)
+    while view:  # a write may be short
+        view = view[os.write(fd, view):]
 
 
 # ============================================================================
@@ -324,16 +330,18 @@ def render_text(result: FileResult) -> str:
 
 
 _CHUNK = 32  # input files per unit of work; a worker sends back a chunk at a time
+_AHEAD = 2  # chunk indices each worker holds, so that it never waits for the next
 
 
 def analyze(config: RunConfig, stdout=None) -> int:
     """Analyze every input and print reports in input order; return status.
 
-    Chunk j of ``_CHUNK`` inputs goes to process j mod n, one per usable CPU:
-    this is process 0, the others are forked and reply through pipes.  Each
-    chunk is written as it ends; each export path belongs to its first input.
-    The JSON array has the bytes ``json.dumps(entries, indent=2, sort_keys=True)``
-    would give; ``tests/test_cli.py::test_writer_matches_json_dumps`` holds them equal.
+    The inputs go in chunks of ``_CHUNK`` to forked workers, one per usable
+    CPU (see :func:`_replies`), and this process only merges their replies,
+    with the bytes of a one-CPU run; a run of one chunk forks nothing.  Each
+    export path belongs to its first input.  The JSON array has the bytes
+    ``json.dumps(entries, indent=2, sort_keys=True)`` would give;
+    ``tests/test_cli.py::test_writer_matches_json_dumps`` holds them equal.
     """
     out = stdout if stdout is not None else sys.stdout
     inputs = config.inputs
@@ -343,26 +351,12 @@ def analyze(config: RunConfig, stdout=None) -> int:
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     n = min(len(os.sched_getaffinity(0)), len(chunks)) if forks else 1
     head, sep = ("[\n  ", ",\n  ") if config.json_output else ("", "\n\n")
-    all_ok, workers = True, []  # (pid, read end of its pipe) of processes 1 .. n - 1
-    try:
-        for k in range(1, n):
-            read_end, write_end = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                _work(read_end, write_end, chunks[k::n], config, exports)
-            workers.append((pid, open(read_end, "rb")))
-            os.close(write_end)
-        for j, chunk in enumerate(chunks):
-            k = j % n
-            texts = _receive(workers[k - 1][1]) if k else _analyze_chunk(chunk, config, exports)
+    all_ok = True
+    with contextlib.closing(_replies(chunks, n, config, exports)) as replies:
+        for chunk, texts in zip(chunks, replies):
             for i, (ok, text) in zip(chunk, texts):
                 all_ok = all_ok and ok
                 out.write((head if i == 0 else sep) + text)
-    finally:
-        for pid, pipe in workers:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            pipe.close()
     out.write(("\n]\n" if inputs else "[]\n") if config.json_output else "\n")
     return 0 if all_ok else 2
 
@@ -373,15 +367,69 @@ def _analyze_chunk(chunk: range, config: RunConfig, exports: list) -> list[tuple
     return [(result.ok, render(result)) for result in results]
 
 
-def _work(read_end: int, write_end: int, chunks: list, config: RunConfig, exports: list):
-    """A forked worker: send each chunk's texts down the pipe, then leave by ``os._exit``."""
-    try:
-        os.close(read_end)  # so that the worker never waits on a pipe it reads itself
-        pipe = open(write_end, "wb")
+def _replies(chunks: list, n: int, config: RunConfig, exports: list):
+    """Each chunk's texts, in input order: analyzed here when ``n`` is 1, else
+    by ``n`` forked workers, which are all killed and reaped when this ends.
+
+    Each worker has a task pipe and a reply pipe.  It is handed ``_AHEAD``
+    chunk indices at first and one more with each reply it sends, so the
+    chunks go to whichever worker is free.  A reply that comes early is held
+    until its turn.
+    """
+    if n == 1:
         for chunk in chunks:
-            data = marshal.dumps(_analyze_chunk(chunk, config, exports))
-            pipe.write(len(data).to_bytes(8, "little") + data)
-            pipe.flush()
+            yield _analyze_chunk(chunk, config, exports)
+        return
+    import select  # only a run that forks needs it
+
+    todo = (j.to_bytes(4, "little") for j in range(len(chunks)))  # then b"", a no-op write
+    ends = []  # every pipe end opened here
+    workers = {}  # reply pipe's fd -> (pid, task pipe's write end, reply pipe's read end)
+    poller = select.poll()
+    try:
+        for _ in range(n):
+            for read_end, write_end in (os.pipe(), os.pipe()):
+                ends += open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
+            task_read, task_write, reply_read, reply_write = ends[-4:]
+            pid = os.fork()
+            if pid == 0:
+                _work(task_read, reply_write, ends, chunks, config, exports)
+            workers[reply_read.fileno()] = pid, task_write, reply_read
+            # task_read stays open here, so that a chunk handed to a worker that
+            # has ended is no broken pipe: the end of its reply pipe reports it.
+            reply_write.close()
+            poller.register(reply_read, select.POLLIN)
+        for _ in range(_AHEAD):  # 4 bytes each, at most PIPE_BUF: never a short write
+            for _, task_write, _ in workers.values():
+                task_write.write(next(todo, b""))
+        early = {}  # chunk index -> texts received before their turn
+        for j in range(len(chunks)):
+            while j not in early:
+                for fd, _ in poller.poll():
+                    _, task_write, reply_read = workers[fd]
+                    k, texts = _receive(reply_read)
+                    task_write.write(next(todo, b""))
+                    early[k] = texts
+            yield early.pop(j)
+    finally:
+        for pid, _, _ in workers.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        for end in ends:
+            end.close()
+
+
+def _work(task_read, reply_write, ends: list, chunks: list, config: RunConfig, exports: list):
+    """A forked worker: for each chunk index read from ``task_read``, send the
+    index and the chunk's texts down ``reply_write``; leave by ``os._exit``."""
+    try:
+        for end in ends:  # so that no pipe waits on an end that only this worker holds
+            if end is not task_read and end is not reply_write:
+                end.close()
+        while index := task_read.read(4):
+            j = int.from_bytes(index, "little")
+            data = marshal.dumps((j, _analyze_chunk(chunks[j], config, exports)))
+            _write_all(reply_write.fileno(), len(data).to_bytes(8, "little") + data)
         os._exit(0)  # which flushes no buffer inherited from the parent
     except Exception:
         sys.excepthook(*sys.exc_info())  # the traceback, to stderr
@@ -390,11 +438,22 @@ def _work(read_end: int, write_end: int, chunks: list, config: RunConfig, export
         os._exit(1)  # after an exception, or an interrupt
 
 
-def _receive(pipe) -> list[tuple[bool, str]]:
-    data = pipe.read(int.from_bytes(pipe.read(8), "little"))
-    if not data:  # the worker ended early, as it sends no empty chunk
-        raise RuntimeError("an analysis worker ended before sending its reports")
-    return marshal.loads(data)  # raises on a chunk cut short
+def _receive(reply_read) -> tuple[int, list[tuple[bool, str]]]:
+    """A worker's next reply: a chunk index and that chunk's texts."""
+    size = int.from_bytes(_read(reply_read, 8), "little")
+    return marshal.loads(_read(reply_read, size))
+
+
+def _read(reply_read, size: int) -> bytearray:
+    """``size`` bytes, read unbuffered: poll would not see a reply held in a buffer."""
+    data = bytearray(size)
+    view = memoryview(data)
+    while view:
+        count = reply_read.readinto(view)
+        if not count:  # the worker ended, maybe in the middle of a reply
+            raise RuntimeError("an analysis worker ended before sending its reports")
+        view = view[count:]
+    return data
 
 
 def build_parser() -> argparse.ArgumentParser:

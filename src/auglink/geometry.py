@@ -67,20 +67,9 @@ def slope_length_lower_bound(c: int) -> float:
     return math.sqrt(0.25 + float(c) * float(c))
 
 
-def normalized_length(p_len: float, o_len: float, c: int) -> float:
-    """Slope length divided by the square root of the cusp torus area.
-
-    Computes sqrt(p^2 + c^2 o^2) / sqrt(2 p o).  Scale-invariant, and over
-    all positive (p, o) it is minimized when p/o = c, where it equals
-    sqrt(c).
-    """
-    if not (p_len > 0 and o_len > 0):
-        raise GeometryError("lattice step lengths must be positive")
-    return math.sqrt((p_len * p_len + (c * o_len) * (c * o_len)) / (2.0 * p_len * o_len))
-
-
 def normalized_length_lower_bound(c: int) -> float:
-    """sqrt(c): the minimum of normalized_length over all lattice shapes."""
+    """sqrt(c): the least normalized length, sqrt(p^2 + c^2 o^2) / sqrt(2 p o),
+    over all lattice shapes (p, o); ``tests/props.py`` checks it."""
     if c < 0:
         raise GeometryError(f"half-twist count must be >= 0, got {c}")
     return math.sqrt(c)

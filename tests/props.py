@@ -18,15 +18,28 @@ from auglink.geometry import (
     augmentation_volume_lower_bound,
     euler_char_cut,
     filled_volume_lower_bound,
-    normalized_length,
     normalized_length_lower_bound,
     slope_length_lower_bound,
 )
 from auglink.augment import filling_slope
+from auglink.errors import GeometryError
 from auglink.twist import resolve_selection
 
 from braid import braid_closure
 from oracle import oracle_link_components
+
+
+def normalized_length(p_len: float, o_len: float, c: int) -> float:
+    """Slope length divided by the square root of the cusp torus area.
+
+    Computes sqrt(p^2 + c^2 o^2) / sqrt(2 p o).  Scale-invariant, and over
+    all positive (p, o) it is minimized when p/o = c, where it equals
+    sqrt(c): the reports print only that minimum,
+    ``geometry.normalized_length_lower_bound``.
+    """
+    if not (p_len > 0 and o_len > 0):
+        raise GeometryError("lattice step lengths must be positive")
+    return math.sqrt((p_len * p_len + (c * o_len) * (c * o_len)) / (2.0 * p_len * o_len))
 
 
 def check_length_exactness(n, seed=1001):

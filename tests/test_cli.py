@@ -10,8 +10,11 @@ import json
 import os
 import pathlib
 import random
+import signal
 import subprocess
 import sys
+import time
+from collections import Counter
 
 import jsonschema
 import pytest
@@ -608,7 +611,9 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     # Start-up is most of a one-diagram run, and these two modules, plus a
     # class built by ``exec`` for each record, were a quarter of it.
     # -S: no site hooks, so only what ``import auglink.cli`` loads is seen.
-    code = "import sys, auglink.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    # Nor do they load a process pool: the workers are plain forks.
+    code = ("import sys, auglink.cli; print(sorted("
+            "{'dataclasses', 'inspect', 'multiprocessing', 'concurrent'} & set(sys.modules)))")
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
@@ -776,11 +781,11 @@ def test_workers_give_the_bytes_of_one_process(tmp_path, monkeypatch, json_outpu
     real_fork = os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
     runs = []
-    for cpus in ({0}, {0, 1}, {0, 1, 2}):  # with 2, the worker has three chunks
+    for cpus in ({0}, {0, 1}, {0, 1, 2}):  # one CPU forks no worker
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
         runs.append(_census_run(monkeypatch, census / f"run{len(cpus)}", inputs,
                                 json_output, export))
-    assert len(forks) == 1 + 2
+    assert len(forks) == 2 + 3
     assert runs[0] == runs[1] == runs[2]
     status, text, files = runs[0]
     assert status == 2
@@ -796,15 +801,15 @@ def test_workers_give_the_bytes_of_one_process(tmp_path, monkeypatch, json_outpu
             root = tmp_path / rewrite.__name__
             _rewrite_census(census, root, rewrite)
             assert _census_run(monkeypatch, root / "run", inputs, json_output, export) == runs[0]
-    # A worker may be killed once its last chunk is sent, before it logs its exit.
-    assert set(exits.read_text(encoding="utf-8").split()) <= {"0"}
+    # No worker fails: each waits for another chunk until it is killed.
+    assert not exits.exists()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)  # every worker was reaped
 
 
 @pytest.mark.parametrize("index, raised, expected, message", [
-    (3, RuntimeError, RuntimeError, "boom"),  # in the parent's own chunk
-    (40, RuntimeError, RuntimeError, "worker ended"),  # in the worker's chunk
+    (3, RuntimeError, RuntimeError, "boom"),  # as the parent writes entry 3
+    (40, RuntimeError, RuntimeError, "worker ended"),  # as a worker analyzes input 40
     (3, KeyboardInterrupt, KeyboardInterrupt, "boom"),
     (40, KeyboardInterrupt, RuntimeError, "worker ended"),
 ])
@@ -815,24 +820,129 @@ def test_uncaught_error_stops_the_run_and_reaps_workers(
     exits = tmp_path / "exits.log"
     _log_worker_exits(monkeypatch, exits)
     real = cli.analyze_file
+    in_worker = index >= cli._CHUNK
 
     def flaky(path, config, export_owner=None):
-        if path == inputs[index]:
+        if in_worker and path == inputs[index]:
             raise raised("boom")
         return real(path, config, export_owner)
 
+    class FlakyOut(io.StringIO):
+        def write(self, text):
+            if not in_worker and inputs[index] in text:
+                raise raised("boom")
+            return super().write(text)
+
     monkeypatch.setattr(cli, "analyze_file", flaky)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    out = io.StringIO()
+    out = FlakyOut()
     with pytest.raises(expected, match=message):
         analyze(RunConfig(inputs=tuple(inputs), json_output=True), stdout=out)
     assert not out.getvalue().endswith("]\n")  # no short array passes for a whole one
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    if index >= cli._CHUNK:  # in the worker's chunk
+    if in_worker:  # that worker exits; the other is killed
         assert exits.read_text(encoding="utf-8") == "1\n"
         if raised is RuntimeError:
             assert "RuntimeError: boom" in capfd.readouterr().err  # the worker's traceback
+    else:  # every worker is killed
+        assert not exits.exists()
+
+
+@contextlib.contextmanager
+def _deadline(seconds: float):
+    """Raise TimeoutError here when the block runs longer than ``seconds``;
+    forked workers inherit no timer."""
+    def expire(signum, frame):
+        raise TimeoutError(f"took longer than {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("cut", [None, 5, 100, "half", "all"])
+def test_worker_killed_mid_reply_is_the_worker_error(tmp_path, monkeypatch, cut):
+    # None: the worker kills itself inside its chunk, before it replies.
+    # Otherwise it kills itself once that many bytes of its reply are sent:
+    # inside the 8-byte length, inside the body, halfway through, or after
+    # the whole reply, before the parent hands it the next chunk.
+    inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(80)]
+    real_analyze, real_write_all, real_receive = cli.analyze_file, cli._write_all, cli._receive
+
+    def killed(path, config, export_owner=None):
+        if cut is None and path == inputs[40]:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_analyze(path, config, export_owner)
+
+    def cut_short(fd, data):
+        if cut is not None:
+            real_write_all(fd, data[:{"half": len(data) // 2, "all": None}.get(cut, cut)])
+            os.kill(os.getpid(), signal.SIGKILL)
+        real_write_all(fd, data)
+
+    def receive_slowly(reply_read):  # so that the worker has ended by the next hand-out
+        reply = real_receive(reply_read)
+        time.sleep(0.2)
+        return reply
+
+    monkeypatch.setattr(cli, "analyze_file", killed)
+    monkeypatch.setattr(cli, "_write_all", cut_short)
+    monkeypatch.setattr(cli, "_receive", receive_slowly)
+    monkeypatch.setattr(cli, "_CHUNK", 8)  # so that chunks are left to hand out
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = io.StringIO()
+    with _deadline(60), pytest.raises(RuntimeError, match="worker ended before sending"):
+        analyze(RunConfig(inputs=tuple(inputs), json_output=True), stdout=out)
+    assert not out.getvalue().endswith("]\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+def test_more_workers_than_cpus_give_the_bytes_of_one_cpu(tmp_path, monkeypatch):
+    # Eight workers on this host's CPUs, over 22 chunks of 8 census files.
+    inputs = _census(tmp_path)
+    monkeypatch.setattr(cli, "_CHUNK", 8)
+    runs = []
+    for cpus in ({0}, set(range(8))):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        with _deadline(120):
+            runs.append(_census_run(monkeypatch, tmp_path / f"run{len(cpus)}", inputs,
+                                    True, True))
+    assert len(inputs) // cli._CHUNK >= 12
+    assert runs[0] == runs[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)  # every worker was reaped
+
+
+def test_a_slow_chunk_leaves_the_other_chunks_to_the_free_worker(tmp_path, monkeypatch):
+    inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(48)]
+    monkeypatch.setattr(cli, "_CHUNK", 4)  # 12 chunks
+    log = tmp_path / "chunks.log"
+    real = cli._analyze_chunk
+
+    def logged(chunk, config, exports):
+        if chunk.start == 0:  # the first chunk the first worker takes
+            time.sleep(0.3)
+        with open(log, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()} {chunk.start}\n")
+        return real(chunk, config, exports)
+
+    monkeypatch.setattr(cli, "_analyze_chunk", logged)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    with _deadline(60):
+        status, text = _run(*inputs, json_output=True)
+    assert status == 0 and [e["file"] for e in json.loads(text)] == inputs
+    chunks = dict(line.split()[::-1] for line in log.read_text(encoding="utf-8").splitlines())
+    assert len(chunks) == 12
+    replies = Counter(chunks.values())
+    slow = chunks["0"]
+    (fast,) = set(replies) - {slow}
+    assert replies[fast] > replies[slow], replies  # a fixed assignment gives each six
 
 
 def test_closed_stdout_reaps_workers(tmp_path, monkeypatch):

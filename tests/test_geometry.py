@@ -22,7 +22,6 @@ from auglink.geometry import (
     euler_char_cut,
     filled_volume_lower_bound,
     geodesic_certificate,
-    normalized_length,
     normalized_length_lower_bound,
     six_theorem_certificate,
     slope_length_lower_bound,
@@ -31,6 +30,7 @@ from auglink.geometry import (
 from auglink.twist import resolve_selection
 
 from corpus import FIGURE8, TREFOIL
+from props import normalized_length
 
 
 def test_constants():

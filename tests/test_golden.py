@@ -31,6 +31,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import os
 import random
 from contextlib import redirect_stdout
 
@@ -152,15 +153,18 @@ def test_analyze_output_matches_golden_digest(tmp_path):
     assert _golden_digest(tmp_path) == GOLDEN_SHA256
 
 
-def test_warm_memos_give_the_golden_bytes(tmp_path):
-    # The second run starts with every per-circle memo filled by the first,
-    # in this process and in the workers it forks.
+def test_warm_memos_give_the_golden_bytes(tmp_path, monkeypatch):
+    # The first run is on one CPU, so it fills every per-circle memo in this
+    # process; the workers the second run forks start with them filled.
     for memo in (cli._circle_text, geometry._six_theorem_reason, geometry._estimate):
         memo.cache_clear()
-    for run in ("cold", "warm"):
+    cpus = os.sched_getaffinity(0)
+    for run, run_cpus in (("cold", {0}), ("warm", cpus)):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, run_cpus=run_cpus: run_cpus)
         (tmp_path / run).mkdir()
         assert _golden_digest(tmp_path / run) == GOLDEN_SHA256
-    assert cli._circle_text.cache_info().hits > 0
+        if run == "cold":
+            assert cli._circle_text.cache_info().hits > 0
 
 
 def _no_records(*args, **kwargs):

@@ -20,7 +20,6 @@ from auglink.geometry import (
     euler_char_cut,
     filled_volume_lower_bound,
     geodesic_certificate,
-    normalized_length,
     normalized_length_lower_bound,
     six_theorem_certificate,
     slope_length_lower_bound,
@@ -29,6 +28,7 @@ from auglink.twist import resolve_selection
 
 from braid import braid_closure
 from oracle import oracle_link_components
+from props import normalized_length
 
 
 @given(st.integers(min_value=0, max_value=10**6))
