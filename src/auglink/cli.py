@@ -9,10 +9,11 @@ Exit status is 0 when every file was analyzed (certificates may still be
 not-certified; that is data, not an error) and 2 when any file failed to
 parse or validate.  Failures are reported per file and processing
 continues with the remaining inputs.  A failed export keeps the report and
-adds a warning.  Inputs go in chunks of 32 to forked workers, one per usable
-CPU, and each worker takes the next chunk as soon as it has sent back its
-last.  The parent only hands out chunks and writes the reports in input
-order; a run of one chunk never forks.  The bytes are those of a one-CPU run.
+adds a warning.  Inputs go in chunks of 32.  The parent analyzes the first
+and forked workers, one per usable CPU, the rest: each worker takes the next
+chunk as soon as it has sent back its last, and the parent writes the reports
+in input order.  A run of one chunk never forks.  The bytes are those of a
+one-CPU run.
 
 Each input is read as bytes and decoded as UTF-8, with ``\\r\\n`` and a lone
 ``\\r`` read as ``\\n``, as text mode reads them.  Most circles in a batch
@@ -331,15 +332,16 @@ def render_text(result: FileResult) -> str:
 
 _CHUNK = 32  # input files per unit of work; a worker sends back a chunk at a time
 _AHEAD = 2  # chunk indices each worker holds, so that it never waits for the next
+_WINDOW = 4  # chunks per worker handed out past the next one to write
 
 
 def analyze(config: RunConfig, stdout=None) -> int:
     """Analyze every input and print reports in input order; return status.
 
-    The inputs go in chunks of ``_CHUNK`` to forked workers, one per usable
-    CPU (see :func:`_replies`), and this process only merges their replies,
-    with the bytes of a one-CPU run; a run of one chunk forks nothing.  Each
-    export path belongs to its first input.  The JSON array has the bytes
+    This process analyzes the first chunk of ``_CHUNK`` inputs, and forked
+    workers, one per usable CPU, take the rest (see :func:`_replies`); the
+    bytes are those of a one-CPU run, and a run of one chunk forks nothing.
+    Each export path belongs to its first input.  The JSON array has the bytes
     ``json.dumps(entries, indent=2, sort_keys=True)`` would give;
     ``tests/test_cli.py::test_writer_matches_json_dumps`` holds them equal.
     """
@@ -349,7 +351,8 @@ def analyze(config: RunConfig, stdout=None) -> int:
                else _export_targets(inputs, config.export_dir))
     chunks = [range(i, min(i + _CHUNK, len(inputs))) for i in range(0, len(inputs), _CHUNK)]
     forks = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    n = min(len(os.sched_getaffinity(0)), len(chunks)) if forks else 1
+    cpus = len(os.sched_getaffinity(0)) if forks else 1
+    n = min(cpus, len(chunks) - 1) if cpus > 1 else 0  # workers to fork
     head, sep = ("[\n  ", ",\n  ") if config.json_output else ("", "\n\n")
     all_ok = True
     with contextlib.closing(_replies(chunks, n, config, exports)) as replies:
@@ -368,21 +371,24 @@ def _analyze_chunk(chunk: range, config: RunConfig, exports: list) -> list[tuple
 
 
 def _replies(chunks: list, n: int, config: RunConfig, exports: list):
-    """Each chunk's texts, in input order: analyzed here when ``n`` is 1, else
-    by ``n`` forked workers, which are all killed and reaped when this ends.
+    """Each chunk's texts, in input order: all analyzed here when ``n`` is 0;
+    else the first here and the rest by ``n`` forked workers, which are all
+    killed and reaped when this ends.
 
-    Each worker has a task pipe and a reply pipe.  It is handed ``_AHEAD``
-    chunk indices at first and one more with each reply it sends, so the
-    chunks go to whichever worker is free.  A reply that comes early is held
-    until its turn.
+    The first chunk is analyzed here while the workers start, so that a
+    profiler or tracer of this process sees one chunk of the work.  Each
+    worker has a task pipe and a reply pipe.  It holds ``_AHEAD`` chunk
+    indices and gets one more with each reply it sends, so the chunks go to
+    whichever worker is free.  A reply that comes early is held until its
+    turn; as no index is handed out more than ``n * _WINDOW`` past the next
+    chunk to write, at most that many replies wait.
     """
-    if n == 1:
+    if n < 1:
         for chunk in chunks:
             yield _analyze_chunk(chunk, config, exports)
         return
     import select  # only a run that forks needs it
 
-    todo = (j.to_bytes(4, "little") for j in range(len(chunks)))  # then b"", a no-op write
     ends = []  # every pipe end opened here
     workers = {}  # reply pipe's fd -> (pid, task pipe's write end, reply pipe's read end)
     poller = select.poll()
@@ -399,17 +405,21 @@ def _replies(chunks: list, n: int, config: RunConfig, exports: list):
             # has ended is no broken pipe: the end of its reply pipe reports it.
             reply_write.close()
             poller.register(reply_read, select.POLLIN)
-        for _ in range(_AHEAD):  # 4 bytes each, at most PIPE_BUF: never a short write
-            for _, task_write, _ in workers.values():
-                task_write.write(next(todo, b""))
-        early = {}  # chunk index -> texts received before their turn
+        free = [task_write for _, task_write, _ in workers.values()] * _AHEAD  # one per index
+        handed, early = 1, {}  # the next index to hand out; chunk index -> texts held
         for j in range(len(chunks)):
             while j not in early:
+                while free and handed < len(chunks) and handed <= j + n * _WINDOW:
+                    free.pop(0).write(handed.to_bytes(4, "little"))  # at most PIPE_BUF: whole
+                    handed += 1
+                if not j:  # here, while the workers start on the rest
+                    early[0] = _analyze_chunk(chunks[0], config, exports)
+                    continue
                 for fd, _ in poller.poll():
                     _, task_write, reply_read = workers[fd]
                     k, texts = _receive(reply_read)
-                    task_write.write(next(todo, b""))
                     early[k] = texts
+                    free.append(task_write)
             yield early.pop(j)
     finally:
         for pid, _, _ in workers.values():

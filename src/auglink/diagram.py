@@ -48,6 +48,7 @@ lists 0-based crossing ids.
 
 import json
 from collections import Counter
+from functools import cached_property
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 from operator import itemgetter
@@ -68,20 +69,6 @@ def _next_slot(dart: int) -> int:
 # ============================================================================
 # Core types
 # ============================================================================
-
-
-class _lazy:
-    """An attribute worked out on first read into ``vars(obj)``, which then
-    shadows it: ``functools.cached_property`` without the lock of Python 3.11."""
-
-    def __init__(self, method):
-        self.method, self.__doc__ = method, method.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = vars(obj)[self.method.__name__] = self.method(obj)
-        return value
 
 
 class Crossing(NamedTuple):
@@ -156,12 +143,12 @@ class Diagram:
         quads = zip(*[iter(self.labels)] * 4)  # four labels per crossing
         return tuple(map(Crossing._make, zip(self.crossing_ids, quads, self.signs)))
 
-    @_lazy
+    @cached_property
     def index(self) -> Mapping[int, int]:
         """Crossing id -> position."""
         return MappingProxyType({c: i for i, c in enumerate(self.crossing_ids)})
 
-    @_lazy
+    @cached_property
     def labels(self) -> tuple[int, ...]:
         """The arc label at each dart; arcs 1, 2, ... by first dart unless given."""
         label = [0] * len(self.dart_mates)
@@ -172,7 +159,7 @@ class Diagram:
                 label[d] = label[e] = arc
         return tuple(label)
 
-    @_lazy
+    @cached_property
     def link_component_count(self) -> int:
         """Number of link components; the crossing-free unknot counts as one.
 

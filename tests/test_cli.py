@@ -808,8 +808,8 @@ def test_workers_give_the_bytes_of_one_process(tmp_path, monkeypatch, json_outpu
 
 
 @pytest.mark.parametrize("index, raised, expected, message", [
-    (3, RuntimeError, RuntimeError, "boom"),  # as the parent writes entry 3
-    (40, RuntimeError, RuntimeError, "worker ended"),  # as a worker analyzes input 40
+    (3, RuntimeError, RuntimeError, "boom"),  # in the parent's own chunk
+    (40, RuntimeError, RuntimeError, "worker ended"),  # in a worker's chunk
     (3, KeyboardInterrupt, KeyboardInterrupt, "boom"),
     (40, KeyboardInterrupt, RuntimeError, "worker ended"),
 ])
@@ -820,33 +820,48 @@ def test_uncaught_error_stops_the_run_and_reaps_workers(
     exits = tmp_path / "exits.log"
     _log_worker_exits(monkeypatch, exits)
     real = cli.analyze_file
-    in_worker = index >= cli._CHUNK
 
     def flaky(path, config, export_owner=None):
-        if in_worker and path == inputs[index]:
+        if path == inputs[index]:
             raise raised("boom")
         return real(path, config, export_owner)
 
-    class FlakyOut(io.StringIO):
-        def write(self, text):
-            if not in_worker and inputs[index] in text:
-                raise raised("boom")
-            return super().write(text)
-
     monkeypatch.setattr(cli, "analyze_file", flaky)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    out = FlakyOut()
+    out = io.StringIO()
     with pytest.raises(expected, match=message):
         analyze(RunConfig(inputs=tuple(inputs), json_output=True), stdout=out)
     assert not out.getvalue().endswith("]\n")  # no short array passes for a whole one
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
-    if in_worker:  # that worker exits; the other is killed
+    if index >= cli._CHUNK:  # that worker exits; the other is killed
         assert exits.read_text(encoding="utf-8") == "1\n"
         if raised is RuntimeError:
             assert "RuntimeError: boom" in capfd.readouterr().err  # the worker's traceback
     else:  # every worker is killed
         assert not exits.exists()
+
+
+@pytest.mark.parametrize("raised", [RuntimeError, KeyboardInterrupt])
+def test_error_in_the_merge_loop_reaps_workers(tmp_path, monkeypatch, raised):
+    inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(80)]
+    exits = tmp_path / "exits.log"
+    _log_worker_exits(monkeypatch, exits)
+
+    class FlakyOut(io.StringIO):
+        def write(self, text):
+            if inputs[40] in text:  # a worker's entry, as the parent writes it
+                raise raised("boom")
+            return super().write(text)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    out = FlakyOut()
+    with pytest.raises(raised, match="boom"):
+        analyze(RunConfig(inputs=tuple(inputs), json_output=True), stdout=out)
+    assert not out.getvalue().endswith("]\n")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not exits.exists()  # every worker is killed
 
 
 @contextlib.contextmanager
@@ -920,29 +935,47 @@ def test_more_workers_than_cpus_give_the_bytes_of_one_cpu(tmp_path, monkeypatch)
 
 
 def test_a_slow_chunk_leaves_the_other_chunks_to_the_free_worker(tmp_path, monkeypatch):
-    inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(48)]
-    monkeypatch.setattr(cli, "_CHUNK", 4)  # 12 chunks
+    inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(50)]
+    monkeypatch.setattr(cli, "_CHUNK", 2)  # 25 chunks: the parent's, and 24 for the workers
     log = tmp_path / "chunks.log"
-    real = cli._analyze_chunk
+    real_chunk, real_receive = cli._analyze_chunk, cli._receive
+    received = []  # chunk indices, in the order the parent reads their replies
 
     def logged(chunk, config, exports):
-        if chunk.start == 0:  # the first chunk the first worker takes
+        if chunk.start == cli._CHUNK:  # the first chunk a worker takes
             time.sleep(0.3)
         with open(log, "a", encoding="utf-8") as handle:
             handle.write(f"{os.getpid()} {chunk.start}\n")
-        return real(chunk, config, exports)
+        return real_chunk(chunk, config, exports)
+
+    def receive(reply_read):
+        reply = real_receive(reply_read)
+        received.append(reply[0])
+        return reply
 
     monkeypatch.setattr(cli, "_analyze_chunk", logged)
+    monkeypatch.setattr(cli, "_receive", receive)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     with _deadline(60):
         status, text = _run(*inputs, json_output=True)
     assert status == 0 and [e["file"] for e in json.loads(text)] == inputs
     chunks = dict(line.split()[::-1] for line in log.read_text(encoding="utf-8").splitlines())
-    assert len(chunks) == 12
+    assert len(chunks) == 25 and chunks.pop("0") == str(os.getpid())
     replies = Counter(chunks.values())
-    slow = chunks["0"]
+    slow = chunks[str(cli._CHUNK)]
     (fast,) = set(replies) - {slow}
-    assert replies[fast] > replies[slow], replies  # a fixed assignment gives each six
+    assert replies[fast] > replies[slow], replies  # a fixed assignment gives each twelve
+    # The fast worker runs ahead only so far: at most n * _WINDOW replies,
+    # here 2 * 4 = 8 of 24, wait in the parent for their turn.
+    held, most, j = set(), 0, 1
+    for k in received:
+        held.add(k)
+        while j in held:
+            held.remove(j)
+            j += 1
+        most = max(most, len(held))
+    assert sorted(received) == list(range(1, 25))
+    assert most <= 2 * cli._WINDOW, most
 
 
 def test_closed_stdout_reaps_workers(tmp_path, monkeypatch):
