@@ -21,7 +21,7 @@ residual half-twist is a synthesized staircase between the ring and the box.
 
 from typing import NamedTuple
 
-from .diagram import _ENTERS, Diagram, _next_slot, _rebuild, _splice
+from .diagram import _ENTERS, Diagram, _component_count, _next_slot, _renumber, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
 from .twist import TwistRegion, TwistSelection, _box_sides
 
@@ -116,7 +116,7 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # so, the table the parser checks the input's orientation with.  Each
 # drawing appends its stubs and writes both ends of every wire it lays;
 # the dropped crossings are then spliced out, the kept ports must pair up
-# (``mates[mates[p]] == p``), and :func:`~auglink.diagram._rebuild` builds
+# (``mates[mates[p]] == p``), and :func:`~auglink.diagram._renumber` numbers
 # the result: every kept stub becomes a crossing read from its slot 0, and
 # every wire an arc.
 
@@ -225,17 +225,12 @@ def _staircase(mates: list[int], signs: list[int], starts: list[int], lanes: lis
         mates[dart] = port
 
 
-def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
-    """Render the augmented link as a PD-coded diagram.
-
-    The output parses back as a valid diagram whose link component count is
-    the original count plus one circle per region; each region contributes
-    2m crossings where the circle crosses the strands, plus m(m-1)/2
-    residual crossings when a half-twist remains (drawing as in the module
-    docstring; one splice drops every region's crossings).  Raises
+def _drawing(augmented: AugmentedLink) -> tuple[str, tuple, tuple, tuple]:
+    """The export's name, signs, dart mates and arc labels, with crossing k the
+    k-th kept stub read from its slot 0, worked out without a walk over the
+    whole drawing (``docs/diagram-format.md`` says why).  Raises
     :class:`ExportError` when a kept port is unwired or wired one way, or
-    when the drawing is not planar or has another component count.
-    """
+    when a strand closes up inside the dropped crossings."""
     selection = augmented.source
     diagram = selection.diagram
 
@@ -254,7 +249,8 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
                 _staircase(mates, signs, starts, lanes, top, region.sign)
             drop = region.crossing_ids
         dropped.update(map(diagram.index.__getitem__, drop))
-    for port, mate in _splice(mates, dropped).items():
+    relinked, covered = _splice(mates, dropped)
+    for port, mate in relinked.items():
         mates[port] = mate
 
     kept = [stub for stub in range(len(signs)) if stub not in dropped]
@@ -263,15 +259,27 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     if list(map(mates.__getitem__, map(mates.__getitem__, darts))) != darts:
         one_way = sorted(p for p in darts if mates[mates[p]] != p)
         raise ExportError(f"unwired ports remain: {one_way[:4]}")
+    new_mates, labels = _renumber(darts, mates)
+    if covered < 4 * len(dropped):  # a strand closed up inside the dropped crossings
+        raise ExportError(
+            f"drawing has {_component_count(new_mates)} link components, expected "
+            f"{diagram.link_component_count + augmented.circle_count} (the input's plus "
+            "one per circle)")
     name = f"{diagram.name}-augmented" if diagram.name else "augmented"
+    return name, tuple(map(signs.__getitem__, kept)), new_mates, labels
+
+
+def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
+    """Render the augmented link as a PD-coded diagram, checked by its constructor.
+
+    Its link component count is the input's plus one per circle; each region
+    contributes 2m crossings where the circle crosses the strands, plus
+    m(m-1)/2 residual crossings when a half-twist remains (drawing as in the
+    module docstring).  Raises :class:`ExportError` as :func:`_drawing`
+    does, or when the drawing is not planar.
+    """
+    name, signs, mates, labels = _drawing(augmented)
     try:
-        exported = _rebuild(darts, range(len(kept)), [signs[p] for p in kept], mates, name)
+        return Diagram(tuple(range(len(signs))), signs, mates, name, labels)
     except InvalidDiagramError as exc:
         raise ExportError(f"drawing is not planar: {exc}") from exc
-    expected = diagram.link_component_count + augmented.circle_count
-    if exported.link_component_count != expected:
-        raise ExportError(
-            f"drawing has {exported.link_component_count} link components, expected "
-            f"{expected} (the input's plus one per circle)"
-        )
-    return exported

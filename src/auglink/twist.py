@@ -21,7 +21,7 @@ keep their ids.
 import heapq
 from typing import NamedTuple
 
-from .diagram import _ENTERS, Diagram, RegionAnnotation, _next_slot, _rebuild, _splice
+from .diagram import _ENTERS, Diagram, RegionAnnotation, _next_slot, _renumber, _splice
 from .errors import NonAlternatingRegionError, RegionError
 
 
@@ -257,7 +257,7 @@ def _box_sides(diagram: Diagram, region: TwistRegion) -> list[int]:
     r = next((r for r in range(2 * m) if len({enters[d & 3] for d in ring[r:r + m]}) == 1), None)
     if r is not None:
         top, far = ring[r:r + m], ring[r + m:r + 2 * m]
-        through = _splice(mates, inside)  # outside dart -> outside dart across the box
+        through = _splice(mates, inside)[0]  # outside dart -> outside dart across the box
         ends = far if region.half_twists % 2 else far[::-1]
         if all(mates[through[mates[d]]] == end for d, end in zip(top, ends)):
             return top
@@ -357,12 +357,13 @@ def resolve_selection(
     The result equals that of the plain loop "detect the chains of the
     diagram, cancel the adjacent opposite-sign pairs of the mixed chain with
     the smallest crossing id (Reidemeister II), repeat, then add the
-    annotated regions": survivors keep their ids.  A reduced diagram
-    is built by :func:`~auglink.diagram._rebuild`, so it labels its arcs in
-    the order of their first dart.  Chains are detected once; after each
-    splice only the faces through relinked darts are walked again, and only
-    the chains whose bigon bonds changed are grown again.  The final chains
-    and bonds go to the selection as they are, not detected a second time.
+    annotated regions": survivors keep their ids.  A reduced diagram is
+    renumbered by :func:`~auglink.diagram._renumber`, and labels its arcs in
+    the order of their first dart when they are first read.  Chains are
+    detected once; after each splice only the faces through relinked darts
+    are walked again, and only the chains whose bigon bonds changed are
+    grown again.  The final chains and bonds go to the selection as they
+    are, not detected a second time.
     """
     scope = _scope(diagram, annotations)
     bonds, chains = _detect(diagram, scope)
@@ -379,7 +380,7 @@ def resolve_selection(
             continue  # stale: the chain was regrown or spliced since
         removed = _cancel_pairs(signs, chain[2])
         spliced |= removed
-        relinked = _splice(mates, removed)
+        relinked = _splice(mates, removed)[0]
         for end, other in relinked.items():
             mates[end] = other
         touched = set(chain[2])
@@ -414,8 +415,8 @@ def resolve_selection(
 
     if reduced:
         kept = [p for p in range(len(ids)) if p not in spliced]
-        diagram = _rebuild([d for p in kept for d in range(4 * p, 4 * p + 4)],
-                           [ids[p] for p in kept], [signs[p] for p in kept],
-                           mates, diagram.name)
+        diagram = Diagram(tuple(ids[p] for p in kept), tuple(signs[p] for p in kept),
+                          _renumber([d for p in kept for d in range(4 * p, 4 * p + 4)], mates)[0],
+                          diagram.name)
         chains = [chain for p, chain in chain_of.items() if chain[2][0] == p]
     return diagram, _assemble(diagram, annotations, ids, bonds, chains)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import importlib
+import importlib.util
 import io
 import json
 import os
@@ -423,7 +424,16 @@ def test_miswired_export_is_an_export_failure(tmp_path, monkeypatch, pd, other_p
     if named:
         assert str(excinfo.value) == f"{error}{named}"
     result = cli.analyze_file(path, RunConfig(inputs=(path,), export_dir=str(tmp_path / "out")))
-    assert result.ok and result.report is not None and result.export_path is None
+    assert result.ok and result.report is not None
+    if error.startswith("drawing is not planar"):
+        # The CLI writes the drawing without the constructor's Euler walk,
+        # so the miswired drawing is written, and the oracle refuses it.
+        assert result.warnings == ()
+        exported = json.loads(pathlib.Path(result.export_path).read_text(encoding="utf-8"))
+        v, e, f = oracle_euler(exported["pd"])
+        assert v - e + f != 2
+        return
+    assert result.export_path is None
     (warning,) = result.warnings
     assert warning.startswith(f"export failed: {error}")
 
@@ -618,6 +628,17 @@ def test_start_up_imports_neither_dataclasses_nor_inspect():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_cli_binds_every_name_the_benchmark_traces():
+    # perfbench/child.py --trace replaces these names of auglink.cli with
+    # timing wrappers, by getattr; a name gone from cli breaks traced runs.
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    assert "export_augmented_diagram" in child.WRAPPED
+    assert [name for name in child.WRAPPED if not hasattr(cli, name)] == []
 
 
 # ----------------------------------------------------------------------------
@@ -990,6 +1011,22 @@ def test_closed_stdout_reaps_workers(tmp_path, monkeypatch):
         analyze(RunConfig(inputs=tuple(inputs), json_output=True), stdout=ClosedPipe())
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_closed_stdout_stops_quietly(tmp_path):
+    # Reports well past the pipe's buffer, so that the run is still writing
+    # when the reader closes the pipe after the first line, as ``| head -1``.
+    inputs = [_write(tmp_path, f"t{i:03d}.json", {"pd": TREFOIL}) for i in range(300)]
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    with subprocess.Popen([sys.executable, "-m", "auglink.cli", "analyze", *inputs, "--json"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as run:
+        assert run.stdout.readline() == b"[\n"
+        run.stdout.close()
+        stderr = run.stderr.read()
+        status = run.wait(timeout=60)
+    assert stderr == b""
+    assert status == 1
 
 
 # ----------------------------------------------------------------------------

@@ -351,11 +351,12 @@ def test_splice_leaves_an_unwired_end_unwired():
     # Dart 4 of the figure-8's crossing 1 is left unwired, as a miswired
     # drawing may leave it.  Splicing crossing 1 out must not read -1 as a
     # dart: the strand that runs into dart 4 ends unwired, and no key -1
-    # would write mates[-1].
+    # would write mates[-1].  The walks enter crossing 1 at three of its
+    # four darts, as the one into dart 4 never starts.
     mates = list(Diagram.from_pd(FIGURE8).dart_mates)
     assert mates[4:8] == [15, 8, 3, 2]
     mates[4] = mates[15] = -1
-    assert _splice(mates, {1}) == {8: 2, 3: -1, 2: 8}
+    assert _splice(mates, {1}) == ({8: 2, 3: -1, 2: 8}, 3)
 
 
 def test_euler_violation_message_gives_the_totals():

@@ -17,11 +17,13 @@ from __future__ import annotations
 import random
 from collections import Counter
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from auglink.augment import augment, export_augmented_diagram
-from auglink.diagram import Diagram, RegionAnnotation, _mate_darts
+from auglink.cli import _write_export
+from auglink.diagram import Diagram, RegionAnnotation, _mate_darts, serialize_diagram
 from auglink.errors import AugmentError, ExportError, InvalidDiagramError, RegionError
 from auglink.twist import resolve_selection
 
@@ -176,19 +178,23 @@ def _windows(count: int, seed: int):
         yield word, strands, (range(len(before), len(before) + len(window)), m, c), genuine
 
 
-def test_windows_are_refused_by_validation_or_exported():
-    """A window that validates is drawn; only the component-count guard refuses one.
+def test_windows_are_refused_by_validation_or_exported(tmp_path):
+    """A window that validates is drawn; only the splice's strand count refuses one.
 
     Validation refuses every box whose boundary is not one cycle or whose
     sides do not pair its strands like a twist box, so the export meets no
-    region it cannot draw.  The guard refuses some boxes of the right shape
-    that hold another braid than c half-twists.  A genuine window fails
-    only where fewer than 2m strand-endpoints leave it (its closure joins a
-    strand to itself), and the oracles accept each genuine window's export.
-    Every other closure is read with its strands reversed, so that boxes of
-    either sign are ringed and twisted on sides whose strands enter and on
-    sides whose strands leave.
+    region it cannot draw.  The count refuses some boxes of the right shape
+    that hold another braid than c half-twists, where a strand closes up
+    inside the box, with the message of a component-count guard.  A genuine
+    window fails only where fewer than 2m strand-endpoints leave it (its
+    closure joins a strand to itself), and the oracles accept each genuine
+    window's export.  Every other closure is read with its strands
+    reversed, so that boxes of either sign are ringed and twisted on sides
+    whose strands enter and on sides whose strands leave.  The CLI's writer,
+    which builds no Diagram, refuses the same windows with the same message
+    and writes the bytes of the checked export of every other.
     """
+    out = str(tmp_path / "window.augmented.json")
     outcomes = Counter()
     for k, (word, strands, (ids, m, c), genuine) in enumerate(_windows(10_000, seed=17)):
         pd, signs = braid_closure(word, strands)
@@ -206,8 +212,14 @@ def test_windows_are_refused_by_validation_or_exported():
             exported = export_augmented_diagram(augmented)
         except ExportError as exc:
             assert not genuine and "link components, expected" in str(exc), (word, exc)
+            with pytest.raises(ExportError) as refused:
+                _write_export(out, augmented, None)
+            assert str(refused.value) == str(exc)
             outcomes["guard"] += 1
             continue
+        _write_export(out, augmented, None)
+        with open(out, encoding="utf-8") as written:
+            assert written.read() == serialize_diagram(exported) + "\n", word
         if genuine:
             _check_with_oracle(reduced, augmented, exported)
         outcomes["genuine" if genuine else "random"] += 1
