@@ -1021,10 +1021,13 @@ def test_closed_stdout_stops_quietly(tmp_path):
     with subprocess.Popen([sys.executable, "-m", "auglink.cli", "analyze", *inputs, "--json"],
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE,
                           env={**os.environ, "PYTHONPATH": src}) as run:
-        assert run.stdout.readline() == b"[\n"
-        run.stdout.close()
-        stderr = run.stderr.read()
-        status = run.wait(timeout=60)
+        try:
+            assert run.stdout.readline() == b"[\n"
+            run.stdout.close()
+            status = run.wait(timeout=60)  # a traceback is far smaller than the pipe
+            stderr = run.stderr.read()
+        finally:
+            run.kill()  # only if it hangs
     assert stderr == b""
     assert status == 1
 
