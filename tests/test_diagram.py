@@ -352,7 +352,7 @@ def test_splice_leaves_an_unwired_end_unwired():
     # drawing may leave it.  Splicing crossing 1 out must not read -1 as a
     # dart: the strand that runs into dart 4 ends unwired, and no key -1
     # would write mates[-1].  The walks enter crossing 1 at three of its
-    # four darts, as the one into dart 4 never starts.
+    # four darts: none starts at dart 4, whose end is unwired.
     mates = list(Diagram.from_pd(FIGURE8).dart_mates)
     assert mates[4:8] == [15, 8, 3, 2]
     mates[4] = mates[15] = -1
