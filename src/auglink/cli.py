@@ -10,10 +10,10 @@ not-certified; that is data, not an error) and 2 when any file failed to
 parse or validate.  Failures are reported per file and processing
 continues with the remaining inputs.  A failed export keeps the report and
 adds a warning.  Inputs go in chunks of 32.  The parent analyzes the first
-and forked workers, one per usable CPU, the rest: each worker takes the next
-chunk as soon as it has sent back its last, and the parent writes the reports
-in input order.  A run of one chunk never forks.  The bytes are those of a
-one-CPU run.
+and forked workers, one per usable CPU, the rest: the workers share one task
+pipe, so a slow chunk holds up no other chunk, and the parent writes the
+reports in input order.  A run of one chunk never forks.  The bytes are
+those of a one-CPU run.
 
 Each input is read as bytes and decoded as UTF-8, with ``\\r\\n`` and a lone
 ``\\r`` read as ``\\n``, as text mode reads them.  Most circles in a batch
@@ -334,7 +334,6 @@ def render_text(result: FileResult) -> str:
 
 
 _CHUNK = 32  # input files per unit of work; a worker sends back a chunk at a time
-_AHEAD = 2  # chunk indices each worker holds, so that it never waits for the next
 _WINDOW = 4  # chunks per worker handed out past the next one to write
 
 
@@ -379,12 +378,12 @@ def _replies(chunks: list, n: int, config: RunConfig, exports: list):
     killed and reaped when this ends.
 
     The first chunk is analyzed here while the workers start, so that a
-    profiler or tracer of this process sees one chunk of the work.  Each
-    worker has a task pipe and a reply pipe.  It holds ``_AHEAD`` chunk
-    indices and gets one more with each reply it sends, so the chunks go to
-    whichever worker is free.  A reply that comes early is held until its
-    turn; as no index is handed out more than ``n * _WINDOW`` past the next
-    chunk to write, at most that many replies wait.
+    profiler or tracer of this process sees one chunk of the work.  The
+    workers share one task pipe, from which whichever is free reads the next
+    chunk index, and each sends its replies down its own reply pipe.  A reply
+    that comes early is held until its turn; as no index is written more than
+    ``n * _WINDOW`` past the next chunk to write, at most that many replies
+    wait.
     """
     if n < 1:
         for chunk in chunks:
@@ -393,39 +392,35 @@ def _replies(chunks: list, n: int, config: RunConfig, exports: list):
     import select  # only a run that forks needs it
 
     ends = []  # every pipe end opened here
-    workers = {}  # reply pipe's fd -> (pid, task pipe's write end, reply pipe's read end)
+    workers = {}  # reply pipe's fd -> (pid, reply pipe's read end)
     poller = select.poll()
     try:
-        for _ in range(n):
-            for read_end, write_end in (os.pipe(), os.pipe()):
-                ends += open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
-            task_read, task_write, reply_read, reply_write = ends[-4:]
+        for _ in range(n + 1):  # the shared task pipe, then each worker's reply pipe
+            read_end, write_end = os.pipe()
+            ends += open(read_end, "rb", buffering=0), open(write_end, "wb", buffering=0)
+        task_read, task_write = ends[:2]
+        for reply_read, reply_write in zip(ends[2::2], ends[3::2]):
             pid = os.fork()
             if pid == 0:
                 _work(task_read, reply_write, ends, chunks, config, exports)
-            workers[reply_read.fileno()] = pid, task_write, reply_read
-            # task_read stays open here, so that a chunk handed to a worker that
-            # has ended is no broken pipe: the end of its reply pipe reports it.
+            workers[reply_read.fileno()] = pid, reply_read
             reply_write.close()
             poller.register(reply_read, select.POLLIN)
-        free = [task_write for _, task_write, _ in workers.values()] * _AHEAD  # one per index
-        handed, early = 1, {}  # the next index to hand out; chunk index -> texts held
+        # task_read stays open here, so that an index written after every
+        # worker has ended is no broken pipe: the end of a reply pipe reports it.
+        for k in range(1, min(len(chunks), 1 + n * _WINDOW)):
+            task_write.write(k.to_bytes(4, "little"))  # at most PIPE_BUF: read whole
+        early = {0: _analyze_chunk(chunks[0], config, exports)}  # while the workers start
         for j in range(len(chunks)):
             while j not in early:
-                while free and handed < len(chunks) and handed <= j + n * _WINDOW:
-                    free.pop(0).write(handed.to_bytes(4, "little"))  # at most PIPE_BUF: whole
-                    handed += 1
-                if not j:  # here, while the workers start on the rest
-                    early[0] = _analyze_chunk(chunks[0], config, exports)
-                    continue
                 for fd, _ in poller.poll():
-                    _, task_write, reply_read = workers[fd]
-                    k, texts = _receive(reply_read)
+                    k, texts = _receive(workers[fd][1])
                     early[k] = texts
-                    free.append(task_write)
+            if (k := j + 1 + n * _WINDOW) < len(chunks):  # the window moves on by one
+                task_write.write(k.to_bytes(4, "little"))
             yield early.pop(j)
     finally:
-        for pid, _, _ in workers.values():
+        for pid, _ in workers.values():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
         for end in ends:
@@ -433,8 +428,8 @@ def _replies(chunks: list, n: int, config: RunConfig, exports: list):
 
 
 def _work(task_read, reply_write, ends: list, chunks: list, config: RunConfig, exports: list):
-    """A forked worker: for each chunk index read from ``task_read``, send the
-    index and the chunk's texts down ``reply_write``; leave by ``os._exit``."""
+    """A forked worker: for each chunk index read from the shared ``task_read``,
+    send the index and the chunk's texts down ``reply_write``; leave by ``os._exit``."""
     try:
         for end in ends:  # so that no pipe waits on an end that only this worker holds
             if end is not task_read and end is not reply_write:
@@ -444,6 +439,8 @@ def _work(task_read, reply_write, ends: list, chunks: list, config: RunConfig, e
             data = marshal.dumps((j, _analyze_chunk(chunks[j], config, exports)))
             _write_all(reply_write.fileno(), len(data).to_bytes(8, "little") + data)
         os._exit(0)  # which flushes no buffer inherited from the parent
+    except BrokenPipeError:  # the parent has ended; analyze_file keeps its own OSErrors
+        pass
     except Exception:
         sys.excepthook(*sys.exc_info())  # the traceback, to stderr
         sys.stderr.flush()

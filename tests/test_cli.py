@@ -959,11 +959,16 @@ def test_a_slow_chunk_leaves_the_other_chunks_to_the_free_worker(tmp_path, monke
     inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(50)]
     monkeypatch.setattr(cli, "_CHUNK", 2)  # 25 chunks: the parent's, and 24 for the workers
     log = tmp_path / "chunks.log"
+    log.touch()
     real_chunk, real_receive = cli._analyze_chunk, cli._receive
     received = []  # chunk indices, in the order the parent reads their replies
 
     def logged(chunk, config, exports):
-        if chunk.start == cli._CHUNK:  # the first chunk a worker takes
+        if chunk.start == cli._CHUNK:  # chunk 1, the first a worker takes, is slow:
+            # it waits till the other worker has taken chunk 2 * _WINDOW, however
+            # loaded the host, and then a while longer.
+            while f" {2 * cli._WINDOW * cli._CHUNK}\n" not in log.read_text(encoding="utf-8"):
+                time.sleep(0.01)
             time.sleep(0.3)
         with open(log, "a", encoding="utf-8") as handle:
             handle.write(f"{os.getpid()} {chunk.start}\n")
@@ -986,6 +991,9 @@ def test_a_slow_chunk_leaves_the_other_chunks_to_the_free_worker(tmp_path, monke
     slow = chunks[str(cli._CHUNK)]
     (fast,) = set(replies) - {slow}
     assert replies[fast] > replies[slow], replies  # a fixed assignment gives each twelve
+    # While chunk 1 is stuck, every other chunk the window lets out goes to the free worker.
+    stuck = [k for k in range(2, 2 * cli._WINDOW + 1) if chunks[str(k * cli._CHUNK)] != fast]
+    assert not stuck, stuck
     # The fast worker runs ahead only so far: at most n * _WINDOW replies,
     # here 2 * 4 = 8 of 24, wait in the parent for their turn.
     held, most, j = set(), 0, 1
@@ -997,6 +1005,72 @@ def test_a_slow_chunk_leaves_the_other_chunks_to_the_free_worker(tmp_path, monke
         most = max(most, len(held))
     assert sorted(received) == list(range(1, 25))
     assert most <= 2 * cli._WINDOW, most
+
+
+# Runs ``analyze`` on two CPUs over the input paths in argv[3:], with chunks of
+# 4, printing each forked worker's pid; the parent kills itself inside chunk 0.
+# With argv[1] "epipe" a worker waits inside its chunk until the parent is gone,
+# so that its reply meets a pipe nobody reads.  With "eof" the parent waits
+# until the workers have sent every reply (each appends a line to the file
+# argv[2]), so that they sit idle on the task pipe when it ends.
+_KILLED_PARENT = """
+import os, signal, sys, time
+from pathlib import Path
+from auglink import cli
+
+case, log, *inputs = sys.argv[1:]
+parent = os.getpid()
+real_fork, real_chunk, real_write_all = os.fork, cli._analyze_chunk, cli._write_all
+
+def fork():
+    pid = real_fork()
+    if pid:
+        print(pid, flush=True)
+    return pid
+
+def analyze_chunk(chunk, config, exports):
+    if os.getpid() == parent:
+        while case == "eof" and Path(log).read_text().count("sent") < len(inputs) // 4 - 1:
+            time.sleep(0.01)
+        os.kill(parent, signal.SIGKILL)
+    while case == "epipe" and os.getppid() == parent:
+        time.sleep(0.01)
+    return real_chunk(chunk, config, exports)
+
+def write_all(fd, data):
+    real_write_all(fd, data)
+    with open(log, "a") as handle:
+        handle.write("sent\\n")
+
+os.sched_getaffinity = lambda pid: {0, 1}
+os.fork, cli._analyze_chunk, cli._write_all, cli._CHUNK = fork, analyze_chunk, write_all, 4
+cli.analyze(cli.RunConfig(inputs=tuple(inputs), json_output=True))
+"""
+
+
+@pytest.mark.parametrize("case", ["epipe", "eof"])
+def test_workers_of_a_killed_parent_leave_quietly(tmp_path, case):
+    inputs = [_write(tmp_path, f"t{i:02d}.json", {"pd": TREFOIL}) for i in range(12)]
+    log = tmp_path / "sent.log"
+    log.touch()
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    out = b""
+    with subprocess.Popen([sys.executable, "-c", _KILLED_PARENT, case, str(log), *inputs],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env={**os.environ, "PYTHONPATH": src}) as run:
+        try:
+            # Stderr ends only once every worker has closed its copy.
+            out, err = run.communicate(timeout=30)
+        except subprocess.TimeoutExpired as exc:
+            out = exc.stdout or b""
+            raise
+        finally:
+            run.kill()
+            for pid in out.split():  # so that a failing run leaves no worker behind
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(int(pid), signal.SIGKILL)
+    assert len(out.split()) == 2
+    assert (run.returncode, err) == (-signal.SIGKILL, b"")
 
 
 def test_closed_stdout_reaps_workers(tmp_path, monkeypatch):
