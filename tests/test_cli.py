@@ -962,13 +962,16 @@ def test_a_slow_chunk_leaves_the_other_chunks_to_the_free_worker(tmp_path, monke
     log.touch()
     real_chunk, real_receive = cli._analyze_chunk, cli._receive
     received = []  # chunk indices, in the order the parent reads their replies
+    slowed = []  # non-empty only in the worker that takes chunk 1
 
     def logged(chunk, config, exports):
-        if chunk.start == cli._CHUNK:  # chunk 1, the first a worker takes, is slow:
-            # it waits till the other worker has taken chunk 2 * _WINDOW, however
-            # loaded the host, and then a while longer.
+        if chunk.start == cli._CHUNK:  # chunk 1, the first a worker takes:
+            slowed.append(chunk)  # from here on that worker is slow
+            # It waits till the other worker has taken chunk 2 * _WINDOW,
+            # however loaded the host.
             while f" {2 * cli._WINDOW * cli._CHUNK}\n" not in log.read_text(encoding="utf-8"):
                 time.sleep(0.01)
+        if slowed:
             time.sleep(0.3)
         with open(log, "a", encoding="utf-8") as handle:
             handle.write(f"{os.getpid()} {chunk.start}\n")
