@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .diagram import _ENTERS, Diagram, _component_count, _next_slot, _renumber, _splice
 from .errors import AugmentError, ExportError, InvalidDiagramError
-from .twist import TwistRegion, TwistSelection, _box_sides
+from .twist import TwistRegion, TwistSelection, _bigon_bonds, _box_sides
 
 
 # ============================================================================
@@ -186,17 +186,14 @@ def _back_darts(diagram: Diagram, region: TwistRegion) -> list[int]:
     chains alike.
     """
     x0 = diagram.index[region.crossing_ids[0]]
-    back = 4 * x0  # any corner of a lone crossing
+    back = 4 * x0  # any corner of a lone crossing, or of x0 when no bigon joins it to x1
     if region.crossing_count > 1:
-        # The corner of x0 opposite its smallest corner bonded to x1: corner
-        # d, between d and its next slot f, faces a bigon on x1 when f's arc
-        # ends on x1 and f's face closes after two steps.
+        # The corner of x0 opposite its smallest corner bonded to x1.
         x1 = diagram.index[region.crossing_ids[1]]
-        mates, step = diagram.dart_mates, diagram.face_next
-        for d, f in zip(range(back, back + 4), (back + 1, back + 2, back + 3, back)):
-            if mates[f] >> 2 == x1 and step[step[f]] == f:
-                back = d ^ 2
-                break
+        bonds = _bigon_bonds(diagram.dart_mates, {x0, x1}, range(back, back + 4))
+        corners = [d for d in bonds if d >> 2 == x0]
+        if corners:
+            back = min(corners) ^ 2
     return [back, _next_slot(back)]
 
 

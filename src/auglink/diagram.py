@@ -8,11 +8,11 @@ is the rotation system of the underlying 4-valent plane graph.
 
 A :class:`Diagram` holds that code as flat tuples: crossing ids and signs by
 position, and the mates of the integer darts (dart ``4 * i + s`` is slot s
-of the i-th crossing).  Faces and strands are two permutations of the
-darts: the faces are the orbits of ``face_next`` (cross the arc, turn one
-slot counterclockwise), and the strands are the orbits of
-``d -> dart_mates[d ^ 2]`` (pass straight through the crossing, then cross
-the arc), two per link component, one each way.
+of the i-th crossing).  Faces and strands are the orbits of two walks over
+the darts, worked out from the mates where they are needed: a face walk
+crosses the arc, then turns one slot counterclockwise, and a strand walk
+``d -> dart_mates[d ^ 2]`` passes straight through the crossing, then
+crosses the arc, two strand orbits per link component, one each way.
 
 Every diagram is built by ``Diagram(crossing_ids, signs, mates, name,
 labels)``, which checks Euler's formula, from the dart mates its caller
@@ -93,8 +93,8 @@ class Diagram:
     dart mates its caller paired as :attr:`dart_mates` (``mates[d]`` is the
     other end of dart d's arc) and, when given, ``labels[d]``, the arc label
     at dart d.  It raises :class:`InvalidDiagramError` when Euler's formula
-    fails, and sets :attr:`face_next` and :attr:`is_connected` from the same
-    pass; :meth:`from_pd` validates and builds one from a PD code.
+    fails, and sets :attr:`is_connected` from the same pass; :meth:`from_pd`
+    validates and builds one from a PD code.
 
     The index, the labels of a diagram built without them (arcs 1, 2, ... in
     the order of their first dart) and the link component count are worked
@@ -103,8 +103,7 @@ class Diagram:
 
     A dart is one integer: dart ``4 * i + s`` is slot s of the i-th crossing
     by position (not by id), and every topology value here is indexed by
-    it.  Faces are the orbits of :attr:`face_next` and strands the orbits of
-    ``d -> dart_mates[d ^ 2]``.
+    it.
     """
 
     def __init__(self, crossing_ids: tuple[int, ...], signs: tuple[int, ...],
@@ -437,19 +436,17 @@ def _orbits(step) -> tuple[list[int], int]:
 
 
 def _check_euler(diagram: Diagram) -> None:
-    """Set a new diagram's ``face_next`` and ``is_connected``, checking Euler.
+    """Set a new diagram's ``is_connected``, checking Euler.
 
-    ``face_next`` maps each integer dart to the next dart of its face walk,
-    which crosses the arc, then rotates one slot counterclockwise.  A dart d
-    lies on a face with two corners exactly when ``face_next[d] != d`` and
-    ``face_next[face_next[d]] == d``.  Each of the C components of the
+    The faces are the orbits of the face walk, which crosses the arc, then
+    rotates one slot counterclockwise.  Each of the C components of the
     underlying graph has V - E + F = 2 - 2g <= 2, with E = 2V and genus g,
     so the code is planar exactly when F - V = 2C over the whole diagram.
     The error gives the totals: ``Euler formula violated (non-planar or
     corrupted code): V=4 E=8 F=6 over 2 components``.
     """
     mates = diagram.dart_mates
-    step = tuple([m - 3 if m & 3 == 3 else m + 1 for m in mates])
+    step = [m - 3 if m & 3 == 3 else m + 1 for m in mates]
     seen = bytearray(len(diagram.crossing_ids))  # by position
     count = 0
     start = seen.find(0)
@@ -464,7 +461,7 @@ def _check_euler(diagram: Diagram) -> None:
                     seen[k] = 1
                     stack.append(k)
         start = seen.find(0, start)
-    vars(diagram).update(face_next=step, is_connected=count <= 1)
+    vars(diagram)["is_connected"] = count <= 1
     v, f = len(seen), _orbits(step)[1]
     if f - v != 2 * count:
         raise InvalidDiagramError(

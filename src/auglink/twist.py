@@ -78,29 +78,28 @@ def _scope(diagram: Diagram, annotations) -> range | frozenset[int]:
     return frozenset(p for p, c in enumerate(diagram.crossing_ids) if c not in annotated)
 
 
-def _bigon_bonds(diagram: Diagram, scope) -> dict[int, int]:
+def _bigon_bonds(mates, scope, darts) -> dict[int, int]:
     """Bonds between crossings joined by a bigon face, as a corner map.
 
-    Returns ``bonds[corner dart] = other corner dart`` among the positions
-    in ``scope``.  Degree-2 faces whose corners sit on a single crossing (the
-    face inside a Reidemeister-I kink) are not bonds: a twist chain needs two
-    strands.  A dart of a bigon returns to itself after two steps of the face
-    walk, so only the darts of ``scope`` are looked at: the cost is linear
-    in ``len(scope)``, not in the size of the diagram.
+    Returns ``bonds[corner dart] = other corner dart`` for each bigon that
+    a face walk from one of ``darts`` goes round, when its two corners sit
+    on distinct positions in ``scope``.  Degree-2 faces whose corners sit on
+    a single crossing (the face inside a Reidemeister-I kink) are not bonds:
+    a twist chain needs two strands.  A dart d lies on a face with two
+    corners exactly when the walk (cross the arc, turn one slot
+    counterclockwise) comes back to d after two steps, and the corners are
+    the far ends of the two arcs it crosses.  The cost is linear in
+    ``len(darts)``, not in the size of the diagram.
     """
-    mates, step = diagram.dart_mates, diagram.face_next
     bonds: dict[int, int] = {}
-    for p in scope:
-        i = 4 * p
-        for dart in (i, i + 1, i + 2, i + 3):
-            after = step[dart]
-            # A bigon is met from both of its darts; take it from the smaller.
-            if after > dart and step[after] == dart:
-                d1, d2 = mates[dart], mates[after]
-                p1, p2 = d1 >> 2, d2 >> 2
-                if p1 != p2 and p1 in scope and p2 in scope:
-                    bonds[d1] = d2
-                    bonds[d2] = d1
+    for dart in darts:  # the turns are _next_slot, written out for speed
+        d1 = mates[dart]
+        d2 = mates[d1 - 3 if d1 & 3 == 3 else d1 + 1]
+        if (d2 - 3 if d2 & 3 == 3 else d2 + 1) == dart:
+            p1, p2 = d1 >> 2, d2 >> 2
+            if p1 != p2 and p1 in scope and p2 in scope:
+                bonds[d1] = d2
+                bonds[d2] = d1
     return bonds
 
 
@@ -147,7 +146,7 @@ def _detect(diagram: Diagram, scope):
     Each chain is ``(smallest id, sign, positions)``; the sign is the
     common crossing sign, or 0 for a chain with mixed signs.
     """
-    bonds = _bigon_bonds(diagram, scope)
+    bonds = _bigon_bonds(diagram.dart_mates, scope, range(len(diagram.dart_mates)))
     signs, ids = diagram.signs, diagram.crossing_ids
     return bonds, [_chain(signs, ids, chain) for chain in _grow_chains(bonds, sorted(scope))]
 
@@ -308,7 +307,9 @@ def validate_generalized_region(
     order = tuple(sorted(ids))
     if m == 2:
         positions = frozenset(map(diagram.index.__getitem__, ids))
-        chains = _grow_chains(_bigon_bonds(diagram, positions), sorted(positions))
+        bonds = _bigon_bonds(diagram.dart_mates, positions,
+                             [d for p in positions for d in range(4 * p, 4 * p + 4)])
+        chains = _grow_chains(bonds, sorted(positions))
         if len(chains) != 1:
             raise RegionError(f"region {region_id}: crossings do not form one twist chain")
         order = tuple(map(diagram.crossing_ids.__getitem__, chains[0]))
@@ -391,16 +392,10 @@ def resolve_selection(
                     bonds.pop(partner, None)
                     touched.add(partner >> 2)
 
-        # Only a face through a relinked dart changed; a bond is a bigon,
-        # so two corners tell whether the face closes back on its start.
-        for dart in relinked:
-            d1 = mates[dart]
-            d2 = mates[_next_slot(d1)]
-            p1, p2 = d1 >> 2, d2 >> 2
-            if _next_slot(d2) == dart and p1 != p2 and p1 in scope and p2 in scope:
-                bonds[d1] = d2
-                bonds[d2] = d1
-                touched.update((p1, p2))
+        # Only a face through a relinked dart changed.
+        fresh = _bigon_bonds(mates, scope, relinked)
+        bonds.update(fresh)
+        touched.update(d >> 2 for d in fresh)
 
         touched -= removed
         dirty = {q for t in touched for q in chain_of[t][2] if q not in removed}

@@ -68,10 +68,6 @@ def oracle_faces(pd):
     return faces
 
 
-def oracle_face_degrees(pd):
-    return sorted(len(f) for f in oracle_faces(pd))
-
-
 def oracle_euler(pd):
     """Return (V, E, F) as counted brute force."""
     v = len(pd)

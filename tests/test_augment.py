@@ -6,6 +6,7 @@ import pytest
 
 from auglink.augment import (
     AugmentedLink,
+    _back_darts,
     augment,
     export_augmented_diagram,
     filling_slope,
@@ -14,6 +15,7 @@ from auglink.diagram import Diagram, parse_document, serialize_diagram
 from auglink.errors import AugmentError, InvalidDiagramError, RegionError
 from auglink.twist import (
     RegionAnnotation,
+    TwistRegion,
     TwistSelection,
     detect_bigon_chains,
     resolve_selection,
@@ -252,6 +254,29 @@ def test_annotated_two_strand_region_keeps_chain_order():
     reduced, selection = resolve_selection(diagram)
     assert selection.regions[0].crossing_ids == (5, 0, 1)
     assert annotated == serialize_diagram(export_augmented_diagram(augment(reduced, selection)))
+
+
+@pytest.mark.parametrize("pd,signs,ring", [
+    (HOPF, None, [2, 3]),
+    (*braid_closure([1] * 5, 2), [3, 0]),
+], ids=["hopf", "t25"])
+def test_two_strand_ring_sits_opposite_the_smallest_bonded_corner(pd, signs, ring):
+    # x0's corners 0 and 1 both face a bigon on x1 in the Hopf link, and
+    # corner 1 alone in T(2,5); the ring goes on the corner opposite the
+    # smaller one.
+    diagram = Diagram.from_pd(pd, signs)
+    reduced, selection = resolve_selection(diagram)
+    assert _back_darts(reduced, selection.regions[0]) == ring
+
+
+def test_export_of_a_chain_listed_out_of_order():
+    # A hand-built selection may list T(2,5) as 0, 2, 1, 3, 4, where x0 and
+    # x1 share no bigon: the ring falls back to x0's first corner.
+    diagram = Diagram.from_pd(*braid_closure([1] * 5, 2))
+    region = TwistRegion(1, (0, 2, 1, 3, 4), 2, 5, diagram.signs[0])
+    assert _back_darts(diagram, region) == [0, 1]
+    exported = export_augmented_diagram(augment(diagram, TwistSelection((region,), diagram)))
+    assert exported.crossing_count == 5
 
 
 def test_name_suffix_on_export():

@@ -12,19 +12,18 @@ from auglink.augment import augment, export_augmented_diagram
 from auglink.diagram import (
     Diagram,
     _mate_darts,
-    _orbits,
     _splice,
     parse_document,
     serialize_diagram,
 )
 from auglink.errors import DiagramSyntaxError, InvalidDiagramError
-from auglink.twist import resolve_selection
+from auglink.twist import _bigon_bonds, resolve_selection
 
 from braid import braid_closure
 from corpus import FIGURE8, GOLDEN, HOPF, KINK, TREFOIL, UNKNOT0
 from oracle import (
+    oracle_bigon_pairs,
     oracle_euler,
-    oracle_face_degrees,
     oracle_incoherent_arcs,
     oracle_link_components,
 )
@@ -32,28 +31,25 @@ from oracle import (
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_faces_match_oracle(name):
+    # The diagram builds, so its own face count passed Euler's formula; the
+    # bigons between two crossings are the faces it still reads.
     pd = GOLDEN[name]
     diagram = Diagram.from_pd(pd)
-    faces, count = _orbits(diagram.face_next)
-    assert sorted(Counter(faces).values()) == sorted(oracle_face_degrees(pd))
+    assert diagram.is_connected
     v, e, f = oracle_euler(pd)
     assert diagram.crossing_count == v
     assert 2 * diagram.crossing_count == e
-    assert count == f
+    assert f == v + 2
     assert v - e + f == 2
+    bonds = _bigon_bonds(diagram.dart_mates, range(v), range(4 * v))
+    pairs = [frozenset((d1 >> 2, d2 >> 2)) for d1, d2 in bonds.items() if d1 < d2]
+    assert Counter(pairs) == Counter(oracle_bigon_pairs(pd))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_link_components_match_oracle(name):
     pd = GOLDEN[name]
     assert Diagram.from_pd(pd).link_component_count == oracle_link_components(pd)
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_faces_partition_corners(name):
-    # face_next is a permutation of the darts, so its orbits partition them.
-    diagram = Diagram.from_pd(GOLDEN[name])
-    assert sorted(diagram.face_next) == list(range(4 * diagram.crossing_count))
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
@@ -91,13 +87,27 @@ def test_cached_topology_is_shared_and_read_only():
     assert Diagram.from_pd(reversed_code, diagram.signs[::-1]) != diagram
     assert diagram != (diagram.crossings, None)
     for attribute in ("crossings", "crossing_ids", "signs", "labels", "name", "dart_mates",
-                      "face_next", "is_connected", "other"):
+                      "is_connected", "other"):
         with pytest.raises(AttributeError):
             setattr(diagram, attribute, None)
     for attribute in ("crossings", "crossing_ids", "signs", "labels", "dart_mates"):
         with pytest.raises(AttributeError):
             delattr(diagram, attribute)
     assert diagram.dart_mates == fresh.dart_mates
+
+
+def test_diagram_stores_its_fields_and_is_connected_only():
+    # Faces are walked from the mates where they are needed, so no diagram
+    # stores a face permutation: a parsed, a reduced and an exported one
+    # hold their fields and is_connected until a cached value is read.
+    fields = {"crossing_ids", "signs", "dart_mates", "name", "is_connected"}
+    diagram = Diagram.from_pd(*braid_closure([1, -1, 1, 1, 1], 2))
+    assert set(vars(diagram)) == fields | {"labels"}
+    reduced, selection = resolve_selection(diagram)
+    assert reduced.crossing_count == 3
+    assert set(vars(reduced)) == fields
+    exported = export_augmented_diagram(augment(reduced, selection))
+    assert set(vars(exported)) == fields | {"labels"}
 
 
 def _in_first_dart_order(labels) -> bool:
