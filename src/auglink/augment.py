@@ -21,7 +21,8 @@ residual half-twist is a synthesized staircase between the ring and the box.
 
 from typing import NamedTuple
 
-from .diagram import _ENTERS, Diagram, _component_count, _next_slot, _renumber, _splice
+from .diagram import (_ENTERS, Diagram, _component_count, _label_arcs, _mate_darts,
+                      _next_slot, _splice)
 from .errors import AugmentError, ExportError, InvalidDiagramError
 from .twist import TwistRegion, TwistSelection, _bigon_bonds, _box_sides
 
@@ -105,20 +106,22 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # PD-code export: flat arrays
 # ============================================================================
 #
-# The drawing is three flat lists.  Every crossing of it is a "stub" with
-# four ports, numbered 4 * stub + k for rotation position k = 0..3
+# The drawing is three flat sequences.  Every crossing of it is a "stub"
+# with four ports, numbered 4 * stub + k for rotation position k = 0..3
 # (counterclockwise): ``mates[p]`` is the port at the other end of p's wire,
 # and ``signs[stub]`` and ``starts[stub]`` are the stub's sign and the
-# rotation position of its slot 0.  The lists start as the diagram itself,
-# its crossings the first stubs in diagram order (slot 0 at position 0), so
-# that port 4 * i + s is the integer dart the diagram's own mates use.  A
-# port's strand enters its stub exactly when ``_ENTERS[sign][slot]`` says
-# so, the table the parser checks the input's orientation with.  Each
-# drawing appends its stubs and writes both ends of every wire it lays;
-# the dropped crossings are then spliced out, the kept ports must pair up
-# (``mates[mates[p]] == p``), and :func:`~auglink.diagram._renumber` numbers
-# the result: every kept stub becomes a crossing read from its slot 0, and
-# every wire an arc.
+# rotation position of its slot 0 (``starts`` is a ``bytearray``).  They
+# start as the diagram itself, its crossings the first stubs in diagram
+# order (slot 0 at position 0), so that port 4 * i + s is the integer dart
+# the diagram's own mates use.  A port's strand enters its stub exactly when
+# ``_ENTERS[sign][slot]`` says so, the table the parser checks the input's
+# orientation with.  Each drawing appends its stubs and writes both ends of
+# every wire it lays; the dropped crossings are then spliced out.  Every
+# kept stub becomes a crossing read from its slot 0, and every wire an arc:
+# one pass over the kept ports (:func:`~auglink.diagram._label_arcs`) labels
+# the arcs by first port, and checks that each port and its mate name each
+# other and that every arc has two ends.  No mates are renumbered: the
+# command line writes the labels, and the library pairs them again.
 
 # Rotation positions of synthesized stubs.
 _E, _N, _W, _S = 0, 1, 2, 3  # circle crossings
@@ -128,7 +131,7 @@ _NE, _NW, _SW, _SE = 0, 1, 2, 3  # staircase crossings
 # by whether the west-east strand runs forward (west to east).  The circle
 # runs north to south over the strands and south to north under them,
 # entering the under-pass at _S.
-_CIRCLE = {True: ((1, 1), (_S, _W)), False: ((-1, -1), (_S, _E))}
+_CIRCLE = {True: ((1, 1), bytes((_S, _W))), False: ((-1, -1), bytes((_S, _E)))}
 # (sign, slot-0 position) of one staircase crossing between two adjacent
 # lanes, by (handedness, lanes forward): strand A runs NW-SE, strand B runs
 # SW-NE, and positive handedness puts A on top.
@@ -146,7 +149,7 @@ _TURNS = tuple(tuple((start + k) & 3 for k in range(4)) for start in range(4))
 # are also the ports of the original stubs.  Slot s + 2 mod 4 is dart ^ 2.
 
 
-def _ring(mates: list[int], signs: list[int], starts: list[int], ports: list[int]) -> list[int]:
+def _ring(mates: list[int], signs: list[int], starts: bytearray, ports: list[int]) -> list[int]:
     """Ring the arcs at ``ports``, m consecutive counterclockwise boundary darts.
 
     Each port is a dart of the diagram (slot 0 at position 0).  On its arc
@@ -197,7 +200,7 @@ def _back_darts(diagram: Diagram, region: TwistRegion) -> list[int]:
     return [back, _next_slot(back)]
 
 
-def _staircase(mates: list[int], signs: list[int], starts: list[int], lanes: list[int],
+def _staircase(mates: list[int], signs: list[int], starts: bytearray, lanes: list[int],
                top: list[int], sign: int) -> None:
     """One half-twist of a box's m strands, between its ring and its top side.
 
@@ -222,18 +225,18 @@ def _staircase(mates: list[int], signs: list[int], starts: list[int], lanes: lis
         mates[dart] = port
 
 
-def _drawing(augmented: AugmentedLink) -> tuple[str, tuple, tuple, tuple]:
-    """The export's name, signs, dart mates and arc labels, with crossing k the
-    k-th kept stub read from its slot 0, worked out without a walk over the
-    whole drawing (``docs/diagram-format.md`` says why).  Raises
-    :class:`ExportError` when a kept port is unwired or wired one way, or
-    when a strand closes up inside the dropped crossings."""
+def _drawing(augmented: AugmentedLink) -> tuple[str, tuple, tuple]:
+    """The export's name, signs and arc labels, with crossing k the k-th kept
+    stub read from its slot 0, worked out without a walk over the whole
+    drawing (``docs/diagram-format.md`` says why).  Raises
+    :class:`ExportError` when a kept port is not wired both ways to another,
+    or when a strand closes up inside the dropped crossings."""
     selection = augmented.source
     diagram = selection.diagram
 
     mates = list(diagram.dart_mates)
     signs = list(diagram.signs)
-    starts = [0] * len(signs)
+    starts = bytearray(len(signs))
     dropped: set[int] = set()  # positions
     for circle, region in zip(augmented.circles, selection.regions):
         if region.strand_count == 2:
@@ -249,21 +252,20 @@ def _drawing(augmented: AugmentedLink) -> tuple[str, tuple, tuple, tuple]:
     relinked, covered = _splice(mates, dropped)
     for port, mate in relinked.items():
         mates[port] = mate
+    del relinked  # freed before the labelling pass
 
-    kept = [stub for stub in range(len(signs)) if stub not in dropped]
-    darts = [4 * stub + k for stub in kept for k in _TURNS[starts[stub]]]
     mates.append(-1)  # what mates[-1] reads, for an unwired port
-    if list(map(mates.__getitem__, map(mates.__getitem__, darts))) != darts:
-        one_way = sorted(p for p in darts if mates[mates[p]] != p)
-        raise ExportError(f"unwired ports remain: {one_way[:4]}")
-    new_mates, labels = _renumber(darts, mates)
+    labels, unwired = _label_arcs((4 * stub + k for stub in range(len(signs)) if stub not in dropped
+                                   for k in _TURNS[starts[stub]]), mates)
+    if unwired:
+        raise ExportError(f"unwired ports remain: {unwired[:4]}")
     if covered < 4 * len(dropped):  # a strand closed up inside the dropped crossings
         raise ExportError(
-            f"drawing has {_component_count(new_mates)} link components, expected "
-            f"{diagram.link_component_count + augmented.circle_count} (the input's plus "
-            "one per circle)")
+            f"drawing has {_component_count(_mate_darts(list(zip(*[iter(labels)] * 4))))} link "
+            f"components, expected {diagram.link_component_count + augmented.circle_count} "
+            "(the input's plus one per circle)")
     name = f"{diagram.name}-augmented" if diagram.name else "augmented"
-    return name, tuple(map(signs.__getitem__, kept)), new_mates, labels
+    return name, tuple(sign for stub, sign in enumerate(signs) if stub not in dropped), labels
 
 
 def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
@@ -275,7 +277,8 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     module docstring).  Raises :class:`ExportError` as :func:`_drawing`
     does, or when the drawing is not planar.
     """
-    name, signs, mates, labels = _drawing(augmented)
+    name, signs, labels = _drawing(augmented)
+    mates = _mate_darts(list(zip(*[iter(labels)] * 4)))
     try:
         return Diagram(tuple(range(len(signs))), signs, mates, name, labels)
     except InvalidDiagramError as exc:

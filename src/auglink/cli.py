@@ -82,6 +82,7 @@ def analyze_file(
         if "\r" in text:  # newlines as text mode reads them
             text = text.replace("\r\n", "\n").replace("\r", "\n")
         document = parse_document(text, allow_unknown_keys=not config.strict)
+        del text  # not read again
         diagram = document.diagram
         if not diagram.is_connected:
             raise InvalidDiagramError(
@@ -95,28 +96,29 @@ def analyze_file(
             raise InvalidDiagramError(
                 "link is split: R-II reduction cancels every crossing of a component"
             )
+        name, warnings = diagram.name, document.warnings
+        del document, diagram  # which frees the parsed diagram when a reduction replaced it
         if selection.region_count == 0:
             return FileResult(
                 file=path,
                 ok=True,
-                name=diagram.name,
+                name=name,
                 report=trivial_report(),
-                warnings=document.warnings,
+                warnings=warnings,
             )
         augmented = augment(reduced, selection)
-        report = build_report(augmented, config.attest_hyperbolic)
-        warnings = document.warnings
         export_path = None
-        if config.export_dir is not None:
+        if config.export_dir is not None:  # before the report: the drawing is not held beside it
             target, owner = export or _export_targets((path,), config.export_dir)[0]
             try:
                 export_path = _write_export(target, augmented, owner)
             except (ExportError, OSError) as exc:
                 warnings += (f"export failed: {exc}",)
+        report = build_report(augmented, config.attest_hyperbolic)
         return FileResult(
             file=path,
             ok=True,
-            name=diagram.name,
+            name=name,
             report=report,
             warnings=warnings,
             export_path=export_path,
@@ -145,8 +147,8 @@ _EXPORT_FLAGS = os.O_WRONLY | os.O_CREAT  # and no O_TRUNC: see _write_export
 def _write_export(out_path: str, augmented: AugmentedLink, owner: str | None) -> str:
     if owner is not None:  # an earlier input has this export path
         raise ExportError(f"{out_path} is the export of {owner}")
-    name, signs, _, labels = _drawing(augmented)  # no Diagram, no whole-drawing walk
-    data = (_pd_text(name, signs, labels) + "\n").encode()
+    # No Diagram and no whole-drawing walk; the text is encoded once, newline included.
+    data = _pd_text(*_drawing(augmented), "\n").encode()
     try:
         fd = os.open(out_path, _EXPORT_FLAGS, 0o666)
     except (FileNotFoundError, NotADirectoryError):  # DIR is missing, or not a directory
@@ -230,12 +232,10 @@ def _circle_text(circle_id, epsilon, m, n, c, length_lb, normalized_lb) -> str:
             f'          "slope_length_lb": {_float(length_lb)}\n        }}')
 
 
-def _report(report: CertificateReport) -> str:
+def _report(report: CertificateReport, head: str, tail: str) -> str:  # head, report, tail: one text
     geo, hyp = report.geodesic_circles, report.hyperbolic
-    circles = "[]"
-    if report.circles:
-        circles = "[\n        " + ",\n        ".join(
-            map(_circle, report.circles, report.estimates)) + "\n      ]"
+    circles = ",\n        ".join(map(_circle, report.circles, report.estimates))
+    start, end = ("[\n        ", "\n      ]") if circles else ("[", "]")
     volume = "null"
     if report.vol_augmentation_lb is not None:
         filled = ""
@@ -244,7 +244,7 @@ def _report(report: CertificateReport) -> str:
         volume = (f'{{\n        "augmentation_lb": {_float(report.vol_augmentation_lb)},\n'
                   f'        "euler_char_cut": {report.euler_char_cut}{filled}\n      }}')
     return (
-        '{\n      "certificates": {\n        "geodesic_hk": {\n'
+        f'{head}{{\n      "certificates": {{\n        "geodesic_hk": {{\n'
         f'          "certified": {"true" if geo.certified else "false"},\n'
         f'          "reasons": {_strings(geo.reasons, " " * 12)},\n'
         f'          "sum_of_inverses": {_str(str(geo.sum_of_inverses))},\n'
@@ -252,11 +252,11 @@ def _report(report: CertificateReport) -> str:
         '        "hyperbolic_6thm": {\n'
         f'          "certified": {"true" if hyp.certified else "false"},\n'
         f'          "reasons": {_strings(hyp.reasons, " " * 12)}\n        }}\n      }},\n'
-        f'      "circles": {circles},\n'
+        f'      "circles": {start}{circles}{end},\n'
         f'      "constants": {_CONSTANTS},\n'
         f'      "hypotheses": {_strings(report.hypotheses, " " * 8)},\n'
         f'      "tw": {report.tw},\n'
-        f'      "volume": {volume}\n    }}'
+        f'      "volume": {volume}\n    }}{tail}'
     )
 
 
@@ -266,15 +266,14 @@ def result_to_entry(result: FileResult) -> str:
         return (f'{{\n    "error": {_str(result.error or "unknown error")},\n'
                 f'    "file": {_str(result.file)},\n    "ok": false\n  }}')
     assert result.report is not None
-    fields = [f'"file": {_str(result.file)}',
-              f'"name": {"null" if result.name is None else _str(result.name)}',
-              '"ok": true',
-              f'"report": {_report(result.report)}']
-    if result.export_path is not None:
-        fields.insert(0, f'"export": {_str(result.export_path)}')
+    export = "" if result.export_path is None else f'"export": {_str(result.export_path)},\n    '
+    name = "null" if result.name is None else _str(result.name)
+    warnings = ""
     if result.warnings:
-        fields.append(f'"warnings": {_strings(result.warnings, " " * 6)}')
-    return "{\n    " + ",\n    ".join(fields) + "\n  }"
+        warnings = f',\n    "warnings": {_strings(result.warnings, " " * 6)}'
+    return _report(result.report,
+                   f'{{\n    {export}"file": {_str(result.file)},\n    "name": {name},\n'
+                   '    "ok": true,\n    "report": ', f"{warnings}\n  }}")
 
 
 def _fmt(x: float) -> str:
@@ -361,7 +360,8 @@ def analyze(config: RunConfig, stdout=None) -> int:
         for chunk, texts in zip(chunks, replies):
             for i, (ok, text) in zip(chunk, texts):
                 all_ok = all_ok and ok
-                out.write((head if i == 0 else sep) + text)
+                out.write(head if i == 0 else sep)  # apart, so that no large entry is copied
+                out.write(text)
     out.write(("\n]\n" if inputs else "[]\n") if config.json_output else "\n")
     return 0 if all_ok else 2
 
@@ -437,7 +437,8 @@ def _work(task_read, reply_write, ends: list, chunks: list, config: RunConfig, e
         while index := task_read.read(4):
             j = int.from_bytes(index, "little")
             data = marshal.dumps((j, _analyze_chunk(chunks[j], config, exports)))
-            _write_all(reply_write.fileno(), len(data).to_bytes(8, "little") + data)
+            _write_all(reply_write.fileno(), len(data).to_bytes(8, "little"))
+            _write_all(reply_write.fileno(), data)  # apart, so as not to copy the reply
         os._exit(0)  # which flushes no buffer inherited from the parent
     except BrokenPipeError:  # the parent has ended; analyze_file keeps its own OSErrors
         pass

@@ -17,11 +17,12 @@ crosses the arc, two strand orbits per link component, one each way.
 Every diagram is built by ``Diagram(crossing_ids, signs, mates, name,
 labels)``, which checks Euler's formula, from the dart mates its caller
 already knows: ``from_pd`` pairs them while checking the labels, shapes and
-signs of its input, and keeps its labels; the R-II reduction and the export
-relink them (with :func:`_splice`) and renumber their darts with
-:func:`_renumber`, and their arcs are labelled in the order of their first
-dart: by the export in the same pass, and by a reduced diagram when its
-labels are first read.  :class:`Crossing`
+signs of its input, and keeps its labels; the R-II reduction relinks them
+(with :func:`_splice`), renumbers the darts it keeps, and labels its arcs
+in the order of their first dart (:func:`_label_arcs`) when they are first
+read.  The export relinks its drawing so too, labels its arcs in one pass
+that checks the wiring, and pairs its darts again (:func:`_mate_darts`) for
+a library caller.  :class:`Crossing`
 records are built from the flat fields only for library callers
 (:attr:`Diagram.crossings`); the pipeline reads none.
 
@@ -151,7 +152,7 @@ class Diagram:
     @cached_property
     def labels(self) -> tuple[int, ...]:
         """The arc label at each dart; arcs 1, 2, ... by first dart unless given."""
-        return _renumber(range(len(self.dart_mates)), self.dart_mates)[1]
+        return _label_arcs(range(len(self.dart_mates)), self.dart_mates)[0]
 
     @cached_property
     def link_component_count(self) -> int:
@@ -203,8 +204,9 @@ class Diagram:
                     "direction)"
                 )
 
-        return cls(tuple(range(len(pd))), tuple(signs), mates, name,
-                   tuple(chain.from_iterable(pd)))
+        ids, labels = tuple(range(len(pd))), tuple(chain.from_iterable(pd))
+        del pd  # a caller that keeps no reference frees the quadruples before the Euler walk
+        return cls(ids, tuple(signs), mates, name, labels)
 
 
 class RegionAnnotation(NamedTuple):
@@ -260,8 +262,7 @@ def parse_document(text: str, *, allow_unknown_keys: bool = False) -> DiagramDoc
 
     if "pd" not in data:
         raise InvalidDiagramError('missing required key "pd"')
-    pd = data["pd"]
-    if not isinstance(pd, list):
+    if not isinstance(data["pd"], list):
         raise InvalidDiagramError('"pd" must be an array of quadruples')
 
     name = data.get("name")
@@ -272,7 +273,7 @@ def parse_document(text: str, *, allow_unknown_keys: bool = False) -> DiagramDoc
     if signs is not None and not isinstance(signs, list):
         raise InvalidDiagramError('"signs" must be an array of +1/-1')
 
-    diagram = Diagram.from_pd(pd, signs, name)
+    diagram = Diagram.from_pd(data.pop("pd"), signs, name)  # popped, so that from_pd frees it
 
     annotations = []
     regions = data.get("regions", [])
@@ -321,13 +322,13 @@ def serialize_diagram(diagram: Diagram) -> str:
     return _pd_text(diagram.name, diagram.signs, diagram.labels)
 
 
-def _pd_text(name: str | None, signs: tuple[int, ...], labels: tuple[int, ...]) -> str:
-    """The text :func:`serialize_diagram` writes for these name, signs and labels."""
+def _pd_text(name: str | None, signs: tuple, labels: tuple, end: str = "") -> str:
+    """The text :func:`serialize_diagram` writes for these name, signs and labels, then ``end``."""
     n = len(signs)
     name = "" if name is None else f'"name": {_str(name)}, '
     pd = ", ".join(["[%d, %d, %d, %d]"] * n) % labels
     signs = ", ".join(["%d"] * n) % signs
-    return f'{{{name}"pd": [{pd}], "signs": [{signs}]}}'
+    return f'{{{name}"pd": [{pd}], "signs": [{signs}]}}{end}'
 
 
 # ============================================================================
@@ -390,26 +391,31 @@ def _splice(mates, removed) -> tuple[dict[int, int], int]:
     return relinked, covered
 
 
-def _renumber(darts, mates) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The mates and arc labels of the darts listed in ``darts`` (indices into
-    ``mates``), each renumbered by its place in the list, and the arcs
-    labelled 1, 2, ... by first dart in the same pass.  Every mate of a
-    listed dart must be listed."""
-    at = [-1] * len(mates)  # old dart -> new dart, for the first dart of an arc
-    new_mates = [0] * len(darts)
-    labels = [0] * len(darts)
-    arc = 0
-    for k, d in enumerate(darts):
-        j = at[mates[d]]
-        if j < 0:  # the arc's first dart
-            at[d] = k
-            arc += 1
-            labels[k] = arc
-        else:
-            new_mates[j] = k
-            new_mates[k] = j
-            labels[k] = labels[j]
-    return tuple(new_mates), tuple(labels)
+def _label_arcs(ports, mates) -> tuple[tuple[int, ...], list[int]]:
+    """The arc label at each of ``ports`` (indices into ``mates``), arcs 1, 2, ... by first
+    port, in one pass; and, sorted, the ports whose mate does not name them back, or else
+    those whose arc has no other end among ``ports`` (none for a diagram's own darts)."""
+    at = [0] * len(mates)  # an arc's first port -> its label, until the other end is read
+    one_way = []
+
+    def each_label():  # yielded into the tuple, so that no list of them is copied
+        arc = 0
+        for p in ports:
+            q = mates[p]
+            if mates[q] != p:
+                one_way.append(p)
+            label = at[q]
+            if label:
+                at[q] = 0
+            else:
+                arc += 1
+                label = at[p] = arc
+            yield label
+
+    labels = tuple(each_label())
+    if not one_way and 2 * max(labels, default=0) != len(labels):  # an arc with one end
+        one_way = [p for p, label in enumerate(at) if label]
+    return labels, sorted(one_way)
 
 
 def _component_count(mates) -> int:
@@ -439,14 +445,15 @@ def _check_euler(diagram: Diagram) -> None:
     """Set a new diagram's ``is_connected``, checking Euler.
 
     The faces are the orbits of the face walk, which crosses the arc, then
-    rotates one slot counterclockwise.  Each of the C components of the
-    underlying graph has V - E + F = 2 - 2g <= 2, with E = 2V and genus g,
-    so the code is planar exactly when F - V = 2C over the whole diagram.
+    rotates one slot counterclockwise; like the components, they are counted
+    by marking a ``bytearray``, so that no list with an int per dart is made.
+    Each of the C components of the underlying graph has V - E + F = 2 - 2g
+    <= 2, with E = 2V and genus g, so the code is planar exactly when
+    F - V = 2C over the whole diagram.
     The error gives the totals: ``Euler formula violated (non-planar or
     corrupted code): V=4 E=8 F=6 over 2 components``.
     """
     mates = diagram.dart_mates
-    step = [m - 3 if m & 3 == 3 else m + 1 for m in mates]
     seen = bytearray(len(diagram.crossing_ids))  # by position
     count = 0
     start = seen.find(0)
@@ -462,8 +469,17 @@ def _check_euler(diagram: Diagram) -> None:
                     stack.append(k)
         start = seen.find(0, start)
     vars(diagram)["is_connected"] = count <= 1
-    v, f = len(seen), _orbits(step)[1]
-    if f - v != 2 * count:
+    on_face, f = bytearray(len(mates)), 0  # by dart
+    start = on_face.find(0)
+    while start >= 0:  # one pass per face; the turn is _next_slot, written out for speed
+        f += 1
+        d = start
+        while not on_face[d]:
+            on_face[d] = 1
+            d = mates[d]
+            d = d - 3 if d & 3 == 3 else d + 1
+        start = on_face.find(0, start)
+    if f - (v := len(seen)) != 2 * count:
         raise InvalidDiagramError(
             "Euler formula violated (non-planar or corrupted code): "
             f"V={v} E={2 * v} F={f} over {count} component{'s' * (count != 1)}"

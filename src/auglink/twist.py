@@ -21,7 +21,7 @@ keep their ids.
 import heapq
 from typing import NamedTuple
 
-from .diagram import _ENTERS, Diagram, RegionAnnotation, _next_slot, _renumber, _splice
+from .diagram import _ENTERS, Diagram, RegionAnnotation, _next_slot, _splice
 from .errors import NonAlternatingRegionError, RegionError
 
 
@@ -159,7 +159,7 @@ def _chain(signs, ids, chain: list[int]) -> tuple[int, int, list[int]]:
 def _chain_regions(bonds, chains, ids, start: int = 1) -> list[TwistRegion]:
     """Number the chains as regions from ``start``, by smallest id."""
     result = []
-    region_of: dict[int, int] = {}  # position -> region id
+    region_of = [0] * len(ids)  # position -> region id
     for region_id, (_, sign, chain) in enumerate(sorted(chains), start=start):
         result.append(TwistRegion(id=region_id, crossing_ids=tuple(map(ids.__getitem__, chain)),
                                   strand_count=2, half_twists=len(chain), sign=sign))
@@ -358,8 +358,8 @@ def resolve_selection(
     The result equals that of the plain loop "detect the chains of the
     diagram, cancel the adjacent opposite-sign pairs of the mixed chain with
     the smallest crossing id (Reidemeister II), repeat, then add the
-    annotated regions": survivors keep their ids.  A reduced diagram is
-    renumbered by :func:`~auglink.diagram._renumber`, and labels its arcs in
+    annotated regions": survivors keep their ids.  A reduced diagram numbers
+    its crossings in the order of their positions, and labels its arcs in
     the order of their first dart when they are first read.  Chains are
     detected once; after each splice only the faces through relinked darts
     are walked again, and only the chains whose bigon bonds changed are
@@ -409,9 +409,14 @@ def resolve_selection(
                 heapq.heappush(mixed, regrown)
 
     if reduced:
-        kept = [p for p in range(len(ids)) if p not in spliced]
-        diagram = Diagram(tuple(ids[p] for p in kept), tuple(signs[p] for p in kept),
-                          _renumber([d for p in kept for d in range(4 * p, 4 * p + 4)], mates)[0],
-                          diagram.name)
         chains = [chain for p, chain in chain_of.items() if chain[2][0] == p]
+        del chain_of  # before the reduced diagram is built, and the rest before its regions
+        kept = [p for p in range(len(ids)) if p not in spliced]
+        at = [0] * len(ids)  # old position -> the first dart of its new one
+        for i, p in enumerate(kept):
+            at[p] = 4 * i
+        diagram = Diagram(tuple(ids[p] for p in kept), tuple(signs[p] for p in kept),
+                          tuple(at[m >> 2] | m & 3 for p in kept for m in mates[4 * p:4 * p + 4]),
+                          diagram.name)
+        del mates, kept, at
     return diagram, _assemble(diagram, annotations, ids, bonds, chains)

@@ -15,6 +15,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from collections import Counter
 
 import jsonschema
@@ -297,6 +298,28 @@ def test_export_augmented_files(tmp_path):
         assert exported.link_component_count == original_comps + tw
 
 
+def test_one_large_export_stays_in_bounded_memory(tmp_path):
+    # One 10,000-letter 6-strand closure, analyzed and exported under
+    # tracemalloc.  The bound sits between the traced peak of a pipeline
+    # that keeps lists with an int per dart and whole copies of the
+    # export's text (27.9 MB on Python 3.11) and this one's (14.9 MB), with
+    # room for other Python versions.
+    rng = random.Random(10000)
+    word = [rng.randint(1, 5) for _ in range(10000)]
+    word[:5] = [1, 2, 3, 4, 5]
+    pd, signs = braid_closure(word, 6)
+    path = _write(tmp_path, "large.json", {"pd": pd, "signs": signs})
+    del word, pd, signs
+    tracemalloc.start()
+    try:
+        result = cli.analyze_file(path, RunConfig(inputs=(path,), export_dir=str(tmp_path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.ok and result.warnings == () and result.export_path is not None
+    assert peak < 20_000_000, f"traced peak {peak / 1e6:.1f} MB"
+
+
 # The closure of s3 s2 s2 s1 s1 s3 s2 s3 on 4 strands.  Crossings 0-5 pass
 # as a full twist of 3 strands but are none: the box drawn for them has 4
 # link components, not the input's 2 plus one per circle.
@@ -384,6 +407,14 @@ def _overwrite_one_way(mates, a, b):
     return sorted((a, far_a))
 
 
+def _wire_to_themselves(mates, a, b):
+    # a and its old mate are each wired to itself: both ways, but each is
+    # the one end of its arc.
+    far_a = mates[a]
+    mates[a], mates[far_a] = a, far_a
+    return sorted((a, far_a))
+
+
 @pytest.mark.parametrize(
     "pd, other_port, rewire, error",
     [
@@ -398,8 +429,10 @@ def _overwrite_one_way(mates, a, b):
         # The circle's wire overwritten at one end only.
         (TREFOIL, lambda signs, starts, under: _strand_out_port(signs, starts, under[0]),
          _overwrite_one_way, "unwired ports remain: "),
+        # The circle's wire cut, each end wired to itself.
+        (TREFOIL, lambda signs, starts, under: 0, _wire_to_themselves, "unwired ports remain: "),
     ],
-    ids=["not-planar", "wired-to-a-spliced-crossing", "one-way"],
+    ids=["not-planar", "wired-to-a-spliced-crossing", "one-way", "wired-to-itself"],
 )
 def test_miswired_export_is_an_export_failure(tmp_path, monkeypatch, pd, other_port, rewire,
                                               error):
@@ -915,7 +948,13 @@ def test_worker_killed_mid_reply_is_the_worker_error(tmp_path, monkeypatch, cut)
             os.kill(os.getpid(), signal.SIGKILL)
         return real_analyze(path, config, export_owner)
 
+    pending = []  # a reply's length, held until its body comes, so that cut counts both
+
     def cut_short(fd, data):
+        if not pending:
+            pending.append(data)
+            return
+        data = pending.pop() + data
         if cut is not None:
             real_write_all(fd, data[:{"half": len(data) // 2, "all": None}.get(cut, cut)])
             os.kill(os.getpid(), signal.SIGKILL)
