@@ -121,7 +121,7 @@ def augment(diagram: Diagram, selection: TwistSelection) -> AugmentedLink:
 # one pass over the kept ports (:func:`~auglink.diagram._label_arcs`) labels
 # the arcs by first port, and checks that each port and its mate name each
 # other and that every arc has two ends.  No mates are renumbered: the
-# command line writes the labels, and the library pairs them again.
+# command line writes the labels, and the library keeps them only as mates.
 
 # Rotation positions of synthesized stubs.
 _E, _N, _W, _S = 0, 1, 2, 3  # circle crossings
@@ -280,6 +280,6 @@ def export_augmented_diagram(augmented: AugmentedLink) -> Diagram:
     name, signs, labels = _drawing(augmented)
     mates = _mate_darts(list(zip(*[iter(labels)] * 4)))
     try:
-        return Diagram(tuple(range(len(signs))), signs, mates, name, labels)
+        return Diagram(range(len(signs)), signs, mates, name)
     except InvalidDiagramError as exc:
         raise ExportError(f"drawing is not planar: {exc}") from exc

@@ -14,17 +14,15 @@ crosses the arc, then turns one slot counterclockwise, and a strand walk
 ``d -> dart_mates[d ^ 2]`` passes straight through the crossing, then
 crosses the arc, two strand orbits per link component, one each way.
 
-Every diagram is built by ``Diagram(crossing_ids, signs, mates, name,
-labels)``, which checks Euler's formula, from the dart mates its caller
-already knows: ``from_pd`` pairs them while checking the labels, shapes and
-signs of its input, and keeps its labels; the R-II reduction relinks them
-(with :func:`_splice`), renumbers the darts it keeps, and labels its arcs
-in the order of their first dart (:func:`_label_arcs`) when they are first
-read.  The export relinks its drawing so too, labels its arcs in one pass
-that checks the wiring, and pairs its darts again (:func:`_mate_darts`) for
-a library caller.  :class:`Crossing`
-records are built from the flat fields only for library callers
-(:attr:`Diagram.crossings`); the pipeline reads none.
+Every diagram is built by ``Diagram(crossing_ids, signs, mates, name)``,
+which checks Euler's formula, from the dart mates its caller already knows:
+``from_pd`` pairs them while checking its input and keeps no label, the
+R-II reduction relinks them (with :func:`_splice`), and the export relinks
+its drawing so too and pairs its darts again (:func:`_mate_darts`).  Arc
+labels, arcs 1, 2, ... by first dart (:func:`_label_arcs`), and the
+:class:`Crossing` records of :attr:`Diagram.crossings` are derived for
+library callers; the pipeline reads none.  Crossing ids are a ``range``,
+except the ids a reduction keeps.
 
 Slot conventions (slot = index within the quadruple):
 
@@ -51,7 +49,6 @@ lists 0-based crossing ids.
 import json
 from collections import Counter
 from functools import cached_property
-from itertools import chain
 from json.encoder import encode_basestring_ascii as _str
 from operator import itemgetter
 from types import MappingProxyType
@@ -89,30 +86,29 @@ class Crossing(NamedTuple):
 class Diagram:
     """An immutable planar diagram code, held as flat tuples.
 
-    ``Diagram(crossing_ids, signs, mates, name=None, labels=None)`` keeps the
-    i-th crossing's id and sign at ``crossing_ids[i]`` and ``signs[i]``, the
+    ``Diagram(crossing_ids, signs, mates, name=None)`` keeps the i-th
+    crossing's id and sign at ``crossing_ids[i]`` and ``signs[i]``, and the
     dart mates its caller paired as :attr:`dart_mates` (``mates[d]`` is the
-    other end of dart d's arc) and, when given, ``labels[d]``, the arc label
-    at dart d.  It raises :class:`InvalidDiagramError` when Euler's formula
-    fails, and sets :attr:`is_connected` from the same pass; :meth:`from_pd`
-    validates and builds one from a PD code.
+    other end of dart d's arc).  Ids 0, 1, ... in order are kept as a
+    ``range``, however given.  It raises :class:`InvalidDiagramError` when
+    Euler's formula fails, and sets :attr:`is_connected` from the same
+    pass; :meth:`from_pd` validates and builds one from a PD code.
 
-    The index, the labels of a diagram built without them (arcs 1, 2, ... in
-    the order of their first dart) and the link component count are worked
-    out once, on first use, and shared read-only by every caller.  Equality
-    and hashing see the ids, signs, labels and name.
+    The index, the arc labels (arcs 1, 2, ... in the order of their first
+    dart) and the link component count are worked out once, on first use,
+    and shared read-only by every caller.  Equality and hashing see the
+    ids, signs, mates and name, so a relabelled PD code equals the original.
 
     A dart is one integer: dart ``4 * i + s`` is slot s of the i-th crossing
     by position (not by id), and every topology value here is indexed by
     it.
     """
 
-    def __init__(self, crossing_ids: tuple[int, ...], signs: tuple[int, ...],
-                 mates: tuple[int, ...], name: str | None = None,
-                 labels: tuple[int, ...] | None = None):
+    def __init__(self, crossing_ids: tuple[int, ...] | range, signs: tuple[int, ...],
+                 mates: tuple[int, ...], name: str | None = None):
+        if type(crossing_ids) is not range and tuple(crossing_ids) == tuple(range(len(signs))):
+            crossing_ids = range(len(signs))  # ids 0, 1, ... compare and hash as one range
         vars(self).update(crossing_ids=crossing_ids, signs=signs, dart_mates=mates, name=name)
-        if labels is not None:
-            vars(self)["labels"] = labels
         _check_euler(self)
 
     def __setattr__(self, name, *value):  # also __delattr__
@@ -125,11 +121,11 @@ class Diagram:
             return True
         if type(other) is not type(self):
             return NotImplemented
-        return ((self.crossing_ids, self.signs, self.labels, self.name)
-                == (other.crossing_ids, other.signs, other.labels, other.name))
+        return ((self.crossing_ids, self.signs, self.dart_mates, self.name)
+                == (other.crossing_ids, other.signs, other.dart_mates, other.name))
 
     def __hash__(self):
-        return hash((self.crossing_ids, self.signs, self.labels, self.name))
+        return hash((self.crossing_ids, self.signs, self.dart_mates, self.name))
 
     def __repr__(self):
         return f"Diagram(crossings={self.crossings!r}, name={self.name!r})"
@@ -145,13 +141,14 @@ class Diagram:
         return tuple(map(Crossing._make, zip(self.crossing_ids, quads, self.signs)))
 
     @cached_property
-    def index(self) -> Mapping[int, int]:
-        """Crossing id -> position."""
-        return MappingProxyType({c: i for i, c in enumerate(self.crossing_ids)})
+    def index(self) -> Mapping[int, int] | range:
+        """Crossing id -> position; a range of ids is its own index: test ``in`` before ``[]``."""
+        ids = self.crossing_ids
+        return ids if type(ids) is range else MappingProxyType({c: i for i, c in enumerate(ids)})
 
     @cached_property
     def labels(self) -> tuple[int, ...]:
-        """The arc label at each dart; arcs 1, 2, ... by first dart unless given."""
+        """The arc label at each dart, arcs 1, 2, ... by first dart."""
         return _label_arcs(range(len(self.dart_mates)), self.dart_mates)[0]
 
     @cached_property
@@ -204,9 +201,8 @@ class Diagram:
                     "direction)"
                 )
 
-        ids, labels = tuple(range(len(pd))), tuple(chain.from_iterable(pd))
         del pd  # a caller that keeps no reference frees the quadruples before the Euler walk
-        return cls(ids, tuple(signs), mates, name, labels)
+        return cls(range(len(signs)), tuple(signs), mates, name)
 
 
 class RegionAnnotation(NamedTuple):

@@ -188,8 +188,11 @@ def detect_bigon_chains(
     bigon become single-crossing regions.  Regions are returned ordered by
     their smallest crossing id and numbered from 1.
     """
-    scope = (range(diagram.crossing_count) if within is None
-             else frozenset(map(diagram.index.__getitem__, within)))
+    scope = range(diagram.crossing_count)
+    if within is not None:  # ``in`` first, as a range index reads -1 as its last position
+        if missing := [c for c in within if c not in diagram.index]:
+            raise KeyError(missing[0])
+        scope = frozenset(map(diagram.index.__getitem__, within))
     return _chain_regions(*_detect(diagram, scope), diagram.crossing_ids)
 
 
@@ -358,13 +361,11 @@ def resolve_selection(
     The result equals that of the plain loop "detect the chains of the
     diagram, cancel the adjacent opposite-sign pairs of the mixed chain with
     the smallest crossing id (Reidemeister II), repeat, then add the
-    annotated regions": survivors keep their ids.  A reduced diagram numbers
-    its crossings in the order of their positions, and labels its arcs in
-    the order of their first dart when they are first read.  Chains are
-    detected once; after each splice only the faces through relinked darts
-    are walked again, and only the chains whose bigon bonds changed are
-    grown again.  The final chains and bonds go to the selection as they
-    are, not detected a second time.
+    annotated regions": survivors keep their ids, in order (a tuple, or a
+    range when they are 0, 1, ...).  Chains are detected once; after each
+    splice only the faces through relinked darts are walked again, and only
+    the chains whose bigon bonds changed are grown again.  The final chains
+    and bonds go to the selection as they are, not detected a second time.
     """
     scope = _scope(diagram, annotations)
     bonds, chains = _detect(diagram, scope)

@@ -298,18 +298,22 @@ def test_export_augmented_files(tmp_path):
         assert exported.link_component_count == original_comps + tw
 
 
+def _large_closure() -> dict:
+    """A seeded 10,000-letter 6-strand closure, as an input document."""
+    rng = random.Random(10000)
+    word = [rng.randint(1, 5) for _ in range(10000)]
+    word[:5] = [1, 2, 3, 4, 5]
+    pd, signs = braid_closure(word, 6)
+    return {"pd": pd, "signs": signs}
+
+
 def test_one_large_export_stays_in_bounded_memory(tmp_path):
     # One 10,000-letter 6-strand closure, analyzed and exported under
     # tracemalloc.  The bound sits between the traced peak of a pipeline
     # that keeps lists with an int per dart and whole copies of the
     # export's text (27.9 MB on Python 3.11) and this one's (14.9 MB), with
     # room for other Python versions.
-    rng = random.Random(10000)
-    word = [rng.randint(1, 5) for _ in range(10000)]
-    word[:5] = [1, 2, 3, 4, 5]
-    pd, signs = braid_closure(word, 6)
-    path = _write(tmp_path, "large.json", {"pd": pd, "signs": signs})
-    del word, pd, signs
+    path = _write(tmp_path, "large.json", _large_closure())
     tracemalloc.start()
     try:
         result = cli.analyze_file(path, RunConfig(inputs=(path,), export_dir=str(tmp_path)))
@@ -318,6 +322,23 @@ def test_one_large_export_stays_in_bounded_memory(tmp_path):
         tracemalloc.stop()
     assert result.ok and result.warnings == () and result.export_path is not None
     assert peak < 20_000_000, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_a_parsed_large_diagram_holds_its_signs_and_mates_only():
+    # What parse_document leaves held for the closure above, under
+    # tracemalloc.  The bound sits between a diagram that also keeps the
+    # input's arc labels and a tuple of crossing ids (3.49 MB on Python
+    # 3.11) and one that keeps its signs, mates and a range (1.68 MB), with
+    # room for other Python versions.
+    text = json.dumps(_large_closure())
+    tracemalloc.start()
+    try:
+        document = parse_document(text)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert document.diagram.crossing_count == 10000
+    assert held < 2_600_000, f"parsed diagram holds {held / 1e6:.2f} MB"
 
 
 # The closure of s3 s2 s2 s1 s1 s3 s2 s3 on 4 strands.  Crossings 0-5 pass

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -65,24 +66,33 @@ def test_mate_map_is_a_fixed_point_free_involution(name):
 def test_cached_topology_is_shared_and_read_only():
     diagram = Diagram.from_pd(FIGURE8)
     assert diagram.dart_mates is diagram.dart_mates
-    assert diagram.index is diagram.index
+    # A parsed diagram's ids are its positions: its index is that range, no dict.
+    assert diagram.index is diagram.index is diagram.crossing_ids == range(4)
     with pytest.raises(TypeError):
         diagram.dart_mates[0] = 1
     with pytest.raises(TypeError):
         diagram.index[0] = 1
     fresh = Diagram.from_pd(FIGURE8)
     assert fresh == diagram and hash(fresh) == hash(diagram)
-    with pytest.raises(KeyError):
-        diagram.index[99]
-    # Equality and hashing see the ids, signs, labels and name, never the cache.
+    assert 99 not in diagram.index and -1 not in diagram.index
+    # A reduced diagram keeps the ids that survive, and its index maps them.
+    reduced, _ = resolve_selection(Diagram.from_pd(*braid_closure([1, -1, 1, 1, 1], 2)))
+    assert reduced.crossing_ids == (2, 3, 4) and dict(reduced.index) == {2: 0, 3: 1, 4: 2}
+    assert reduced.index is reduced.index
+    with pytest.raises(TypeError):
+        reduced.index[0] = 1
+    for unknown in (0, 99, -1):
+        with pytest.raises(KeyError):
+            reduced.index[unknown]
+    # Equality and hashing see the ids, signs, mates and name, never the cache.
     assert diagram.link_component_count == 1
     fields = (diagram.crossing_ids, diagram.signs, diagram.dart_mates)
-    bare = Diagram(*fields, labels=diagram.labels)
+    bare = Diagram(*fields)
     assert "link_component_count" in vars(diagram) and "link_component_count" not in vars(bare)
     assert bare == diagram == Diagram(crossing_ids=diagram.crossing_ids, signs=diagram.signs,
-                                      mates=diagram.dart_mates, labels=diagram.labels)
+                                      mates=diagram.dart_mates)
     assert hash(bare) == hash(diagram)
-    assert Diagram(*fields, "figure-8", diagram.labels) != diagram
+    assert Diagram(*fields, "figure-8") != diagram
     reversed_code = [x.arcs for x in reversed(diagram.crossings)]
     assert Diagram.from_pd(reversed_code, diagram.signs[::-1]) != diagram
     assert diagram != (diagram.crossings, None)
@@ -97,59 +107,59 @@ def test_cached_topology_is_shared_and_read_only():
 
 
 def test_diagram_stores_its_fields_and_is_connected_only():
-    # Faces are walked from the mates where they are needed, so no diagram
-    # stores a face permutation: a parsed, a reduced and an exported one
-    # hold their fields and is_connected until a cached value is read.
+    # Faces are walked and arcs labelled from the mates where they are
+    # needed, so no diagram stores a face permutation or arc labels: a
+    # parsed, a reduced and an exported one hold their fields and
+    # is_connected until a cached value is read.  Only the reduced one
+    # holds its ids as a tuple, and only its index is a dict.
     fields = {"crossing_ids", "signs", "dart_mates", "name", "is_connected"}
     diagram = Diagram.from_pd(*braid_closure([1, -1, 1, 1, 1], 2))
-    assert set(vars(diagram)) == fields | {"labels"}
+    assert set(vars(diagram)) == fields
     reduced, selection = resolve_selection(diagram)
     assert reduced.crossing_count == 3
     assert set(vars(reduced)) == fields
     exported = export_augmented_diagram(augment(reduced, selection))
-    assert set(vars(exported)) == fields | {"labels"}
+    assert set(vars(exported)) == fields
+    assert type(reduced.crossing_ids) is tuple and type(reduced.index) is MappingProxyType
+    for built in (diagram, exported):
+        assert type(built.crossing_ids) is range and built.index is built.crossing_ids
 
 
-def _in_first_dart_order(labels) -> bool:
-    """Whether each label is new exactly when it is one more than every label before it."""
-    order: list[int] = []
-    for label in labels:
-        if label not in order:
-            order.append(label)
-    return order == list(range(1, len(order) + 1))
-
-
-def test_equality_sees_ids_signs_labels_and_name():
-    # Relabelling a code keeps its darts' pairing but makes another code.
+def test_equality_sees_ids_signs_mates_and_name():
+    # Relabelling a code keeps its darts' pairing, so it is the same diagram,
+    # whose arc labels are derived: arcs 1, 2, ... by first dart.
     diagram = Diagram.from_pd(FIGURE8, name="figure-8")
     relabelled = Diagram.from_pd([[9 - a for a in quad] for quad in FIGURE8],
                                  diagram.signs, "figure-8")
-    assert relabelled.dart_mates == diagram.dart_mates
-    assert relabelled != diagram and diagram != relabelled
+    assert relabelled == diagram and diagram == relabelled and hash(relabelled) == hash(diagram)
+    assert relabelled.crossings == diagram.crossings
+    assert serialize_diagram(relabelled) == serialize_diagram(diagram)
+    assert diagram.labels == (1, 2, 3, 4, 5, 6, 4, 3, 6, 7, 8, 1, 2, 8, 7, 5)
 
-    # A reduced diagram and its export each equal their serialization,
-    # parsed.  Parsing numbers crossings from 0, and the closure of
-    # s1 s1 s2 s2 s1 s2 s2^-1 cancels its last two crossings, so the reduced
-    # diagram's ids are 0, 1, ... too.
+    # The same ids and signs (crossings 0 and 1 are both positive) on other
+    # mates, other signs, other ids, or another name make another diagram.
+    swapped = Diagram.from_pd([FIGURE8[1], FIGURE8[0], *FIGURE8[2:]], diagram.signs, "figure-8")
+    assert swapped.signs == diagram.signs and swapped.dart_mates != diagram.dart_mates
+    fields = (diagram.crossing_ids, diagram.signs, diagram.dart_mates)
+    for other in (swapped, Diagram(fields[0], (1, 1, 1, 1), fields[2], "figure-8"),
+                  Diagram((1, 2, 3, 4), *fields[1:], "figure-8"), Diagram(*fields, "fig8")):
+        assert other != diagram and diagram != other
+
+    # Ids 0, 1, ... are one range however they are given, so they compare
+    # and hash alike.  A reduced diagram and its export each equal their
+    # serialization, parsed.  Parsing numbers crossings from 0, and the
+    # closure of s1 s1 s2 s2 s1 s2 s2^-1 cancels its last two crossings,
+    # so the reduced diagram's ids are 0, 1, ... too.
+    as_tuple = Diagram((0, 1, 2, 3), *fields[1:], "figure-8")
+    assert as_tuple.crossing_ids == range(4) and as_tuple == diagram
+    assert hash(as_tuple) == hash(diagram)
     pd, signs = braid_closure([1, 1, 2, 2, 1, 2, -2], 3)
     reduced, selection = resolve_selection(Diagram.from_pd(pd, signs, "mixed"))
-    assert reduced.crossing_ids == (0, 1, 2, 3, 4)
+    assert reduced.crossing_count == 5 and reduced.crossing_ids == range(5)
     exported = export_augmented_diagram(augment(reduced, selection))
-    for derived in (reduced, exported):
+    for derived in (diagram, reduced, exported):
         again = parse_document(serialize_diagram(derived)).diagram
         assert again == derived and derived == again and hash(again) == hash(derived)
-
-    # A diagram built without labels labels its arcs by first dart, so it
-    # equals a parsed one exactly when the parsed labels are in that order.
-    seen = set()
-    for name, pd in GOLDEN.items():
-        parsed = Diagram.from_pd(pd, name=name)
-        bare = Diagram(parsed.crossing_ids, parsed.signs, parsed.dart_mates, name)
-        assert _in_first_dart_order(bare.labels)
-        seen.add(_in_first_dart_order(parsed.labels))
-        assert (bare == parsed) is (parsed == bare) is _in_first_dart_order(parsed.labels)
-        assert (hash(bare) == hash(parsed)) is (bare == parsed)
-    assert seen == {True, False}
 
 
 def test_zero_crossing_unknot():
@@ -505,4 +515,4 @@ def test_hopf_requires_consistent_component_count():
 def test_figure8_arc_count():
     diagram = Diagram.from_pd(FIGURE8)
     assert len({a for x in diagram.crossings for a in x.arcs}) == 8
-    assert diagram.crossing_ids == (0, 1, 2, 3)
+    assert diagram.crossing_ids == range(4)

@@ -40,8 +40,7 @@ RECORDS = [
      ("half_twists", 3)),
     (TwistRegion, _REGION._asdict(), {}, ("sign", -1)),
     (TwistSelection, dict(regions=(_REGION,), diagram=_TREFOIL), {},
-     ("diagram", Diagram(_TREFOIL.crossing_ids, _TREFOIL.signs, _TREFOIL.dart_mates, "trefoil",
-                         _TREFOIL.labels))),
+     ("diagram", Diagram(_TREFOIL.crossing_ids, _TREFOIL.signs, _TREFOIL.dart_mates, "trefoil"))),
     (CrossingCircle, _CIRCLE._asdict(), {}, ("epsilon", 0)),
     (AugmentedLink, dict(circles=(_CIRCLE,), source=_SELECTION), {}, ("circles", ())),
     (Constants, {}, {"v8": 3.66386, "two_pi": CONSTANTS.two_pi, "hk": 7.5832, "six": 6.0},

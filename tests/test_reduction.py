@@ -7,10 +7,11 @@ reduces the mixed chain with the smallest crossing id, through the public
 here (which checks Euler's formula after every splice).
 ``resolve_selection`` must return the same crossings, regions and errors,
 and the selection it hands over must equal the one it detects from
-scratch on the reduced diagram, which it returns unreduced.  Its arc
-labels are the reference's relabelled in the order of their first dart
-when a chain was reduced, and the parsed labels when none was; every
-reduced code must also pass the independent checks of ``tests/oracle.py``.
+scratch on the reduced diagram, which it returns unreduced.  Every
+diagram derives its arc labels from its mates, arcs 1, 2, ... in the order
+of their first dart; the reference's are numbered here apart from the
+package, and every reduced code must also pass the independent checks of
+``tests/oracle.py``.
 """
 
 from __future__ import annotations
@@ -93,8 +94,7 @@ def _splice_out(diagram: Diagram, removed: set[int]) -> Diagram:
             survivors.append(Crossing(x.id, arcs, x.sign))
     # The mates worked out again from the labels; the constructor checks Euler.
     return Diagram(tuple(x.id for x in survivors), tuple(x.sign for x in survivors),
-                   _mate_darts([x.arcs for x in survivors]), diagram.name,
-                   tuple(a for x in survivors for a in x.arcs))
+                   _mate_darts([x.arcs for x in survivors]), diagram.name)
 
 
 def reference_resolve(diagram, annotations=()):
@@ -148,9 +148,7 @@ def _outcome(resolve, diagram, annotations):
     assert reduced.dart_mates == _mate_darts([x.arcs for x in reduced.crossings])
     _check_with_oracle(reduced)
     arcs = [x.arcs for x in reduced.crossings]
-    if resolve is reference_resolve and reduced.crossing_count < diagram.crossing_count:
-        # The reference joins labels as it splices; a reduced diagram
-        # labels its arcs in the order of their first dart.
+    if resolve is reference_resolve:  # labels by first dart, numbered without the package
         arcs = _first_dart_arcs(reduced)
     return (
         [(x.id, quad, x.sign) for x, quad in zip(reduced.crossings, arcs)],

@@ -118,11 +118,23 @@ def test_validate_rejects_wrong_count():
                          "(needs 3 = c*m(m-1)/2)"),
         (({0, 1, 2}, 1, 1), "region 1: strand count must be >= 2, got 1"),
         (({0, 9}, 1, 1), "region 1: unknown crossing ids [9]"),
+        (({-1, 0}, 1, 1), "region 1: unknown crossing ids [-1]"),
     ]:
         annotation = RegionAnnotation(crossing_ids=frozenset(ids), strand_count=m, half_twists=c)
         with pytest.raises(RegionError) as excinfo:
             validate_generalized_region(diagram, annotation)
         assert type(excinfo.value) is RegionError and str(excinfo.value) == message
+
+
+def test_detection_refuses_ids_outside_the_diagram():
+    # A parsed diagram's index is the range of its positions, which reads
+    # -1 as the last one; an id it lacks is still a KeyError.
+    diagram = Diagram.from_pd(FIGURE8)
+    for unknown in (-1, 4, 99):
+        with pytest.raises(KeyError):
+            detect_bigon_chains(diagram, within=frozenset({unknown}))
+        with pytest.raises(KeyError):
+            detect_bigon_chains(diagram, within=frozenset({0, unknown}))
 
 
 def test_validate_rejects_mixed_signs():
